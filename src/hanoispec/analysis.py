@@ -120,8 +120,7 @@ def auto_grid(
         x_lo = float(spec.eigenvalues[k_lo - 1])
         x_hi = float(spec.eigenvalues[k_hi - 1])
     else:
-        counter = get_counter(p_neumann)
-        fn = lambda x: counter.count_below(x * (1.0 + eps_shift), eps_shift).count
+        fn = _count_fn(p_neumann, backend, dense_limit, eps_shift)
         x_lo = _bisect_quantile(fn, k_lo, lambda_max_bound(p_neumann))
         x_hi = _bisect_quantile(fn, k_hi, lambda_max_bound(p_neumann))
     if x_hi <= x_lo * (1.0 + 1e-9):
@@ -288,6 +287,8 @@ def bracketing_check(
 ) -> BracketingReport:
     """Verify lowerSum <= N_D <= N_N <= upperSum at every grid point.
 
+    N_D and N_N are the ``counting_function`` samples of the level-m
+    graph on the grid; the report's samples add the two component sums.
     Violations are collected in the report rather than raised: an entry
     means a discretization or convention bug and must stay inspectable.
     """
@@ -299,20 +300,18 @@ def bracketing_check(
         )
     p_n = assemble_neumann(g)
     p_d = apply_dirichlet(p_n, g, "v0")
-    comps_upper = assemble_decoupled(g, j, "neumann_split")
-    comps_lower = assemble_decoupled(g, j, "dirichlet_split")
-    fn_n = _count_fn(p_n, backend, dense_limit, eps_shift)
-    fn_d = _count_fn(p_d, backend, dense_limit, eps_shift)
-    fns_upper = [_count_fn(c, backend, dense_limit, eps_shift) for c in comps_upper]
-    fns_lower = [_count_fn(c, backend, dense_limit, eps_shift) for c in comps_lower]
+    counts = counting_function(p_n, p_d, grid, backend, dense_limit, eps_shift)
+    fns_upper = [_count_fn(c, backend, dense_limit, eps_shift)
+                 for c in assemble_decoupled(g, j, "neumann_split")]
+    fns_lower = [_count_fn(c, backend, dense_limit, eps_shift)
+                 for c in assemble_decoupled(g, j, "dirichlet_split")]
     samples = []
     violations = []
-    for x in np.asarray(grid, dtype=float):
-        nd = fn_d(float(x))
-        nn = fn_n(float(x))
-        up = sum(fn(float(x)) for fn in fns_upper)
-        lo = sum(fn(float(x)) for fn in fns_lower)
-        samples.append(CountingSample(float(x), nd, nn, lo, up))
+    for smp in counts:
+        x, nd, nn = smp.x, smp.n_dirichlet, smp.n_neumann
+        up = sum(fn(x) for fn in fns_upper)
+        lo = sum(fn(x) for fn in fns_lower)
+        samples.append(CountingSample(x, nd, nn, lo, up))
         if not (lo <= nd <= nn <= up):
             violations.append(
                 f"x={x:.6g}: lowerSum={lo}, N_D={nd}, N_N={nn}, upperSum={up}"
@@ -438,18 +437,26 @@ def run_counting_experiment(
     p_n = assemble_neumann(g)
     if backend == "auto":
         backend = "dense" if p_n.n <= dense_limit else "inertia"
-    try:
-        p_d = apply_dirichlet(p_n, g, "v0")
-    except EmptyPencilError:
-        p_d = None
     if grid is None:
         grid = auto_grid(
             p_n, eta=eta, per_decade=per_decade, backend=backend,
             dense_limit=dense_limit, eps_shift=eps_shift,
         )
-    samples = counting_function(
-        p_n, p_d, grid, backend=backend, dense_limit=dense_limit, eps_shift=eps_shift
-    )
+    bracketing = None
+    if bracket_level is None:
+        try:
+            p_d = apply_dirichlet(p_n, g, "v0")
+        except EmptyPencilError:
+            p_d = None
+        samples = counting_function(
+            p_n, p_d, grid, backend=backend, dense_limit=dense_limit, eps_shift=eps_shift
+        )
+    else:
+        bracketing = bracketing_check(
+            g, bracket_level, grid, backend=backend,
+            dense_limit=dense_limit, eps_shift=eps_shift,
+        )
+        samples = bracketing.samples
     prediction = predicted_dimensions(seq)
     policy = policy or WindowPolicy(eta=eta)
     fit = fit_exponent(samples, policy, prediction, which=which)
@@ -458,13 +465,6 @@ def run_counting_experiment(
     else:
         d_s = 0.5 * (prediction.d_s_lower + prediction.d_s_upper)
     series, c1, c2 = weyl_ratio(samples, d_s, window=fit.window, which=which)
-    bracketing = None
-    if bracket_level is not None:
-        bracketing = bracketing_check(
-            g, bracket_level, grid, backend=backend,
-            dense_limit=dense_limit, eps_shift=eps_shift,
-        )
-        samples = bracketing.samples
     return CountingExperiment(
         graph=g,
         prediction=prediction,

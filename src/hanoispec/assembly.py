@@ -8,15 +8,16 @@ the measure.  Dirichlet conditions are imposed by deleting rows and
 columns, which is the exact form restriction.
 
 ``assemble_decoupled`` produces the two bracketing families used by the
-counting-function sandwich: splitting every coupling corner of the
-level-j blocks into a cell copy and a line copy (free "Neumann" split,
-which enlarges the form domain and can only raise counting functions),
-or grounding all of V_j (restriction, which can only lower them).
+counting-function sandwich, both by cutting the graph and splitting it
+into connected components: cutting every bridge of level <= j off the
+block corners it joins (free "Neumann" split, which enlarges the form
+domain and can only raise counting functions), or grounding all of V_j
+(restriction, which can only lower them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import AssemblyError, EmptyPencilError, LevelError
-from .geometry import GraphApprox, enumerate_words, vertex_set_v, word_rank
+from .geometry import GraphApprox, vertex_set_v
 
 
 @dataclass(frozen=True)
@@ -118,116 +119,82 @@ def apply_dirichlet(p: Pencil, g: GraphApprox, where: str, level: Optional[int] 
     construction.
     """
     if where == "v0":
-        constrained = set(vertex_set_v(g, 0))
+        constrained = vertex_set_v(g, 0)
         boundary = Boundary("dirichlet_v0")
     elif where == "vm":
         if level is None:
             raise LevelError("where='vm' needs a level")
-        constrained = set(vertex_set_v(g, level)) | set(vertex_set_v(g, 0))
+        constrained = vertex_set_v(g, level) + vertex_set_v(g, 0)
         boundary = Boundary("dirichlet_vm", level=level)
     else:
         raise LevelError(f"unknown constraint set {where!r}")
-    graph_ids = set(p.vertex_map.tolist())
-    pos = {vid: i for i, vid in enumerate(p.vertex_map.tolist())}
-    drop = {pos[v] for v in constrained if v in graph_ids}
-    keep = np.array(sorted(set(range(p.n)) - drop), dtype=np.int64)
+    keep = np.flatnonzero(~np.isin(p.vertex_map, constrained))
     return _restrict(p, keep, boundary)
 
 
-def _block_vertices(g: GraphApprox, w: str) -> list[int]:
-    """All graph vertices belonging to the level-|w| block w.
+def _components(p: Pencil, boundary: Boundary) -> list[Pencil]:
+    """One pencil per connected component of p, labelled ``component:{c}``.
 
-    Corners of all cells prefixed by w, plus interior nodes of bridges of
-    level > |w| whose address is prefixed by w.
+    Components are numbered by their lowest pencil index and keep the
+    index order of p.
     """
-    j = len(w)
-    ids = []
-    for suffix in enumerate_words(g.m - j):
-        base = 3 * word_rank(w + suffix)
-        ids.extend((base, base + 1, base + 2))
-    for lp in g.line_paths:
-        if lp.level > j and lp.word.startswith(w):
-            ids.extend(lp.nodes[1:-1])
-    return sorted(ids)
+    ncomp, labels = connected_components(p.L, directed=False)
+    return [
+        _restrict(p, np.flatnonzero(labels == c), replace(boundary, component=f"component:{c}"))
+        for c in range(ncomp)
+    ]
 
 
 def assemble_decoupled(g: GraphApprox, j: int, kind: str) -> list[Pencil]:
     """Component pencils of the level-j decoupled forms.
 
-    ``kind="neumann_split"``: every block corner that ends a bridge of
-    level <= j is duplicated; the cell copy keeps the cell mass share plus
-    any interior bridge share, the line copy keeps the bridge share.  One
-    pencil per level-j block and one free-free path pencil per split-off
-    bridge.  Total mass is conserved.
+    Both forms cut the graph and split it into connected components, one
+    pencil per component, labelled ``component:{c}`` in the order of
+    their lowest vertex.
 
-    ``kind="dirichlet_split"``: principal submatrix of the full Laplacian
-    after grounding V_j (which contains V_0); one pencil per connected
-    component.  Components with no remaining vertex (single cells at
-    j = m, bridges at s = 1) are dropped.
+    ``kind="neumann_split"``: every bridge of level <= j is cut off the
+    two block corners it joins.  Its two ends become new vertices that
+    map to those corners and carry the bridge's end share of the line
+    mass; the corners keep their cell share.  The components are the
+    3**j level-j blocks (with their bridges of level > j) and one
+    free-free path per cut bridge.  Enlarging the form domain can only
+    raise counting functions.  Total mass is conserved, and j = 0 gives
+    the full graph.
+
+    ``kind="dirichlet_split"``: the full Laplacian with V_j (which
+    contains V_0) grounded.  Restricting the form can only lower counting
+    functions.  Components with no remaining vertex (single cells at
+    j = m, bridges at s = 1) are dropped; grounding every vertex gives [].
     """
     if not (0 <= j <= g.m):
         raise LevelError(f"decouple level {j} outside 0..{g.m}")
 
     if kind == "neumann_split":
-        if j == 0:
-            return [assemble_neumann(g)]
-        pencils = []
-        for w in enumerate_words(j):
-            vids = _block_vertices(g, w)
-            index = {vid: i for i, vid in enumerate(vids)}
-            sub_edges = []
-            for e in g.edges:
-                if e.u in index and e.v in index and (e.kind == "cell" or e.level > j):
-                    sub_edges.append((index[e.u], index[e.v], e.resistance))
-            L = _laplacian_from_edges(sub_edges, len(vids))
-            varr = np.array(vids, dtype=np.int64)
-            mass = g.mass_cell[varr].copy()
-            # line shares stay with the block only for bridges interior to it;
-            # line_level == 0 covers interior line nodes and the bridge-free V_0 corners
-            internal = (g.line_level[varr] > j) | (g.line_level[varr] == 0)
-            mass[internal] += g.mass_line[varr][internal]
-            pencils.append(
-                Pencil(L, mass, Boundary("neumann_split", j, f"block:{w}"),
-                       varr)
-            )
-        for lp in g.line_paths:
-            if lp.level > j:
-                continue
-            nn = len(lp.nodes)
-            seg = lp.resistance / g.s
-            L = _laplacian_from_edges(
-                ((i, i + 1, seg) for i in range(nn - 1)), nn
-            )
-            mass = np.full(nn, lp.mass / g.s)
-            mass[0] = mass[-1] = lp.mass / (2 * g.s)
-            label = f"edge:{lp.word or '-'}@{lp.edge}"
-            pencils.append(
-                Pencil(L, mass, Boundary("neumann_split", j, label),
-                       np.array(lp.nodes, dtype=np.int64))
-            )
-        return pencils
+        n = g.n_vertices
+        cut = (g.line_level > 0) & (g.line_level <= j)
+        ends = np.flatnonzero(cut)
+        # a corner ends at most one bridge: a line edge at a cut corner is that
+        # bridge's end segment, and the corner's line share is its end share
+        relink = np.arange(n)
+        relink[ends] = n + np.arange(ends.size)
+        relink = relink.tolist()
+        edges = (
+            (e.u, e.v, e.resistance) if e.kind == "cell"
+            else (relink[e.u], relink[e.v], e.resistance)
+            for e in g.edges
+        )
+        L = _laplacian_from_edges(edges, n + ends.size)
+        mass = np.concatenate([g.mass_cell + np.where(cut, 0.0, g.mass_line),
+                               g.mass_line[ends]])
+        vertex_map = np.concatenate([np.arange(n), ends])
+        boundary = Boundary("neumann_split", j)
+        return _components(Pencil(L, mass, boundary, vertex_map), boundary)
 
     if kind == "dirichlet_split":
-        full = assemble_neumann(g)
-        constrained = set(vertex_set_v(g, j)) | set(vertex_set_v(g, 0))
-        keep = np.array(sorted(set(range(g.n_vertices)) - constrained), dtype=np.int64)
-        if keep.size == 0:
+        try:
+            grounded = apply_dirichlet(assemble_neumann(g), g, "vm", level=j)
+        except EmptyPencilError:
             return []
-        L = full.L[keep][:, keep].tocsr()
-        ncomp, labels = connected_components(L, directed=False)
-        pencils = []
-        for c in range(ncomp):
-            idx = np.nonzero(labels == c)[0]
-            Lc = L[idx][:, idx].tocsr()
-            Lc.sort_indices()
-            pencils.append(
-                Pencil(
-                    Lc,
-                    full.mass[keep][idx],
-                    Boundary("dirichlet_split", j, f"component:{c}"),
-                    keep[idx],
-                )
-            )
-        return pencils
+        return _components(grounded, Boundary("dirichlet_split", j))
 
     raise LevelError(f"unknown decoupling kind {kind!r}")

@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -539,15 +539,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.out is not None:
-            cfg = RunConfig(
-                sequence=cfg.sequence, level=cfg.level, subdivisions=cfg.subdivisions,
-                beta=cfg.beta, alpha=cfg.alpha, solver=cfg.solver, grid=cfg.grid,
-                fit=cfg.fit,
-                outputs=OutputConfig(
-                    directory=args.out, formats=cfg.outputs.formats, seed=cfg.outputs.seed
-                ),
-                bracketing_level=cfg.bracketing_level,
-            )
+            cfg = replace(cfg, outputs=replace(cfg.outputs, directory=args.out))
         return COMMANDS[args.command](cfg, quiet=args.quiet)
     except (ConfigError, PencilSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -194,3 +194,16 @@ class TestExperimentPipeline:
         assert exp.bracketing is not None
         assert exp.bracketing.ok
         assert exp.samples[0].lower_sum is not None
+
+    @pytest.mark.parametrize("backend", ["dense", "inertia"])
+    def test_bracket_level_leaves_counts_alone(self, backend):
+        plain = run_counting_experiment(SEQ, 3, 2, 0.25, backend=backend)
+        bracketed = run_counting_experiment(
+            SEQ, 3, 2, 0.25, backend=backend, bracket_level=1
+        )
+        assert [(s.x, s.n_dirichlet, s.n_neumann) for s in bracketed.samples] == [
+            (s.x, s.n_dirichlet, s.n_neumann) for s in plain.samples
+        ]
+        assert all(s.lower_sum is None for s in plain.samples)
+        assert bracketed.fit.slope == plain.fit.slope
+        assert (bracketed.c1, bracketed.c2) == (plain.c1, plain.c2)

@@ -1,5 +1,8 @@
 """Pencil assembly, Dirichlet restriction, decoupled splits."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,18 @@ from hanoispec.assembly import (
 from hanoispec.eigensolve import eig_dense
 from hanoispec.errors import EmptyPencilError, LevelError
 from hanoispec.geometry import build_graph
-from hanoispec.sequences import constant
+from hanoispec.sequences import constant, explicit
 
 SEQ = constant(0.5)
+
+# Distinct component spectra (with their multiplicities) of the level-3,
+# s = 2 decoupled forms at j = 1, 2, frozen from the per-block assembly
+# that preceded the cut-and-split construction.
+GOLDEN_DECOUPLED = os.path.join(os.path.dirname(__file__), "golden_decoupled.json")
+GOLDEN_SEQS = {
+    "constant(0.5)": constant(0.5),
+    "explicit([0.45, 0.53], cycle)": explicit([0.45, 0.53], "cycle"),
+}
 
 
 def graph(m, s, beta=0.25):
@@ -126,21 +138,49 @@ class TestDecoupled:
     def test_neumann_split_components_m2_j1(self):
         g = graph(2, 2)
         comps = assemble_decoupled(g, 1, "neumann_split")
-        blocks = [c for c in comps if "block" in c.boundary.component]
-        paths = [c for c in comps if "edge" in c.boundary.component]
-        assert len(blocks) == 3 and len(paths) == 3
-        for c in paths:
-            assert c.n == 3  # free-free path of two segments
+        # three level-1 blocks of 12 vertices, three cut bridges of 3
+        assert sorted(c.n for c in comps) == [3, 3, 3, 12, 12, 12]
+        n_corners = 3 ** (g.m + 1)
+        for c in comps:
+            if c.n == 3:
+                # free-free path of two segments: two corner ends, one interior node
+                assert sorted(np.diff(c.L.indptr)) == [2, 2, 3]
+                assert np.count_nonzero(c.vertex_map < n_corners) == 2
         # every component keeps a zero mode
         for c in comps:
             assert abs(np.asarray(c.L.sum(axis=1)).ravel()).max() < 1e-12
 
     def test_neumann_split_mass_conserved(self):
         g = graph(3, 2)
-        for j in (1, 2):
+        for j in (0, 1, 2, 3):
             comps = assemble_decoupled(g, j, "neumann_split")
             total = sum(float(c.mass.sum()) for c in comps)
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_golden_component_spectra(self):
+        with open(GOLDEN_DECOUPLED, encoding="utf-8") as fh:
+            golden = json.load(fh)
+        checked = 0
+        for name, seq in GOLDEN_SEQS.items():
+            g = build_graph(seq, 3, 2, 0.25)
+            for j in (1, 2):
+                for kind in ("neumann_split", "dirichlet_split"):
+                    want = golden[f"{name} j={j} {kind}"]
+                    comps = assemble_decoupled(g, j, kind)
+                    assert len(comps) == want["components"]
+                    hits = [0] * len(want["classes"])
+                    for c in comps:
+                        ev = eig_dense(c).eigenvalues
+                        match = [
+                            i for i, (_, gold) in enumerate(want["classes"])
+                            if len(gold) == len(ev)
+                            and np.allclose(ev, gold, rtol=1e-9, atol=1e-9)
+                        ]
+                        assert len(match) == 1, (name, j, kind, c.boundary.describe())
+                        hits[match[0]] += 1
+                    assert hits == [mult for mult, _ in want["classes"]]
+                    checked += 1
+        assert checked == len(golden)
 
     def test_dirichlet_split_components_m2_j1(self):
         g = graph(2, 2)

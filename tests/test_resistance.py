@@ -43,9 +43,17 @@ class TestEffectiveResistance:
         # a split-off bridge is s resistors of gamma/s in series
         g = build_graph(SEQ, 2, 4, 0.25)
         comps = assemble_decoupled(g, 2, "neumann_split")
-        path = next(c for c in comps if "edge" in c.boundary.component)
-        r = effective_resistance(path, 0, path.n - 1)
-        assert r == pytest.approx(float(g.gamma[0]), rel=1e-12)
+        n_corners = 3 ** (g.m + 1)
+        bridges = 0
+        for c in comps:
+            ends = np.flatnonzero(c.vertex_map < n_corners)
+            if c.n != g.s + 1 or len(ends) != 2:
+                continue
+            level = int(g.line_level[c.vertex_map[ends[0]]])
+            r = effective_resistance(c, int(ends[0]), int(ends[1]))
+            assert r == pytest.approx(float(g.gamma[level - 1]), rel=1e-12)
+            bridges += 1
+        assert bridges == (3 ** (g.m + 1) - 3) // 2
 
     def test_metric_properties(self):
         g = build_graph(SEQ, 2, 2, 0.25)
