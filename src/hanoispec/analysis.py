@@ -2,9 +2,10 @@
 
 The headline experiment samples the Dirichlet and Neumann eigenvalue
 counting functions N(x) on a log grid, fits the log-log slope over a
-window that drops the pre-asymptotic head (N < n_min) and the
-discretization-polluted tail (x above the eta-quantile eigenvalue), and
-compares the slope against half the predicted spectral dimension.
+window that drops the pre-asymptotic head (N < n_min), and compares the
+slope against half the predicted spectral dimension.  The
+discretization-polluted tail is left out by the grid itself: auto_grid
+ends at the eta-quantile Neumann eigenvalue.
 
 The bracketing check sandwiches the counting functions between the
 component sums of the level-j decoupled forms: grounding V_j can only
@@ -157,7 +158,6 @@ class WindowPolicy:
     """Sample filter for the log-log fit."""
 
     n_min: int = 10
-    eta: float = 0.2
     slope_tol: float = 0.08
     x_lo: Optional[float] = None
     x_hi: Optional[float] = None
@@ -458,7 +458,7 @@ def run_counting_experiment(
         )
         samples = bracketing.samples
     prediction = predicted_dimensions(seq)
-    policy = policy or WindowPolicy(eta=eta)
+    policy = policy or WindowPolicy()
     fit = fit_exponent(samples, policy, prediction, which=which)
     if prediction.kind == "limit":
         d_s = prediction.d_s

@@ -25,15 +25,15 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from . import analysis, geometry, resistance as res_mod, sequences
 from .assembly import apply_dirichlet, assemble_neumann
-from .eigensolve import eig_dense, eig_lowest
+from .eigensolve import DENSE_LIMIT, EPS_SHIFT, eig_dense, eig_lowest
 from .errors import (
     ConfigError,
     DomainError,
@@ -53,12 +53,16 @@ EXIT_VIOLATION = 3
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
+#
+# The dataclasses below are the config schema: config_from_dict reads the
+# keys, types and defaults off their fields, and config_to_dict is their
+# asdict.  A field without a default is a required key.
 
 @dataclass(frozen=True)
 class SolverConfig:
     backend: str = "auto"           # auto | dense | inertia
-    dense_limit: int = 4000
-    eps_shift: float = 1e-9
+    dense_limit: int = DENSE_LIMIT
+    eps_shift: float = EPS_SHIFT
     k_lowest: Optional[int] = None
 
 
@@ -66,20 +70,20 @@ class SolverConfig:
 class GridConfig:
     mode: str = "auto"              # auto | explicit
     points: int = 60                # per-decade density in auto mode
-    values: Optional[tuple] = None  # explicit grid
+    values: Optional[tuple[float, ...]] = None  # explicit grid
 
 
 @dataclass(frozen=True)
 class FitConfig:
     n_min: int = 10
-    eta: float = 0.2
+    eta: float = 0.2                # grid cutoff quantile in auto mode
     slope_tol: float = 0.08
 
 
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    formats: tuple = ("csv", "json")
+    formats: tuple[str, ...] = ("csv", "json")
     seed: int = 20240601
 
 
@@ -87,8 +91,8 @@ class OutputConfig:
 class RunConfig:
     sequence: sequences.MatchingSequence
     level: int
-    subdivisions: int
     beta: float
+    subdivisions: int = 1
     alpha: Optional[float] = None
     solver: SolverConfig = SolverConfig()
     grid: GridConfig = GridConfig()
@@ -97,138 +101,98 @@ class RunConfig:
     bracketing_level: Optional[int] = None
 
 
-def _need(d: dict, key: str, ctx: str):
-    if key not in d:
-        raise ConfigError(f"{ctx}: missing key {key!r}")
-    return d[key]
+def _dotted(key: str, name: str) -> str:
+    return f"{key}.{name}" if key else name
 
 
-def _sequence_from_dict(d: dict) -> sequences.MatchingSequence:
+def _object(d, key: str) -> dict:
     if not isinstance(d, dict):
-        raise ConfigError("sequence: expected an object")
-    kind = _need(d, "kind", "sequence")
+        raise ConfigError(f"{key or 'config'}: expected an object, got {type(d).__name__}")
+    return d
+
+
+def _from_dict(cls, d, key: str = "", names: Optional[tuple] = None):
+    """Build dataclass ``cls`` from the JSON object ``d`` found at dotted ``key``.
+
+    ``names`` restricts the accepted keys to a subset of the fields.
+    """
+    by_name = {f.name: f for f in fields(cls)}
+    names = names or tuple(by_name)
+    for name in _object(d, key):
+        if name not in names:
+            raise ConfigError(f"config: unknown key {_dotted(key, name)!r}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for name in names:
+        if name in d:
+            kwargs[name] = _convert(hints[name], d[name], _dotted(key, name))
+        elif by_name[name].default is MISSING:
+            raise ConfigError(f"config: missing key {_dotted(key, name)!r}")
+    return cls(**kwargs)
+
+
+def _convert(tp, value, key: str):
+    """Convert one JSON value to the field type ``tp``."""
+    if tp is sequences.MatchingSequence:
+        return _sequence_from_dict(value, key)
+    if is_dataclass(tp):
+        return _from_dict(tp, value, key)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:             # Optional[X]
+        return None if value is None else _convert(args[0], value, key)
+    if origin is tuple:             # tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key}: expected a list, got {type(value).__name__}")
+        return tuple(_convert(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    if tp is str and not isinstance(value, str):
+        raise ConfigError(f"{key}: expected a string, got {type(value).__name__}")
     try:
-        if kind == "constant":
-            return sequences.constant(float(_need(d, "r", "sequence")))
-        if kind == "geometric_to_limit":
-            return sequences.geometric_to_limit(
-                float(_need(d, "r_limit", "sequence")), float(_need(d, "q", "sequence"))
-            )
-        if kind == "explicit":
-            vals = _need(d, "values", "sequence")
-            return sequences.explicit([float(v) for v in vals], d.get("tail"))
+        return tp(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _sequence_from_dict(d, key: str) -> sequences.MatchingSequence:
+    kind = _object(d, key).get("kind")
+    if not isinstance(kind, str) or kind not in sequences.KIND_KEYS:
+        raise ConfigError(
+            f"{key}.kind: unknown kind {kind!r}, expected one of "
+            + ", ".join(sequences.KIND_KEYS)
+        )
+    try:
+        return _from_dict(
+            sequences.MatchingSequence, d, key, ("kind",) + sequences.KIND_KEYS[kind]
+        )
     except DomainError as exc:
-        raise ConfigError(f"sequence: {exc}") from None
-    raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
-
-
-def _sequence_to_dict(seq: sequences.MatchingSequence) -> dict:
-    if seq.kind == "constant":
-        return {"kind": "constant", "r": seq.r}
-    if seq.kind == "geometric_to_limit":
-        return {"kind": "geometric_to_limit", "r_limit": seq.r_limit, "q": seq.q}
-    return {"kind": "explicit", "values": list(seq.values), "tail": seq.tail}
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("config: expected a JSON object at top level")
-    known = {
-        "sequence", "level", "subdivisions", "beta", "alpha",
-        "solver", "grid", "fit", "outputs", "bracketing_level",
-    }
-    for key in d:
-        if key not in known:
-            raise ConfigError(f"config: unknown key {key!r}")
-    seq = _sequence_from_dict(_need(d, "sequence", "config"))
-    level = int(_need(d, "level", "config"))
-    if level < 0:
-        raise ConfigError(f"level: must be >= 0, got {level}")
-    subdivisions = int(d.get("subdivisions", 1))
-    if subdivisions < 1:
-        raise ConfigError(f"subdivisions: must be >= 1, got {subdivisions}")
-    beta = float(_need(d, "beta", "config"))
-    if not (0.0 < beta < 1.0 / 3.0):
+    cfg = _from_dict(RunConfig, d)
+    if cfg.level < 0:
+        raise ConfigError(f"level: must be >= 0, got {cfg.level}")
+    if cfg.subdivisions < 1:
+        raise ConfigError(f"subdivisions: must be >= 1, got {cfg.subdivisions}")
+    if not (0.0 < cfg.beta < 1.0 / 3.0):
         raise ConfigError(
-            f"beta: must lie in (0, 1/3) for a finite line measure, got {beta}"
+            f"beta: must lie in (0, 1/3) for a finite line measure, got {cfg.beta}"
         )
-    alpha = d.get("alpha")
-    if alpha is not None:
-        alpha = float(alpha)
-        if not (0.0 < alpha < 1.0):
-            raise ConfigError(f"alpha: must lie in (0, 1), got {alpha}")
-    sd = d.get("solver", {})
-    solver = SolverConfig(
-        backend=sd.get("backend", "auto"),
-        dense_limit=int(sd.get("dense_limit", 4000)),
-        eps_shift=float(sd.get("eps_shift", 1e-9)),
-        k_lowest=(int(sd["k_lowest"]) if sd.get("k_lowest") is not None else None),
-    )
-    if solver.backend not in ("auto", "dense", "inertia"):
-        raise ConfigError(f"solver.backend: unknown backend {solver.backend!r}")
-    gd = d.get("grid", {})
-    grid = GridConfig(
-        mode=gd.get("mode", "auto"),
-        points=int(gd.get("points", 60)),
-        values=(tuple(float(v) for v in gd["values"]) if gd.get("values") else None),
-    )
-    if grid.mode not in ("auto", "explicit"):
-        raise ConfigError(f"grid.mode: unknown mode {grid.mode!r}")
-    if grid.mode == "explicit" and not grid.values:
+    if cfg.alpha is not None and not (0.0 < cfg.alpha < 1.0):
+        raise ConfigError(f"alpha: must lie in (0, 1), got {cfg.alpha}")
+    if cfg.solver.backend not in ("auto", "dense", "inertia"):
+        raise ConfigError(f"solver.backend: unknown backend {cfg.solver.backend!r}")
+    if cfg.grid.mode not in ("auto", "explicit"):
+        raise ConfigError(f"grid.mode: unknown mode {cfg.grid.mode!r}")
+    if cfg.grid.mode == "explicit" and not cfg.grid.values:
         raise ConfigError("grid.values: explicit grid mode needs values")
-    fd = d.get("fit", {})
-    fit = FitConfig(
-        n_min=int(fd.get("n_min", 10)),
-        eta=float(fd.get("eta", 0.2)),
-        slope_tol=float(fd.get("slope_tol", 0.08)),
-    )
-    od = d.get("outputs", {})
-    outputs = OutputConfig(
-        directory=od.get("directory", "out"),
-        formats=tuple(od.get("formats", ("csv", "json"))),
-        seed=int(od.get("seed", 20240601)),
-    )
-    bl = d.get("bracketing_level")
-    return RunConfig(
-        sequence=seq,
-        level=level,
-        subdivisions=subdivisions,
-        beta=beta,
-        alpha=alpha,
-        solver=solver,
-        grid=grid,
-        fit=fit,
-        outputs=outputs,
-        bracketing_level=(int(bl) if bl is not None else None),
-    )
+    return cfg
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "sequence": _sequence_to_dict(cfg.sequence),
-        "level": cfg.level,
-        "subdivisions": cfg.subdivisions,
-        "beta": cfg.beta,
-        "alpha": cfg.alpha,
-        "solver": {
-            "backend": cfg.solver.backend,
-            "dense_limit": cfg.solver.dense_limit,
-            "eps_shift": cfg.solver.eps_shift,
-            "k_lowest": cfg.solver.k_lowest,
-        },
-        "grid": {
-            "mode": cfg.grid.mode,
-            "points": cfg.grid.points,
-            "values": (list(cfg.grid.values) if cfg.grid.values else None),
-        },
-        "fit": {"n_min": cfg.fit.n_min, "eta": cfg.fit.eta, "slope_tol": cfg.fit.slope_tol},
-        "outputs": {
-            "directory": cfg.outputs.directory,
-            "formats": list(cfg.outputs.formats),
-            "seed": cfg.outputs.seed,
-        },
-        "bracketing_level": cfg.bracketing_level,
-    }
+    d = asdict(cfg)
+    keys = ("kind",) + sequences.KIND_KEYS[cfg.sequence.kind]
+    d["sequence"] = {k: getattr(cfg.sequence, k) for k in keys}
+    return d
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -244,6 +208,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r}: not UTF-8 text: {exc.reason}") from None
     return config_from_dict(data)
 
 
@@ -406,9 +372,7 @@ def cmd_counting(cfg: RunConfig, quiet: bool = False) -> int:
         eta=cfg.fit.eta,
         per_decade=cfg.grid.points,
         grid=grid,
-        policy=analysis.WindowPolicy(
-            n_min=cfg.fit.n_min, eta=cfg.fit.eta, slope_tol=cfg.fit.slope_tol
-        ),
+        policy=analysis.WindowPolicy(n_min=cfg.fit.n_min, slope_tol=cfg.fit.slope_tol),
         bracket_level=cfg.bracketing_level,
     )
     outdir = cfg.outputs.directory

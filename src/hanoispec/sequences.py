@@ -22,6 +22,14 @@ from .errors import DomainError, UnsupportedFamilyError
 R_SUP = 3.0 / 5.0       # open upper bound for a single ratio
 R_LIMIT_INF = 1.0 / 3.0  # lower bound required of declared limits
 
+# The parameter fields of each sequence kind: besides "kind", the keys a
+# config object of that kind may hold and the keys its serialised form has.
+KIND_KEYS = {
+    "constant": ("r",),
+    "geometric_to_limit": ("r_limit", "q"),
+    "explicit": ("values", "tail"),
+}
+
 
 @dataclass(frozen=True)
 class MatchingPair:
@@ -72,7 +80,7 @@ class MatchingSequence:
     r: Optional[float] = None
     r_limit: Optional[float] = None
     q: Optional[float] = None
-    values: Optional[tuple] = None
+    values: Optional[tuple[float, ...]] = None
     tail: Optional[str] = None
 
     def __post_init__(self):

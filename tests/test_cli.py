@@ -2,7 +2,9 @@
 
 import json
 import os
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,60 @@ def base_config(outdir, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+# config_hash of each config as computed before the config parser was derived
+# from the dataclasses; every output file carries this hash, so it must not move
+GOLDEN_HASHES = [
+    ("feea755c85a85b0d", {  # the README example
+        "sequence": {"kind": "constant", "r": 0.5},
+        "level": 4, "subdivisions": 2, "beta": 0.25,
+        "solver": {"backend": "auto", "dense_limit": 4000, "eps_shift": 1e-9},
+        "grid": {"mode": "auto", "points": 60},
+        "fit": {"n_min": 10, "eta": 0.2, "slope_tol": 0.08},
+        "outputs": {"directory": "out", "formats": ["csv", "json", "svg"]},
+    }),
+    ("4f47925326a12fe0", {
+        "sequence": {"kind": "constant", "r": 0.5}, "level": 2, "beta": 0.25,
+    }),
+    ("35fc9f953ba5480d", {
+        "sequence": {"kind": "explicit", "values": [0.45, 0.53], "tail": "cycle"},
+        "level": 3, "subdivisions": 2, "beta": 0.2,
+    }),
+    ("e0561fc87287f3c4", {
+        "sequence": {"kind": "explicit", "values": [0.5, 0.4, 0.55]},
+        "level": 3, "beta": 0.3,
+    }),
+    ("6480ba385f79f7d6", {
+        "sequence": {"kind": "geometric_to_limit", "r_limit": 0.55, "q": 0.3},
+        "level": 4, "subdivisions": 3, "beta": 0.28, "alpha": 0.4,
+        "solver": {"backend": "inertia"},
+    }),
+    ("59f05bb74e645f6e", {
+        "sequence": {"kind": "constant", "r": 0.42},
+        "level": 3, "subdivisions": 2, "beta": 0.25,
+        "solver": {"backend": "dense", "dense_limit": 10, "k_lowest": 4},
+        "grid": {"mode": "explicit", "values": [5, 20.0, 80.0, 320.0]},
+        "outputs": {"directory": "elsewhere", "formats": ["csv"], "seed": 7},
+    }),
+    ("030644b2d5885ca0", {
+        "sequence": {"kind": "constant", "r": 0.5},
+        "level": 3, "subdivisions": 2, "beta": 0.25,
+        "solver": {"backend": "inertia", "eps_shift": 1e-10},
+        "grid": {"mode": "auto", "points": 30},
+        "fit": {"n_min": 5, "eta": 0.35, "slope_tol": 0.5},
+        "bracketing_level": 2,
+    }),
+]
+
+# (override of base_config, the dotted key the error must name)
+MALFORMED = [
+    ({"level": "two"}, "level"),
+    ({"solver": {"dense_limit": None}}, "solver.dense_limit"),
+    ({"fit": []}, "fit"),
+    ({"solver": {"backnd": "dense"}}, "solver.backnd"),
+    ({"sequence": {"kind": "constant", "r": 0.5, "q": 0.2}}, "sequence.q"),
+]
 
 
 def write_config(tmp_path, cfg, name="run.json"):
@@ -58,6 +114,32 @@ class TestConfig:
         del cfg["sequence"]
         with pytest.raises(ConfigError):
             config_from_dict(cfg)
+
+    def test_golden_hashes(self):
+        for expected, d in GOLDEN_HASHES:
+            cfg = config_from_dict(d)
+            assert config_hash(cfg) == expected, d
+            assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("override,key", MALFORMED, ids=[k for _, k in MALFORMED])
+    def test_malformed_value_names_key(self, override, key):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(base_config("out", **override))
+        assert key in str(exc.value)
+
+    @pytest.mark.parametrize("override,key", MALFORMED, ids=[k for _, k in MALFORMED])
+    def test_malformed_value_exit_one(self, tmp_path, capsys, override, key):
+        cfgfile = write_config(tmp_path, base_config(tmp_path / "out", **override))
+        assert main(["validate", "--config", cfgfile]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+
+    def test_readme_config_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        cfg = config_from_dict(json.loads(block))
+        assert config_hash(cfg) == GOLDEN_HASHES[0][0]
 
     def test_load_reports_json_position(self, tmp_path):
         path = tmp_path / "bad.json"

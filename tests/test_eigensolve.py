@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from hanoispec import eigensolve
 from hanoispec.assembly import (
     Boundary,
     Pencil,
@@ -226,6 +228,32 @@ class TestLowest:
         full = eig_dense(p)
         np.testing.assert_allclose(low.eigenvalues, full.eigenvalues[:12],
                                    rtol=1e-7, atol=1e-8)
+
+    @pytest.mark.parametrize("boundary,n", [("neumann", 363), ("dirichlet_v0", 360)])
+    def test_shift_invert_path_matches_dense(self, monkeypatch, boundary, n):
+        # n > 300 and k <= n/3: eig_lowest must answer from ARPACK, without
+        # falling back to the dense solver
+        g = build_graph(SEQ, 4, 2, 0.25)
+        p = assemble_neumann(g)
+        if boundary == "dirichlet_v0":
+            p = apply_dirichlet(p, g, "v0")
+        assert p.n == n
+        ref = eig_dense(p).eigenvalues[:12]
+        calls = []
+        eigsh = spla.eigsh
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["k"])
+            return eigsh(*args, **kwargs)
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("eig_lowest fell back to the dense solver")
+
+        monkeypatch.setattr(spla, "eigsh", spy)
+        monkeypatch.setattr(eigensolve, "eig_dense", no_dense)
+        low = eig_lowest(p, 12)
+        assert calls == [12]
+        np.testing.assert_allclose(low.eigenvalues, ref, rtol=1e-7, atol=1e-7 * ref[-1])
 
     def test_scaling_law(self):
         p = assemble_neumann(build_graph(SEQ, 2, 2, 0.25))
