@@ -80,6 +80,9 @@ class FitConfig:
     slope_tol: float = 0.08
 
 
+OUTPUT_FORMATS = ("csv", "json", "svg")  # csv and json are always written
+
+
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
@@ -144,12 +147,17 @@ def _convert(tp, value, key: str):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key}: expected a list, got {type(value).__name__}")
         return tuple(_convert(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
-    if tp is str and not isinstance(value, str):
-        raise ConfigError(f"{key}: expected a string, got {type(value).__name__}")
-    try:
-        return tp(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+    if tp is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{key}: expected a string, got {type(value).__name__}")
+        return value
+    # a JSON number, not a boolean or a string; an int field takes only integral ones
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        tp is int and not (isinstance(value, int) or value.is_integer())
+    ):
+        kind = "an integer" if tp is int else "a number"
+        raise ConfigError(f"{key}: expected {kind}, got {value!r}")
+    return tp(value)
 
 
 def _sequence_from_dict(d, key: str) -> sequences.MatchingSequence:
@@ -185,6 +193,12 @@ def config_from_dict(d: dict) -> RunConfig:
         raise ConfigError(f"grid.mode: unknown mode {cfg.grid.mode!r}")
     if cfg.grid.mode == "explicit" and not cfg.grid.values:
         raise ConfigError("grid.values: explicit grid mode needs values")
+    for i, fmt in enumerate(cfg.outputs.formats):
+        if fmt not in OUTPUT_FORMATS:
+            raise ConfigError(
+                f"outputs.formats[{i}]: unknown format {fmt!r}, expected one of "
+                + ", ".join(OUTPUT_FORMATS)
+            )
     return cfg
 
 
@@ -476,8 +490,16 @@ def cmd_resistance(cfg: RunConfig, quiet: bool = False) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_CONFIG on a usage error (argparse's own code, 2, is EXIT_NUMERICAL)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hanoispec",
         description="Spectral and resistance experiments on Hanoi attractor graphs",
     )

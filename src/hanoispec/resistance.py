@@ -1,11 +1,11 @@
 """Effective-resistance computations on the graph approximations.
 
-Effective resistance between two vertices is obtained from one linear
-solve against the conductance Laplacian with a unit current injected at
-one vertex and extracted at the other; the singular constant mode is
-removed by grounding the lowest-indexed vertex.  Solves share one sparse
-factorization per pencil and get a single step of iterative refinement
-when the residual is above 1e-10 * ||rhs||.
+Every quantity here comes from one solve path, ``GroundedSolver``: the
+conductance Laplacian with its grounded vertices removed is factored once
+by SuperLU; a solve takes a matrix of right-hand sides, and a column whose
+residual is above 1e-10 * ||rhs|| gets one step of iterative refinement.
+A disconnected network raises ``ConnectivityError``.  The resistances
+among k vertices take one solve with k-1 columns.
 
 The module verifies the electrical equivalence that defines matching
 pairs (all boundary pair resistances equal 2/3 at every level), computes
@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import Pencil, assemble_neumann
@@ -30,47 +29,75 @@ from .sequences import MatchingSequence, resistance_dimension, scale_factors
 
 
 class GroundedSolver:
-    """Shared factorization of the Laplacian with one grounded vertex."""
+    """Shared factorization of the Laplacian grounded at one vertex or a set of them."""
 
-    def __init__(self, p: Pencil, ground: int = 0):
+    def __init__(self, p: Pencil, ground: Union[int, Iterable[int]] = 0):
         self.n = p.n
-        self.ground = ground
-        keep = np.array([i for i in range(p.n) if i != ground], dtype=np.int64)
-        self.keep = keep
-        A = p.L[keep][:, keep].tocsc()
-        self._lu = spla.splu(A)
+        free = np.ones(p.n, dtype=bool)
+        free[list(ground) if np.iterable(ground) else ground] = False
+        self.keep = np.flatnonzero(free)
+        A = p.L[self.keep][:, self.keep].tocsc()
+        try:
+            self._lu = spla.splu(A)
+        except RuntimeError as exc:
+            if "exactly singular" not in str(exc):
+                raise
+            raise ConnectivityError(
+                "grounded Laplacian is exactly singular; graph is disconnected"
+            ) from None
         self._A = A
 
     def solve(self, b_full: np.ndarray) -> np.ndarray:
-        """Solve L phi = b with phi[ground] = 0; b must sum to zero."""
-        b = b_full[self.keep]
+        """Solve L phi = b with phi = 0 on the ground, for b of shape (n,) or (n, k).
+
+        Each column is refined and checked on its own.  With one grounded
+        vertex, each column of b must sum to zero.
+        """
+        b = b_full[self.keep].reshape(self.keep.size, -1)
         x = self._lu.solve(b)
-        r = b - self._A.dot(x)
-        nb = np.linalg.norm(b)
-        if nb > 0 and np.linalg.norm(r) > 1e-10 * nb:
-            x = x + self._lu.solve(r)
-            r = b - self._A.dot(x)
-            if np.linalg.norm(r) > 1e-8 * nb:
+        nb = np.linalg.norm(b, axis=0)
+        r = b - self._A @ x
+        bad = np.linalg.norm(r, axis=0) > 1e-10 * nb
+        if bad.any():
+            x[:, bad] += self._lu.solve(r[:, bad])
+            r = b[:, bad] - self._A @ x[:, bad]
+            if np.any(np.linalg.norm(r, axis=0) > 1e-8 * nb[bad]):
                 raise ConnectivityError(
                     "grounded system did not solve to tolerance; graph may be disconnected"
                 )
-        phi = np.zeros(self.n)
+        phi = np.zeros((self.n, x.shape[1]))
         phi[self.keep] = x
-        return phi
+        return phi.reshape(b_full.shape)
+
+    def resistance_matrix(self, ids) -> np.ndarray:
+        """Effective resistances among the k distinct vertices ``ids``, from one solve.
+
+        Column i of V holds the potentials at ``ids`` for the current
+        e_{ids[i]} - e_{ids[0]} (column 0 is zero); M = V - V[0] is their
+        energy pairing, so R[i, j] = M[i, i] + M[j, j] - 2 M[i, j].
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        k = ids.size
+        if k < 2 or np.unique(ids).size != k:
+            raise DomainError("effective resistance needs two or more distinct vertices")
+        b = np.zeros((self.n, k - 1))
+        b[ids[1:], np.arange(k - 1)] = 1.0
+        b[ids[0]] = -1.0
+        V = np.zeros((k, k))
+        V[:, 1:] = self.solve(b)[ids]
+        M = V - V[0]
+        M = 0.5 * (M + M.T)     # symmetric in exact arithmetic
+        d = np.diag(M)
+        R = d[:, None] + d[None, :] - 2.0 * M
+        off = R[~np.eye(k, dtype=bool)]
+        if not np.all(off > 0.0):
+            raise ConnectivityError(
+                f"nonpositive effective resistance {off.min()!r} among vertices {ids.tolist()}"
+            )
+        return R
 
     def pair_resistance(self, u: int, v: int) -> float:
-        if u == v:
-            raise DomainError("effective resistance needs two distinct vertices")
-        b = np.zeros(self.n)
-        b[u] += 1.0
-        b[v] -= 1.0
-        phi = self.solve(b)
-        r = float(phi[u] - phi[v])
-        if r <= 0.0:
-            raise ConnectivityError(
-                f"nonpositive effective resistance {r!r} between {u} and {v}"
-            )
-        return r
+        return float(self.resistance_matrix([u, v])[0, 1])
 
 
 def effective_resistance(p: Pencil, u: int, v: int) -> float:
@@ -105,22 +132,15 @@ def compatibility_check(
     """
     if m_max < 0:
         raise DomainError(f"m_max must be >= 0, got {m_max}")
-    levels = []
     triples = []
     max_dev = 0.0
     for m in range(m_max + 1):
         g = build_graph(seq, m, s=1, beta=beta)
-        p = assemble_neumann(g)
-        solver = GroundedSolver(p)
-        corners = cell_corner_ids(g, "")
-        triple = tuple(
-            solver.pair_resistance(corners[a], corners[b])
-            for a, b in ((0, 1), (0, 2), (1, 2))
-        )
-        levels.append(m)
+        R = GroundedSolver(assemble_neumann(g)).resistance_matrix(cell_corner_ids(g, ""))
+        triple = (float(R[0, 1]), float(R[0, 2]), float(R[1, 2]))
         triples.append(triple)
         max_dev = max(max_dev, max(abs(r - 2.0 / 3.0) for r in triple))
-    return CompatibilityReport(tuple(levels), tuple(triples), max_dev, tolerance)
+    return CompatibilityReport(tuple(range(m_max + 1)), tuple(triples), max_dev, tolerance)
 
 
 @dataclass(frozen=True)
@@ -132,8 +152,8 @@ class HarmonicExtension:
 def harmonic_extension(p: Pencil, fixed: dict) -> HarmonicExtension:
     """Energy-minimizing extension of the boundary data ``fixed``.
 
-    Solves the Schur system on the free vertices; the returned energy is
-    the quadratic form of the full extension.
+    Solves on the free vertices grounded at the fixed ones; the returned
+    energy is the quadratic form of the full extension.
     """
     if not fixed:
         raise DomainError("harmonic extension needs at least one fixed vertex")
@@ -142,13 +162,10 @@ def harmonic_extension(p: Pencil, fixed: dict) -> HarmonicExtension:
             raise DomainError(f"bad fixed value {val!r} at vertex {v!r}")
     fixed_ids = np.array(sorted(fixed), dtype=np.int64)
     fixed_vals = np.array([fixed[v] for v in fixed_ids])
-    free = np.array(sorted(set(range(p.n)) - set(fixed_ids.tolist())), dtype=np.int64)
     u = np.zeros(p.n)
     u[fixed_ids] = fixed_vals
-    if free.size:
-        A = p.L[free][:, free].tocsc()
-        b = -p.L[free][:, fixed_ids].dot(fixed_vals)
-        u[free] = spla.splu(A).solve(b)
+    if fixed_ids.size < p.n:
+        u += GroundedSolver(p, ground=fixed_ids).solve(-(p.L[:, fixed_ids] @ fixed_vals))
     energy = float(u @ p.L.dot(u))
     return HarmonicExtension(u, energy)
 
@@ -198,11 +215,7 @@ def cell_diameter_scaling(
         best = -np.inf
         worst = np.inf
         for w in enumerate_words(j):
-            ids = cell_corner_ids(g, w)
-            d = max(
-                solver.pair_resistance(ids[a], ids[b])
-                for a, b in ((0, 1), (0, 2), (1, 2))
-            )
+            d = float(solver.resistance_matrix(cell_corner_ids(g, w)).max())
             records.append((j, w, d))
             best = max(best, d)
             worst = min(worst, d)
@@ -251,11 +264,11 @@ def resistance_diameter(
 ) -> DiameterResult:
     """Maximum pairwise effective resistance of the pencil's graph.
 
-    ``exact`` inverts the grounded Laplacian densely (n <= 2000) and
-    maximizes over all pairs.  ``sampled`` maximizes over k random pairs
-    plus all pairs between the anchor vertices (the boundary corners,
-    when the caller passes them; the lowest three ids otherwise) and the
-    rest, and is only a lower bound.
+    ``exact`` solves for all vertices at once (n - 1 right-hand sides,
+    so n <= 2000) and maximizes over all pairs.  ``sampled`` maximizes
+    over k random pairs plus all pairs between the anchor vertices (the
+    boundary corners, when the caller passes them; the lowest three ids
+    otherwise) and the rest, and is only a lower bound.
     """
     n = p.n
     if mode == "exact":
@@ -263,13 +276,7 @@ def resistance_diameter(
             raise PencilSizeError(
                 f"exact diameter needs n <= 2000, got {n}; use mode='sampled'"
             )
-        keep = np.arange(1, n)
-        A = p.L[keep][:, keep].toarray()
-        G = np.linalg.inv(A)
-        K = np.zeros((n, n))
-        K[1:, 1:] = G
-        d = np.diag(K)
-        R = d[:, None] + d[None, :] - 2.0 * K
+        R = GroundedSolver(p).resistance_matrix(np.arange(n))
         return DiameterResult(float(R.max()), True, n * (n - 1) // 2, None)
     if mode != "sampled":
         raise DomainError(f"unknown diameter mode {mode!r}")

@@ -78,11 +78,21 @@ GOLDEN_HASHES = [
 
 # (override of base_config, the dotted key the error must name)
 MALFORMED = [
-    ({"level": "two"}, "level"),
-    ({"solver": {"dense_limit": None}}, "solver.dense_limit"),
-    ({"fit": []}, "fit"),
-    ({"solver": {"backnd": "dense"}}, "solver.backnd"),
-    ({"sequence": {"kind": "constant", "r": 0.5, "q": 0.2}}, "sequence.q"),
+    pytest.param({"level": "two"}, "level", id="level"),
+    pytest.param({"solver": {"dense_limit": None}}, "solver.dense_limit",
+                 id="solver.dense_limit"),
+    pytest.param({"fit": []}, "fit", id="fit"),
+    pytest.param({"solver": {"backnd": "dense"}}, "solver.backnd", id="solver.backnd"),
+    pytest.param({"sequence": {"kind": "constant", "r": 0.5, "q": 0.2}}, "sequence.q",
+                 id="sequence.q"),
+    # an int field is not truncated or coerced: these once ran as 3, 1 and 3
+    pytest.param({"level": 3.7}, "level", id="level-fraction"),
+    pytest.param({"level": True}, "level", id="level-boolean"),
+    pytest.param({"level": "3"}, "level", id="level-numeric-string"),
+    pytest.param({"solver": {"eps_shift": True}}, "solver.eps_shift",
+                 id="solver.eps_shift-boolean"),
+    pytest.param({"outputs": {"formats": ["csv", "svgg"]}}, "outputs.formats[1]",
+                 id="outputs.formats"),
 ]
 
 
@@ -121,13 +131,13 @@ class TestConfig:
             assert config_hash(cfg) == expected, d
             assert config_from_dict(config_to_dict(cfg)) == cfg
 
-    @pytest.mark.parametrize("override,key", MALFORMED, ids=[k for _, k in MALFORMED])
+    @pytest.mark.parametrize("override,key", MALFORMED)
     def test_malformed_value_names_key(self, override, key):
         with pytest.raises(ConfigError) as exc:
             config_from_dict(base_config("out", **override))
         assert key in str(exc.value)
 
-    @pytest.mark.parametrize("override,key", MALFORMED, ids=[k for _, k in MALFORMED])
+    @pytest.mark.parametrize("override,key", MALFORMED)
     def test_malformed_value_exit_one(self, tmp_path, capsys, override, key):
         cfgfile = write_config(tmp_path, base_config(tmp_path / "out", **override))
         assert main(["validate", "--config", cfgfile]) == 1
@@ -147,6 +157,25 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(str(path))
         assert "line" in str(exc.value)
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv", [["counting"], ["plot", "--config", "run.json"]],
+        ids=["missing-config", "unknown-command"],
+    )
+    def test_usage_error_exit_one(self, capsys, argv):
+        # 2 is the documented exit code of a numerical failure, not of a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestValidateCommand:

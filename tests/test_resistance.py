@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from hanoispec.assembly import Pencil, assemble_decoupled, assemble_neumann
-from hanoispec.errors import LevelError, PencilSizeError
+from hanoispec.assembly import Boundary, Pencil, assemble_decoupled, assemble_neumann
+from hanoispec.errors import ConnectivityError, LevelError, PencilSizeError
 from hanoispec.geometry import build_graph, cell_corner_ids, enumerate_words
 from hanoispec.resistance import (
     GroundedSolver,
@@ -16,9 +18,35 @@ from hanoispec.resistance import (
     harmonic_extension,
     resistance_diameter,
 )
-from hanoispec.sequences import constant, geometric_to_limit, scale_factors
+from hanoispec.sequences import constant, explicit, geometric_to_limit, scale_factors
 
 SEQ = constant(0.5)
+
+
+def pinv_resistances(p: Pencil, ids) -> np.ndarray:
+    """Dense oracle: R[i, j] from the pseudo-inverse of the Laplacian."""
+    K = np.linalg.pinv(p.L.toarray())[np.ix_(ids, ids)]
+    d = np.diag(K)
+    return d[:, None] + d[None, :] - 2.0 * K
+
+
+def two_disjoint_edges() -> Pencil:
+    L = sp.csr_matrix(np.kron(np.eye(2), [[1.0, -1.0], [-1.0, 1.0]]))
+    return Pencil(L, np.full(4, 0.25), Boundary("neumann"), np.arange(4))
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Shapes of the right-hand sides passed to GroundedSolver.solve."""
+    calls = []
+    original = GroundedSolver.solve
+
+    def counting(self, b):
+        calls.append(b.shape)
+        return original(self, b)
+
+    monkeypatch.setattr(GroundedSolver, "solve", counting)
+    return calls
 
 
 class TestEffectiveResistance:
@@ -70,6 +98,27 @@ class TestEffectiveResistance:
             assert ruw <= ruv + rvw + 1e-10
 
 
+class TestDisconnected:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: effective_resistance(p, 0, 2),
+            lambda p: effective_resistance(p, 0, 1),
+            lambda p: harmonic_extension(p, {0: 1.0, 1: 0.0}),
+            lambda p: GroundedSolver(p),
+        ],
+        ids=["across", "within", "harmonic_extension", "GroundedSolver"],
+    )
+    def test_connectivity_error(self, call):
+        with pytest.raises(ConnectivityError):
+            call(two_disjoint_edges())
+
+    def test_ground_in_every_component(self):
+        ext = harmonic_extension(two_disjoint_edges(), {0: 1.0, 2: 0.0})
+        np.testing.assert_allclose(ext.values, [1.0, 1.0, 0.0, 0.0], atol=1e-15)
+        assert ext.energy == pytest.approx(0.0, abs=1e-15)
+
+
 class TestCompatibility:
     def test_constant_half_levels(self):
         rep = compatibility_check(SEQ, 4)
@@ -117,6 +166,11 @@ class TestCompatibility:
         for later in values[1:]:
             assert later[0] == pytest.approx(values[0][0], rel=1e-10)
             assert later[1] == pytest.approx(values[0][1], rel=1e-10)
+
+
+    def test_one_solve_per_level(self, solve_calls):
+        compatibility_check(SEQ, 3)
+        assert solve_calls == [(n, 2) for n in (3, 9, 27, 81)]
 
 
 class TestHarmonicExtension:
@@ -196,6 +250,12 @@ class TestDiameter:
         b = resistance_diameter(p, mode="sampled", k=25)
         assert a.value == b.value
 
+    def test_exact_matches_pinv_oracle(self):
+        p = assemble_neumann(build_graph(geometric_to_limit(0.55, 0.3), 3, 2, 0.28))
+        exact = resistance_diameter(p, mode="exact")
+        oracle = pinv_resistances(p, np.arange(p.n)).max()
+        assert exact.value == pytest.approx(oracle, rel=1e-11)
+
     def test_exact_size_guard(self):
         p = assemble_neumann(build_graph(SEQ, 7, 1, 0.25))
         with pytest.raises(PencilSizeError):
@@ -219,6 +279,54 @@ class TestDiameterScaling:
         with pytest.raises(LevelError):
             cell_diameter_scaling(SEQ, 3, 3)
 
-    def test_records_cover_all_blocks(self):
+    def test_records_cover_all_blocks(self, solve_calls):
         ds = cell_diameter_scaling(SEQ, 3, 2)
         assert len(ds.records) == 1 + 3 + 9
+        # one two-column solve per block
+        assert solve_calls == [(81, 2)] * len(ds.records)
+
+
+RATIOS = st.floats(0.2, 0.58)
+FAMILIES = st.one_of(
+    st.builds(constant, RATIOS),
+    st.builds(geometric_to_limit, st.floats(0.34, 0.6), st.floats(0.1, 0.9)),
+    st.builds(lambda v: explicit(v, "cycle"), st.lists(RATIOS, min_size=1, max_size=3)),
+)
+
+
+@st.composite
+def networks(draw):
+    """A Neumann pencil and 2-6 distinct vertices, often including the ground 0."""
+    g = build_graph(draw(FAMILIES), draw(st.integers(0, 3)), draw(st.integers(1, 3)),
+                    draw(st.floats(0.05, 0.3)))
+    p = assemble_neumann(g)
+    k = draw(st.integers(2, min(6, p.n)))
+    ids = draw(st.lists(st.integers(0, p.n - 1), min_size=k, max_size=k, unique=True))
+    if draw(st.booleans()) and 0 not in ids:
+        ids[draw(st.integers(0, k - 1))] = 0
+    return p, ids
+
+
+class TestResistanceMatrixProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(networks())
+    def test_matches_dense_oracle(self, net):
+        p, ids = net
+        R = GroundedSolver(p).resistance_matrix(ids)
+        k = len(ids)
+        off = ~np.eye(k, dtype=bool)
+        np.testing.assert_allclose(R[off], pinv_resistances(p, ids)[off], rtol=1e-10)
+        assert np.array_equal(R, R.T)
+        assert np.all(np.diag(R) == 0.0)
+        # triangle inequality R[i, j] <= R[i, l] + R[l, j] over all triples
+        assert np.all(R[:, None, :] <= (R[:, :, None] + R[None, :, :]) * (1 + 1e-12))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(networks())
+    def test_harmonic_energy_is_conductance(self, net):
+        p, ids = net
+        R = GroundedSolver(p).resistance_matrix(ids)
+        for i in range(len(ids)):
+            for j in range(i + 1, len(ids)):
+                ext = harmonic_extension(p, {ids[i]: 1.0, ids[j]: 0.0})
+                assert ext.energy == pytest.approx(1.0 / R[i, j], rel=1e-10)
