@@ -13,7 +13,8 @@ lower counts, splitting the coupling corners can only raise them, so
 
     lowerSum(x) <= N_D(x) <= N_N(x) <= upperSum(x)
 
-must hold as exact integers at every sampled x.
+must hold as exact integers at every x sampled for N_D and N_N; each
+class of identical components is counted once.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ def auto_grid(
         x_hi = float(spec.eigenvalues[k_hi - 1])
     else:
         fn = _count_fn(p_neumann, backend, dense_limit, eps_shift)
-        x_lo = _bisect_quantile(fn, k_lo, lambda_max_bound(p_neumann))
-        x_hi = _bisect_quantile(fn, k_hi, lambda_max_bound(p_neumann))
+        upper = lambda_max_bound(p_neumann)
+        x_lo, x_hi = (_bisect_quantile(fn, k, upper) for k in (k_lo, k_hi))
     if x_hi <= x_lo * (1.0 + 1e-9):
         raise InsufficientDataError(
             f"degenerate grid window [{x_lo:g}, {x_hi:g}]; the pencil is too small"
@@ -280,17 +281,19 @@ class BracketingReport:
 def bracketing_check(
     g: GraphApprox,
     j: int,
-    grid: Sequence[float],
+    samples: Sequence[CountingSample],
     backend: str = "dense",
     dense_limit: int = DENSE_LIMIT,
     eps_shift: float = EPS_SHIFT,
 ) -> BracketingReport:
-    """Verify lowerSum <= N_D <= N_N <= upperSum at every grid point.
+    """Verify lowerSum <= N_D <= N_N <= upperSum at every sample.
 
-    N_D and N_N are the ``counting_function`` samples of the level-m
-    graph on the grid; the report's samples add the two component sums.
-    Violations are collected in the report rather than raised: an entry
-    means a discretization or convention bug and must stay inspectable.
+    ``samples`` are the ``counting_function`` samples of the level-m
+    graph g; the report's samples add the two component sums to them.
+    Identical components (same stiffness and mass) form a class that is
+    counted once and weighted by its size.  Violations are collected in
+    the report rather than raised: an entry means a discretization or
+    convention bug and must stay inspectable.
     """
     if not (1 <= j < g.m):
         raise LevelError(f"decouple level {j} must satisfy 1 <= j < m = {g.m}")
@@ -298,25 +301,27 @@ def bracketing_check(
         raise DomainError(
             "bracketing needs s >= 2 so the grounded bridges keep interior nodes"
         )
-    p_n = assemble_neumann(g)
-    p_d = apply_dirichlet(p_n, g, "v0")
-    counts = counting_function(p_n, p_d, grid, backend, dense_limit, eps_shift)
-    fns_upper = [_count_fn(c, backend, dense_limit, eps_shift)
-                 for c in assemble_decoupled(g, j, "neumann_split")]
-    fns_lower = [_count_fn(c, backend, dense_limit, eps_shift)
-                 for c in assemble_decoupled(g, j, "dirichlet_split")]
-    samples = []
+    sums = []
+    for kind in ("dirichlet_split", "neumann_split"):
+        classes = {}
+        for c in assemble_decoupled(g, j, kind):
+            key = tuple(a.tobytes() for a in (c.L.indptr, c.L.indices, c.L.data, c.mass))
+            classes.setdefault(key, [0, c])[0] += 1
+        sums.append([(k, _count_fn(c, backend, dense_limit, eps_shift))
+                     for k, c in classes.values()])
+    lower, upper = sums
+    out = []
     violations = []
-    for smp in counts:
+    for smp in samples:
         x, nd, nn = smp.x, smp.n_dirichlet, smp.n_neumann
-        up = sum(fn(x) for fn in fns_upper)
-        lo = sum(fn(x) for fn in fns_lower)
-        samples.append(CountingSample(x, nd, nn, lo, up))
+        up = sum(k * fn(x) for k, fn in upper)
+        lo = sum(k * fn(x) for k, fn in lower)
+        out.append(CountingSample(x, nd, nn, lo, up))
         if not (lo <= nd <= nn <= up):
             violations.append(
                 f"x={x:.6g}: lowerSum={lo}, N_D={nd}, N_N={nn}, upperSum={up}"
             )
-    return BracketingReport(j, tuple(samples), tuple(violations))
+    return BracketingReport(j, tuple(out), tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +447,17 @@ def run_counting_experiment(
             p_n, eta=eta, per_decade=per_decade, backend=backend,
             dense_limit=dense_limit, eps_shift=eps_shift,
         )
+    try:
+        p_d = apply_dirichlet(p_n, g, "v0")
+    except EmptyPencilError:
+        p_d = None
+    samples = counting_function(
+        p_n, p_d, grid, backend=backend, dense_limit=dense_limit, eps_shift=eps_shift
+    )
     bracketing = None
-    if bracket_level is None:
-        try:
-            p_d = apply_dirichlet(p_n, g, "v0")
-        except EmptyPencilError:
-            p_d = None
-        samples = counting_function(
-            p_n, p_d, grid, backend=backend, dense_limit=dense_limit, eps_shift=eps_shift
-        )
-    else:
+    if bracket_level is not None:
         bracketing = bracketing_check(
-            g, bracket_level, grid, backend=backend,
+            g, bracket_level, samples, backend=backend,
             dense_limit=dense_limit, eps_shift=eps_shift,
         )
         samples = bracketing.samples

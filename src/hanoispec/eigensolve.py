@@ -272,8 +272,8 @@ def get_counter(p: Pencil) -> InertiaCounter:
 
 
 def eig_dense_cached(p: Pencil, dense_limit: int = DENSE_LIMIT) -> Spectrum:
-    """eig_dense with one cached spectrum per pencil (keyed by identity)."""
-    spec = _spectrum_cache.get(p)
+    """eig_dense with one cached spectrum per pencil (by identity), limit checked first."""
+    spec = _spectrum_cache.get(p) if p.n <= dense_limit else None
     if spec is None:
         spec = eig_dense(p, dense_limit)
         _spectrum_cache[p] = spec

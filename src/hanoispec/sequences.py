@@ -57,10 +57,6 @@ def make_pair(r: float) -> MatchingPair:
     Raises DomainError unless 0 < r < 3/5 (r = 3/5 would give a degenerate
     line conductance).
     """
-    if not (0.0 < r < R_SUP):
-        raise DomainError(
-            f"resistance ratio r must lie in the open interval (0, 3/5), got {r!r}"
-        )
     return MatchingPair(r, 1.0 - (5.0 / 3.0) * r)
 
 

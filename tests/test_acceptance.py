@@ -16,6 +16,7 @@ import pytest
 
 from hanoispec.analysis import (
     bracketing_check,
+    counting_function,
     one_dim_reference,
     run_counting_experiment,
 )
@@ -88,11 +89,13 @@ def test_03_interlacing():
 def test_04_bracketing():
     t0 = time.time()
     g = build_graph(constant(0.5), 4, 2, 0.25)
-    bound = lambda_max_bound(assemble_neumann(g))
+    p_n = assemble_neumann(g)
+    bound = lambda_max_bound(p_n)
     total_violations = 0
     for j in (1, 2):
         grid = np.geomspace(1.0, bound * 0.9, 30)
-        rep = bracketing_check(g, j, grid, backend="dense")
+        samples = counting_function(p_n, apply_dirichlet(p_n, g, "v0"), grid, backend="dense")
+        rep = bracketing_check(g, j, samples, backend="dense")
         total_violations += len(rep.violations)
     elapsed = time.time() - t0
     ok = total_violations == 0 and elapsed <= 60.0

@@ -17,11 +17,12 @@ from hanoispec.analysis import (
     run_counting_experiment,
     weyl_ratio,
 )
-from hanoispec.assembly import apply_dirichlet, assemble_neumann
-from hanoispec.eigensolve import eig_dense
+from hanoispec import eigensolve
+from hanoispec.assembly import apply_dirichlet, assemble_decoupled, assemble_neumann
+from hanoispec.eigensolve import eig_dense, lambda_max_bound
 from hanoispec.errors import DomainError, InsufficientDataError, LevelError
 from hanoispec.geometry import build_graph, enumerate_words
-from hanoispec.sequences import constant, predicted_dimensions
+from hanoispec.sequences import constant, explicit, predicted_dimensions
 
 SEQ = constant(0.5)
 
@@ -121,11 +122,16 @@ class TestWeyl:
             weyl_ratio([], -1.0)
 
 
+def level_m_samples(g, grid, backend="dense"):
+    p_n = assemble_neumann(g)
+    return counting_function(p_n, apply_dirichlet(p_n, g, "v0"), grid, backend=backend)
+
+
 class TestBracketing:
     def test_m3_no_violations(self):
         g = build_graph(SEQ, 3, 2, 0.25)
         grid = np.geomspace(1.0, 3e4, 30)
-        rep = bracketing_check(g, 1, grid, backend="dense")
+        rep = bracketing_check(g, 1, level_m_samples(g, grid), backend="dense")
         assert rep.ok
         for smp in rep.samples:
             assert smp.lower_sum <= smp.n_dirichlet <= smp.n_neumann <= smp.upper_sum
@@ -133,7 +139,50 @@ class TestBracketing:
     def test_level_guard(self):
         g = build_graph(SEQ, 2, 2, 0.25)
         with pytest.raises(LevelError):
-            bracketing_check(g, 2, [1.0])
+            bracketing_check(g, 2, level_m_samples(g, [1.0]))
+
+    @pytest.mark.parametrize("backend", ["dense", "inertia"])
+    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("m, j", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("seq", [SEQ, explicit([0.45, 0.53], tail="cycle")],
+                             ids=lambda q: q.describe())
+    def test_class_sums_match_every_component(self, seq, m, j, s, backend):
+        # reference: every component of the decoupled forms counted on its own
+        g = build_graph(seq, m, s, 0.25)
+        grid = np.geomspace(1.0, 0.9 * lambda_max_bound(assemble_neumann(g)), 20)
+        rep = bracketing_check(g, j, level_m_samples(g, grid, backend), backend=backend)
+        spectra = {kind: [eig_dense(c) for c in assemble_decoupled(g, j, kind)]
+                   for kind in ("dirichlet_split", "neumann_split")}
+        for smp in rep.samples:
+            assert smp.lower_sum == sum(sc.count_leq(smp.x) for sc in spectra["dirichlet_split"])
+            assert smp.upper_sum == sum(sc.count_leq(smp.x) for sc in spectra["neumann_split"])
+
+    def test_one_factorization_per_distinct_pencil(self, monkeypatch):
+        # p_n, p_d and the 6 distinct contents among the 42 components at j = 2
+        built = []
+        init = eigensolve.InertiaCounter.__init__
+
+        def counting_init(self, pencil, *args, **kwargs):
+            built.append(pencil.n)
+            init(self, pencil, *args, **kwargs)
+
+        monkeypatch.setattr(eigensolve.InertiaCounter, "__init__", counting_init)
+        exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend="inertia", bracket_level=2)
+        assert exp.bracketing.ok
+        assert len(built) == 8
+
+    def test_one_dense_eigensolve_per_distinct_pencil(self, monkeypatch):
+        calls = []
+        dense = eigensolve.eig_dense
+
+        def counting_dense(p, *args, **kwargs):
+            calls.append(p.n)
+            return dense(p, *args, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "eig_dense", counting_dense)
+        exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend="dense", bracket_level=2)
+        assert exp.bracketing.ok
+        assert len(calls) == 8
 
 
 class TestOneDimReference:

@@ -17,6 +17,7 @@ from hanoispec.eigensolve import (
     InertiaCounter,
     count_below,
     eig_dense,
+    eig_dense_cached,
     eig_lowest,
     get_counter,
     lambda_max_bound,
@@ -63,6 +64,12 @@ class TestDense:
         with pytest.raises(PencilSizeError) as exc:
             eig_dense(assemble_neumann(g), dense_limit=50)
         assert "count_below" in str(exc.value)
+
+    def test_size_limit_holds_for_cached_spectrum(self):
+        p = assemble_neumann(build_graph(SEQ, 3, 2, 0.25))
+        assert eig_dense_cached(p).n == p.n
+        with pytest.raises(PencilSizeError):
+            eig_dense_cached(p, dense_limit=10)
 
     def test_mass_scaling(self):
         p = assemble_neumann(build_graph(SEQ, 2, 1, 0.25))
