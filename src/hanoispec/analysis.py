@@ -30,6 +30,7 @@ from .assembly import Pencil, apply_dirichlet, assemble_decoupled, assemble_neum
 from .eigensolve import (
     DENSE_LIMIT,
     EPS_SHIFT,
+    BlockInertiaCounter,
     eig_dense,
     eig_dense_cached,
     get_counter,
@@ -59,6 +60,26 @@ class CountingSample:
     upper_sum: Optional[int] = None
 
 
+@dataclass(eq=False)
+class _GraphPencil(Pencil):
+    """The Neumann pencil of a whole level-m graph, with its block counter.
+
+    ``run_counting_experiment`` hands it to ``auto_grid`` and
+    ``counting_function``: with the inertia backend they count it, and its
+    V_0-grounded restriction, by block elimination, many thresholds per
+    pass.  Every other pencil is counted by SuperLU.
+    """
+
+    blocks: BlockInertiaCounter
+
+
+# Bisection steps covered by one block-elimination pass.  At m = 3 a pass
+# over the up to 2 * 7 midpoints the two grid-end bisections can reach in 3
+# steps costs about 1.4 passes over their next 2; of 1 to 6 steps, 3 and 4
+# gave the fastest auto_grid, and 3 counts fewer thresholds.
+BLOCK_LOOKAHEAD = 3
+
+
 def _count_fn(p: Optional[Pencil], backend: str, dense_limit: int, eps_shift: float):
     """Return a function x -> N(x) = #{lambda <= x} for one pencil."""
     if p is None or p.n == 0:
@@ -84,10 +105,21 @@ def counting_function(
 
     ``p_dirichlet`` may be None for graphs whose Dirichlet condition
     constrains everything (the level-0 triangle); its counts are then 0.
+    For the whole-graph pencil of ``run_counting_experiment`` the inertia
+    backend counts N_D and N_N at every grid point in one block-elimination
+    pass, and ``p_dirichlet`` is not used.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise DomainError("grid must be strictly increasing and positive")
+    if backend == "inertia" and isinstance(p_neumann, _GraphPencil):
+        try:
+            nd, nn = p_neumann.blocks.count_below(grid * (1.0 + eps_shift), eps_shift)
+        except HanoiError as exc:
+            raise type(exc)(
+                f"counting failed on the grid [{grid[0]:g}, {grid[-1]:g}]: {exc}"
+            ) from None
+        return [CountingSample(float(x), int(d), int(n)) for x, d, n in zip(grid, nd, nn)]
     fn_n = _count_fn(p_neumann, backend, dense_limit, eps_shift)
     fn_d = _count_fn(p_dirichlet, backend, dense_limit, eps_shift)
     out = []
@@ -121,10 +153,17 @@ def auto_grid(
         spec = eig_dense_cached(p_neumann, dense_limit=dense_limit)
         x_lo = float(spec.eigenvalues[k_lo - 1])
         x_hi = float(spec.eigenvalues[k_hi - 1])
+    elif backend == "inertia" and isinstance(p_neumann, _GraphPencil):
+        blocks = p_neumann.blocks
+        x_lo, x_hi = _bisect_quantiles(
+            lambda xs: blocks.count_below(np.multiply(xs, 1.0 + eps_shift), eps_shift)[1],
+            (k_lo, k_hi), lambda_max_bound(p_neumann), BLOCK_LOOKAHEAD,
+        )
     else:
         fn = _count_fn(p_neumann, backend, dense_limit, eps_shift)
-        upper = lambda_max_bound(p_neumann)
-        x_lo, x_hi = (_bisect_quantile(fn, k, upper) for k in (k_lo, k_hi))
+        x_lo, x_hi = _bisect_quantiles(
+            lambda xs: [fn(x) for x in xs], (k_lo, k_hi), lambda_max_bound(p_neumann)
+        )
     if x_hi <= x_lo * (1.0 + 1e-9):
         raise InsufficientDataError(
             f"degenerate grid window [{x_lo:g}, {x_hi:g}]; the pencil is too small"
@@ -134,20 +173,49 @@ def auto_grid(
     return np.geomspace(x_lo, x_hi, n_points)
 
 
-def _bisect_quantile(count_fn, k: int, upper: float) -> float:
-    """Smallest x with N(x) >= k, located by bisection to 1e-4 relative width."""
-    lo, hi = 0.0, upper * 1.0001
-    if count_fn(hi) < k:
-        hi *= 4.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi) if lo == 0.0 else math.sqrt(lo * hi)
-        if count_fn(mid) >= k:
-            hi = mid
-        else:
-            lo = mid
-        if lo > 0 and hi / lo < 1.0 + 1e-4:
-            break
-    return hi
+def _bisect_quantiles(count, ks, upper: float, lookahead: int = 1) -> list[float]:
+    """Smallest x with N(x) >= k for each k, by bisection to 1e-4 relative width.
+
+    The bisections run in lockstep, each on the midpoints it would take
+    alone.  ``count`` maps a list of thresholds to N at each; one call
+    covers every midpoint an open bisection can reach in its next
+    ``lookahead`` steps.
+    """
+    top = upper * 1.0001
+    n_top = count([top])[0]
+    state = [[0.0, top if n_top >= k else 4.0 * top, 0] for k in ks]  # lo, hi, steps
+    while True:
+        xs = []
+        for lo, hi, steps in state:
+            _reachable_midpoints(lo, hi, steps, lookahead, xs)
+        if not xs:
+            return [hi for _, hi, _ in state]
+        xs = list(dict.fromkeys(xs))
+        counted = dict(zip(xs, count(xs)))
+        for st, k in zip(state, ks):
+            while _bisection_open(*st):
+                mid = _midpoint(st[0], st[1])
+                if mid not in counted:
+                    break
+                st[1 if counted[mid] >= k else 0] = mid
+                st[2] += 1
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    return 0.5 * (lo + hi) if lo == 0.0 else math.sqrt(lo * hi)
+
+
+def _bisection_open(lo: float, hi: float, steps: int) -> bool:
+    return steps < 80 and not (lo > 0 and hi / lo < 1.0 + 1e-4)
+
+
+def _reachable_midpoints(lo: float, hi: float, steps: int, depth: int, out: list):
+    if depth == 0 or not _bisection_open(lo, hi, steps):
+        return
+    mid = _midpoint(lo, hi)
+    out.append(mid)
+    _reachable_midpoints(lo, mid, steps + 1, depth - 1, out)
+    _reachable_midpoints(mid, hi, steps + 1, depth - 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +346,15 @@ class BracketingReport:
         return len(self.violations) == 0
 
 
+def _check_bracketing(m: int, s: int, j: int):
+    if not (1 <= j < m):
+        raise LevelError(f"decouple level {j} must satisfy 1 <= j < m = {m}")
+    if s < 2:
+        raise DomainError(
+            "bracketing needs s >= 2 so the grounded bridges keep interior nodes"
+        )
+
+
 def bracketing_check(
     g: GraphApprox,
     j: int,
@@ -295,12 +372,7 @@ def bracketing_check(
     the report rather than raised: an entry means a discretization or
     convention bug and must stay inspectable.
     """
-    if not (1 <= j < g.m):
-        raise LevelError(f"decouple level {j} must satisfy 1 <= j < m = {g.m}")
-    if g.s < 2:
-        raise DomainError(
-            "bracketing needs s >= 2 so the grounded bridges keep interior nodes"
-        )
+    _check_bracketing(g.m, g.s, j)
     sums = []
     for kind in ("dirichlet_split", "neumann_split"):
         classes = {}
@@ -437,20 +509,33 @@ def run_counting_experiment(
     bracket_level: Optional[int] = None,
     which: str = "neumann",
 ) -> CountingExperiment:
-    """Build the level-m graph, sample N(x), fit the exponent, report envelopes."""
+    """Build the level-m graph, sample N(x), fit the exponent, report envelopes.
+
+    With the inertia backend the level-m counts come from block
+    elimination (``BlockInertiaCounter``); the bracketing components are
+    counted by SuperLU.
+    """
+    if bracket_level is not None:
+        _check_bracketing(m, s, bracket_level)
     g = build_graph(seq, m, s, beta)
     p_n = assemble_neumann(g)
     if backend == "auto":
         backend = "dense" if p_n.n <= dense_limit else "inertia"
+    p_d = None
+    if backend == "inertia":
+        # the block counter counts the V_0-grounded pencil too
+        blocks = BlockInertiaCounter(g.delta[m], g.gamma, s, beta, lambda_max_bound(p_n))
+        p_n = _GraphPencil(p_n.L, p_n.mass, p_n.boundary, p_n.vertex_map, blocks)
+    else:
+        try:
+            p_d = apply_dirichlet(p_n, g, "v0")
+        except EmptyPencilError:
+            pass
     if grid is None:
         grid = auto_grid(
             p_n, eta=eta, per_decade=per_decade, backend=backend,
             dense_limit=dense_limit, eps_shift=eps_shift,
         )
-    try:
-        p_d = apply_dirichlet(p_n, g, "v0")
-    except EmptyPencilError:
-        p_d = None
     samples = counting_function(
         p_n, p_d, grid, backend=backend, dense_limit=dense_limit, eps_shift=eps_shift
     )

@@ -187,6 +187,17 @@ def config_from_dict(d: dict) -> RunConfig:
         )
     if cfg.alpha is not None and not (0.0 < cfg.alpha < 1.0):
         raise ConfigError(f"alpha: must lie in (0, 1), got {cfg.alpha}")
+    if cfg.bracketing_level is not None:
+        if not (1 <= cfg.bracketing_level < cfg.level):
+            raise ConfigError(
+                f"bracketing_level: must satisfy 1 <= bracketing_level < level = "
+                f"{cfg.level}, got {cfg.bracketing_level}"
+            )
+        if cfg.subdivisions < 2:
+            raise ConfigError(
+                "subdivisions: bracketing needs subdivisions >= 2 so the grounded "
+                f"bridges keep interior nodes, got {cfg.subdivisions}"
+            )
     if cfg.solver.backend not in ("auto", "dense", "inertia"):
         raise ConfigError(f"solver.backend: unknown backend {cfg.solver.backend!r}")
     if cfg.grid.mode not in ("auto", "explicit"):
@@ -322,7 +333,7 @@ def cmd_validate(cfg: RunConfig, quiet: bool = False) -> int:
     checks.append(("connectivity", ncomp == 1))
     bounds_ok = True
     for j in range(m + 1):
-        mu = 0.5 * (3.0 ** (-j) + cfg.beta ** j)
+        mu = geometry.cell_mass(j, cfg.beta)
         if not (cfg.beta ** j <= mu + 1e-15 and mu <= 3.0 ** (-j) + 1e-15):
             bounds_ok = False
     checks.append(("measure-bounds", bounds_ok))

@@ -6,17 +6,23 @@ Two backends:
   M^{-1/2} L M^{-1/2} and call LAPACK.  This is the oracle path and the
   only one that returns eigenvalues; it is capped by a size limit.
 
-* inertia: for counting only.  Factor L - x M with SuperLU under a
-  symmetric column ordering and no row interchanges; diag(U) is then the
-  D of an LDL^T factorization, and by Sylvester's law of inertia its
-  negative entries count the pencil eigenvalues strictly below x.  A
-  factorization that is exactly singular, that had to interchange rows,
-  or that has a pivot magnitude under 1e-12 * max|L| means x sits
-  numerically on an eigenvalue; the threshold is then nudged up by
-  10 * eps_shift relatively and the factorization retried.
+* inertia: for counting only, by Sylvester's law of inertia: the
+  negative pivots of an LDL^T-type elimination of L - x M count the
+  pencil eigenvalues strictly below x.  A whole level-m graph (its
+  Neumann pencil and the V_0-grounded one) is counted by
+  BlockInertiaCounter, which eliminates the graph one level at a time
+  with small dense blocks, for a batch of thresholds at once.  Any other
+  pencil (a bracketing component, a pencil passed to count_below) is
+  factored by InertiaCounter with SuperLU under a symmetric column
+  ordering and no row interchanges; diag(U) is then the D of the LDL^T.
+  A factorization that is exactly singular, that had to interchange rows,
+  or that has a pivot magnitude under 1e-12 * max|L| (for the block
+  counter: a pivot block with an eigenvalue that small against its level)
+  means x sits numerically on an eigenvalue; the threshold is then nudged
+  up by 10 * eps_shift relatively and the elimination retried.
 
-The two backends are cross-validated against each other in the test
-suite on every pencil family the package produces.
+The backends are cross-validated against each other in the test suite on
+every pencil family the package produces.
 
 The CSC pattern of L and the positions of its diagonal are shared by
 all thresholds x, so they are set up once per pencil and reused across a
@@ -41,10 +47,13 @@ from .errors import (
     PencilSizeError,
     ThresholdAtEigenvalueError,
 )
+from .geometry import bridge_mass, cell_mass
 
 DENSE_LIMIT = 4000
 EPS_SHIFT = 1e-9
 SMALL_PIVOT_REL = 1e-12
+# Nudges of a threshold that sits numerically on an eigenvalue before it fails.
+RETRIES = 3
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +249,7 @@ class InertiaCounter:
         return int(np.count_nonzero(d < 0.0)), True
 
     def count_below(self, x: float, eps_shift: float = EPS_SHIFT,
-                    retries: int = 3) -> InertiaResult:
+                    retries: int = RETRIES) -> InertiaResult:
         """Count eigenvalues strictly below x, nudging x off near-singular shifts."""
         xt = x
         for attempt in range(retries + 1):
@@ -253,6 +262,185 @@ class InertiaCounter:
             f"shift {10 * eps_shift:g} all hit a singular or row-interchanged factorization "
             f"or a pivot below {self.pivot_tol:.3e}"
         )
+
+
+# ---------------------------------------------------------------------------
+# Block-elimination inertia for whole level-m graphs
+# ---------------------------------------------------------------------------
+
+# A level-(k-1) block is three level-k sub-blocks joined by three bridges.
+# Corner a of sub-block a (0-based letters) is an outer corner of the block;
+# the 6 others are its inner corners, listed so that bridge t joins inner
+# corner t to inner corner t + 3: the bridge opposite letter i joins corner
+# b of sub-block a to corner a of sub-block b, {a, b} = {0, 1, 2} \ {i}.
+_INNER = ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1))    # (sub-block, corner)
+# One level's [K_ii | K_io | w_i], a (6, 10) array, is the sum of two gathers
+# from the columns [S_k (9, row-major) | w_k (3) | -g, r_a, r_b, r_a + g,
+# r_b + g, 0] of the sub-blocks' Schur complement S_k, its row sums w_k and
+# the bridge's end-to-end conductance g and end row sums r_a, r_b.  An inner
+# corner's diagonal is S_k's plus its bridge end's r + g, and its row sum is
+# w_k's plus that end's r.
+_NEG_G, _R_A, _R_B, _DIAG_A, _DIAG_B, _ZERO = range(12, 18)
+
+
+def _inner_gathers() -> tuple[np.ndarray, np.ndarray]:
+    first = np.full((6, 10), _ZERO)
+    second = np.full((6, 10), _ZERO)
+    for p, (a, c) in enumerate(_INNER):
+        for q, (b, d) in enumerate(_INNER):
+            if p == q:
+                first[p, q] = 3 * c + c
+                second[p, q] = _DIAG_A if p < 3 else _DIAG_B
+            elif a == b:
+                first[p, q] = 3 * c + d
+            elif abs(p - q) == 3:
+                first[p, q] = _NEG_G
+        first[p, 6 + a] = 3 * c + a
+        first[p, 9] = 9 + c
+        second[p, 9] = _R_A if p < 3 else _R_B
+    return first.ravel(), second.ravel()
+
+
+_GATHER_1, _GATHER_2 = _inner_gathers()
+
+
+class BlockInertiaCounter:
+    """Inertia of L - x M on a whole level-m graph: N_D and N_N in one pass.
+
+    Every level-k block of the graph is the same weighted graph, so the
+    pencil is counted one level at a time.  A level-(k-1) block is three
+    level-k blocks, each reduced to the Schur complement S_k onto its three
+    outer corners, joined by three level-k bridges.  Each bridge interior
+    is eliminated by a tridiagonal recurrence (pi_k negative pivots), then
+    the 6 inner corners of the block (n_k negative eigenvalues), which
+    leaves S_{k-1}.  By Haynsworth's inertia additivity,
+    In(K) = In(K_11) + In(K / K_11), a level-(k-1) block with its outer
+    corners grounded has nu_{k-1} = 3 nu_k + 3 pi_k + n_k negative
+    eigenvalues, with nu_m = 0 for a cell.  N_D (V_0 grounded) is nu_0 and
+    N_N is nu_0 + neg(S_0).  All G thresholds of a batch are eliminated
+    together: a bridge as length-G vectors, the inner corners as a
+    (G, 6, 6) stack through eigvalsh (inertia) and solve (Schur complement).
+
+    Each Schur complement is carried as its off-diagonal entries and its
+    row sums w' = w_o - K_oi K_ii^-1 w_i, and its diagonal is rebuilt from
+    them.  At x = 0 the row sums stay exactly zero, where the plain
+    K_oo - K_oi K_ii^-1 K_io loses digits at every level.
+
+    A pivot block (a bridge pivot, the inner-corner block or S_0) is
+    near-singular when its smallest |eigenvalue| is at most
+    SMALL_PIVOT_REL times the largest |entry| of its level;
+    ``count_below`` then nudges the threshold as InertiaCounter does.
+    """
+
+    def __init__(self, delta_m: float, gamma, s: int, beta: float, upper: float):
+        self.s = s
+        # the graph's conductances and masses, as build_graph lays them out
+        m = len(gamma)
+        self.cell_conductance = 1.0 / float(delta_m)
+        self.corner_mass = cell_mass(m, beta) / 3.0
+        self.seg_conductance = [1.0 / (float(gk) / s) for gk in gamma]
+        self.bridge_mass = [bridge_mass(k, beta) for k in range(1, m + 1)]
+        # upper bounds the pencil's eigenvalues (lambda_max_bound of its
+        # Neumann pencil), so below -upper L - x M is positive definite; the
+        # first count_below checks that every pivot block comes out positive
+        # and clear of singularity there.
+        self._setup_x = -1.0 - float(upper)
+
+    def _eliminate(self, x: np.ndarray):
+        """(nu_0, S_0, interior pivots clear) for each threshold in x."""
+        G, s, rel = x.size, self.s, SMALL_PIVOT_REL
+        # S_m of a cell: off-diagonal -1/delta_m, row sums -x * corner mass
+        c = self.cell_conductance
+        w = np.repeat((-self.corner_mass * x)[:, None], 3, axis=1)
+        S = np.repeat((c * (3.0 * np.eye(3) - 1.0)).reshape(1, 9), G, axis=0)
+        S[:, ::4] += w
+        nu = np.zeros(G, dtype=np.int64)
+        ok = np.ones(G, dtype=bool)
+        src = np.zeros((G, _ZERO + 1))
+        for ck, bm in zip(self.seg_conductance[::-1], self.bridge_mass[::-1]):
+            mu, end = -x * (bm / s), -x * (bm / (2 * s))
+            # the level's largest |entry|: in S_k or on the bridge
+            tol = rel * np.maximum(np.abs(S).max(axis=1), np.maximum(ck, np.abs(2.0 * ck + mu)))
+            # bridge: eliminate its interior nodes in path order; g is the
+            # conductance from end a to the next node, r that node's row sum.
+            # A near-zero pivot fails the threshold and is replaced by tol, so
+            # the rest of the batch stays finite.
+            g, ra, r = ck, end, (mu if s > 1 else end)
+            pi = 0
+            for i in range(1, s):
+                d = r + g + ck
+                pi = pi + (d < 0.0)
+                small = np.abs(d) <= tol
+                ok &= ~small
+                d = np.where(small, tol, d)
+                ra = ra + g * r / d
+                r = (mu if i < s - 1 else end) + ck * r / d
+                g = g * ck / d
+            src[:, :9] = S
+            src[:, 9:12] = w
+            src[:, _NEG_G] = -g
+            src[:, _R_A] = ra
+            src[:, _R_B] = r
+            src[:, _DIAG_A] = ra + g
+            src[:, _DIAG_B] = r + g
+            T = (src[:, _GATHER_1] + src[:, _GATHER_2]).reshape(G, 6, 10)
+            Kii, rhs = T[:, :, :6], T[:, :, 6:]
+            lam = np.linalg.eigvalsh(Kii)
+            small = np.abs(lam).min(axis=1) <= tol
+            ok &= ~small
+            if small.any():
+                Kii = np.where(small[:, None, None], np.eye(6), Kii)
+            P = rhs[:, :, :3].transpose(0, 2, 1) @ np.linalg.solve(Kii, rhs)
+            # S_{k-1}: symmetrised off-diagonal part, diagonal from the row sums
+            w = w - P[:, :, 3]
+            S = P[:, :, :3] + P[:, :, :3].transpose(0, 2, 1)
+            S *= -0.5
+            S = S.reshape(G, 9)
+            S[:, ::4] = w - (S.reshape(G, 3, 3).sum(axis=2) - S[:, ::4])
+            nu = 3 * nu + 3 * pi + (lam < 0.0).sum(axis=1)
+        return nu, S.reshape(G, 3, 3), ok
+
+    def try_count(self, x: np.ndarray):
+        """One pass at thresholds x: (N_D, N_N, N_D pivots clear, N_N pivots clear)."""
+        nu, S0, ok = self._eliminate(x)
+        lam = np.linalg.eigvalsh(S0)
+        ok_n = ok & (np.abs(lam).min(axis=1)
+                     > SMALL_PIVOT_REL * np.abs(S0).max(axis=(1, 2)))
+        return nu, nu + (lam < 0.0).sum(axis=1), ok, ok_n
+
+    def count_below(self, x, eps_shift: float = EPS_SHIFT) -> tuple[np.ndarray, np.ndarray]:
+        """(N_D, N_N) strictly below each threshold, nudging x off near-singular shifts.
+
+        As in InertiaCounter.count_below, a threshold whose pass hits a
+        near-singular pivot block is retried at x * (1 + 10 eps_shift);
+        N_D needs the interior pivots clear, N_N also S_0.
+        """
+        if self._setup_x is not None:
+            _, nn, _, ok_n = self.try_count(np.array([self._setup_x]))
+            if nn[0] != 0 or not ok_n[0]:
+                raise ConvergenceError("block elimination set-up pass is not positive definite")
+            self._setup_x = None
+        x = np.array(x, dtype=float).ravel()
+        counts = np.zeros((2, x.size), dtype=np.int64)
+        todo = np.ones((2, x.size), dtype=bool)
+        xt = x.copy()
+        for _ in range(RETRIES + 1):
+            idx = np.flatnonzero(todo.any(axis=0))
+            if idx.size == 0:
+                break
+            nd, nn, ok_d, ok_n = self.try_count(xt[idx])
+            for row, count, ok in ((0, nd, ok_d), (1, nn, ok_n)):
+                done = todo[row, idx] & ok
+                counts[row, idx[done]] = count[done]
+                todo[row, idx[done]] = False
+            xt[idx] = xt[idx] * (1.0 + 10.0 * eps_shift)
+        if todo.any():
+            bad = x[np.flatnonzero(todo.any(axis=0))[0]]
+            raise ThresholdAtEigenvalueError(
+                f"threshold {bad!r} sits on an eigenvalue: {RETRIES} retries with relative "
+                f"shift {10 * eps_shift:g} all hit a near-singular pivot block"
+            )
+        return counts[0], counts[1]
 
 
 _counter_cache: "weakref.WeakKeyDictionary[Pencil, InertiaCounter]" = (

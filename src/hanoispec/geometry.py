@@ -164,6 +164,16 @@ class GraphApprox:
         return "\n".join(out) + "\n"
 
 
+def cell_mass(m: int, beta: float) -> float:
+    """Mass of one m-cell: the mean of its cell-counting and geometric weights."""
+    return 0.5 * (3.0 ** (-m) + beta ** m)
+
+
+def bridge_mass(k: int, beta: float) -> float:
+    """Line-measure mass of one level-k bridge."""
+    return 0.5 * (1.0 / 3.0 - beta) * beta ** (k - 1)
+
+
 def _other_letters(i: int) -> tuple[int, int]:
     a, b = sorted({1, 2, 3} - {i})
     return a, b
@@ -213,8 +223,7 @@ def build_graph(
     edges: list = []
     line_paths: list = []
 
-    cell_mass = 0.5 * (3.0 ** (-m) + beta ** m)
-    corner_share = cell_mass / 3.0
+    corner_share = cell_mass(m, beta) / 3.0
     delta_m = float(delta[m])
     for rank, w in enumerate(words):
         base = 3 * rank
@@ -225,12 +234,11 @@ def build_graph(
         edges.append(EdgeRec(base, base + 2, delta_m, "cell", m))
         edges.append(EdgeRec(base + 1, base + 2, delta_m, "cell", m))
 
-    a_line = 1.0 / 3.0 - beta
     next_id = n_corners
     for k in range(1, m + 1):
         gk = float(gamma[k - 1])
         seg_r = gk / s
-        bridge_mass = 0.5 * a_line * beta ** (k - 1)
+        bm = bridge_mass(k, beta)
         for u in enumerate_words(k - 1):
             for i in (1, 2, 3):
                 a, b = _other_letters(i)
@@ -241,18 +249,18 @@ def build_graph(
                 path = [va]
                 for pos in range(1, s):
                     tags[next_id] = LineTag(k, u, i, pos)
-                    mass_line[next_id] = bridge_mass / s
+                    mass_line[next_id] = bm / s
                     path.append(next_id)
                     next_id += 1
                 path.append(vb)
-                mass_line[va] += bridge_mass / (2 * s)
-                mass_line[vb] += bridge_mass / (2 * s)
+                mass_line[va] += bm / (2 * s)
+                mass_line[vb] += bm / (2 * s)
                 line_level[va] = k
                 line_level[vb] = k
                 for p in range(s):
                     edges.append(EdgeRec(path[p], path[p + 1], seg_r, "line", k))
                 line_paths.append(
-                    LinePath(k, u, i, tuple(path), gk, bridge_mass)
+                    LinePath(k, u, i, tuple(path), gk, bm)
                 )
 
     coords = None

@@ -17,12 +17,12 @@ from hanoispec.analysis import (
     run_counting_experiment,
     weyl_ratio,
 )
-from hanoispec import eigensolve
+from hanoispec import analysis, eigensolve
 from hanoispec.assembly import apply_dirichlet, assemble_decoupled, assemble_neumann
 from hanoispec.eigensolve import eig_dense, lambda_max_bound
 from hanoispec.errors import DomainError, InsufficientDataError, LevelError
 from hanoispec.geometry import build_graph, enumerate_words
-from hanoispec.sequences import constant, explicit, predicted_dimensions
+from hanoispec.sequences import constant, explicit, geometric_to_limit, predicted_dimensions
 
 SEQ = constant(0.5)
 
@@ -158,7 +158,8 @@ class TestBracketing:
             assert smp.upper_sum == sum(sc.count_leq(smp.x) for sc in spectra["neumann_split"])
 
     def test_one_factorization_per_distinct_pencil(self, monkeypatch):
-        # p_n, p_d and the 6 distinct contents among the 42 components at j = 2
+        # the 6 distinct contents among the 42 components at j = 2; the
+        # level-m pencils are counted by block elimination, not by SuperLU
         built = []
         init = eigensolve.InertiaCounter.__init__
 
@@ -169,7 +170,7 @@ class TestBracketing:
         monkeypatch.setattr(eigensolve.InertiaCounter, "__init__", counting_init)
         exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend="inertia", bracket_level=2)
         assert exp.bracketing.ok
-        assert len(built) == 8
+        assert len(built) == 6
 
     def test_one_dense_eigensolve_per_distinct_pencil(self, monkeypatch):
         calls = []
@@ -243,6 +244,40 @@ class TestExperimentPipeline:
         assert exp.bracketing is not None
         assert exp.bracketing.ok
         assert exp.samples[0].lower_sum is not None
+
+    @pytest.mark.parametrize("m, s, j, error", [
+        (3, 2, 3, LevelError), (3, 2, 0, LevelError), (3, 1, 1, DomainError),
+    ])
+    def test_bad_bracket_level_fails_before_the_count(self, monkeypatch, m, s, j, error):
+        def no_graph(*args, **kwargs):
+            raise AssertionError("the graph was built before the bracketing check")
+
+        monkeypatch.setattr(analysis, "build_graph", no_graph)
+        with pytest.raises(error):
+            run_counting_experiment(SEQ, m, s, 0.25, backend="inertia", bracket_level=j)
+
+    @pytest.mark.parametrize("bracket_level", [None, 2])
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize(
+        "seq", [SEQ, geometric_to_limit(0.55, 0.3), explicit([0.45, 0.53], tail="cycle")],
+        ids=lambda q: q.describe(),
+    )
+    def test_block_counts_equal_superlu(self, seq, m, bracket_level):
+        # the experiment counts the level-m pencils by block elimination; the
+        # same grid, samples, fit and report must come from SuperLU on them
+        exp = run_counting_experiment(seq, m, 2, 0.25, backend="inertia",
+                                      bracket_level=bracket_level)
+        p_n = assemble_neumann(exp.graph)
+        grid = auto_grid(p_n, backend="inertia")
+        assert list(grid) == [smp.x for smp in exp.samples]
+        samples = counting_function(p_n, apply_dirichlet(p_n, exp.graph, "v0"), grid,
+                                    backend="inertia")
+        if bracket_level is not None:
+            report = bracketing_check(exp.graph, bracket_level, samples, backend="inertia")
+            assert report == exp.bracketing
+            samples = report.samples
+        assert tuple(samples) == exp.samples
+        assert fit_exponent(samples, WindowPolicy(), exp.prediction) == exp.fit
 
     @pytest.mark.parametrize("backend", ["dense", "inertia"])
     def test_bracket_level_leaves_counts_alone(self, backend):

@@ -93,6 +93,13 @@ MALFORMED = [
                  id="solver.eps_shift-boolean"),
     pytest.param({"outputs": {"formats": ["csv", "svgg"]}}, "outputs.formats[1]",
                  id="outputs.formats"),
+    # bracketing needs 1 <= bracketing_level < level and s >= 2; these once ran
+    # the whole count before exiting 2
+    pytest.param({"level": 3, "bracketing_level": 3}, "bracketing_level",
+                 id="bracketing_level-at-level"),
+    pytest.param({"bracketing_level": 0}, "bracketing_level", id="bracketing_level-zero"),
+    pytest.param({"subdivisions": 1, "bracketing_level": 1}, "subdivisions",
+                 id="subdivisions-bracketing"),
 ]
 
 

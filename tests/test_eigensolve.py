@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from hanoispec import eigensolve
 from hanoispec.assembly import (
@@ -14,6 +15,8 @@ from hanoispec.assembly import (
     assemble_neumann,
 )
 from hanoispec.eigensolve import (
+    EPS_SHIFT,
+    BlockInertiaCounter,
     InertiaCounter,
     count_below,
     eig_dense,
@@ -23,12 +26,15 @@ from hanoispec.eigensolve import (
     lambda_max_bound,
 )
 from hanoispec.errors import (
+    ConvergenceError,
     DomainError,
     PencilSizeError,
     ThresholdAtEigenvalueError,
 )
 from hanoispec.geometry import build_graph
-from hanoispec.sequences import constant
+from hanoispec.resistance import compatibility_check
+from hanoispec.sequences import constant, explicit, geometric_to_limit, scale_factors
+from test_resistance import FAMILIES
 
 SEQ = constant(0.5)
 
@@ -144,9 +150,29 @@ class TestInertia:
             assert res.count == oracle, (x, res)
 
 
+def block_counter(g) -> BlockInertiaCounter:
+    return BlockInertiaCounter(g.delta[g.m], g.gamma, g.s, g.beta,
+                               lambda_max_bound(assemble_neumann(g)))
+
+
+def cluster_thresholds(spec) -> list:
+    """Each eigenvalue of multiplicity >= 3, and one ulp either side of it.
+
+    The symmetry of the gasket makes highly repeated eigenvalues common.
+    """
+    out = []
+    for lam, mult in spec.multiplicities():
+        if mult >= 3:
+            out += [np.nextafter(lam, -np.inf), lam, np.nextafter(lam, np.inf)]
+    return out
+
+
+ZOO_LEVELS = [(0, 1), (1, 1), (1, 3), (2, 2), (3, 1), (3, 2), (4, 2), (5, 2)]
+
+
 def _pencil_zoo():
     zoo = []
-    for m, s in [(0, 1), (1, 1), (1, 3), (2, 2), (3, 1), (3, 2), (4, 2), (5, 2)]:
+    for m, s in ZOO_LEVELS:
         g = build_graph(SEQ, m, s, 0.25)
         p_n = assemble_neumann(g)
         zoo.append(p_n)
@@ -166,18 +192,29 @@ class TestBackendAgreement:
             spec = eig_dense(p)
             ctr = get_counter(p)
             hi = max(float(spec.eigenvalues[-1]) * 1.3, 1.0)
-            grid = list(np.geomspace(hi * 1e-4, hi, 50))
-            # the symmetry of the gasket makes highly repeated eigenvalues
-            # common; sit on each, and one ulp either side of it
-            for lam, mult in spec.multiplicities():
-                if mult >= 3:
-                    grid += [np.nextafter(lam, -np.inf), lam, np.nextafter(lam, np.inf)]
+            grid = list(np.geomspace(hi * 1e-4, hi, 50)) + cluster_thresholds(spec)
             for x in grid:
                 a = spec.count_leq(float(x))
                 b = ctr.count_below(float(x) * (1 + 1e-9)).count
                 if a != b:
                     mismatches.append((p.n, float(x), a, b))
         assert mismatches == []
+
+    @pytest.mark.parametrize("m, s", ZOO_LEVELS)
+    def test_block_counter_on_zoo_graphs(self, m, s):
+        # the zoo's whole-graph pencils, at the grid and cluster thresholds above
+        g = build_graph(SEQ, m, s, 0.25)
+        p_n = assemble_neumann(g)
+        spec_n = eig_dense(p_n)
+        spec_d = eig_dense(apply_dirichlet(p_n, g, "v0")) if m else None
+        hi = float(spec_n.eigenvalues[-1]) * 1.3
+        grid = list(np.geomspace(hi * 1e-4, hi, 50)) + cluster_thresholds(spec_n)
+        if m:
+            grid += cluster_thresholds(spec_d)
+        grid = np.array(grid)
+        nd, nn = block_counter(g).count_below(grid * (1 + 1e-9))
+        assert nn.tolist() == [spec_n.count_leq(float(x)) for x in grid]
+        assert nd.tolist() == [spec_d.count_leq(float(x)) if m else 0 for x in grid]
 
     def test_thresholds_at_exact_eigenvalues(self):
         # the free path has closed-form eigenvalues 4 s^2 sin^2(k pi / 2s);
@@ -222,6 +259,118 @@ class TestBackendAgreement:
                 assert spec.count_leq(float(x)) == ctr.count_below(
                     float(x) * (1 + 1e-9)
                 ).count
+
+
+def pair_resistances(S) -> tuple:
+    """The three pair resistances of the 3-node network with conductances -S_ij."""
+    c = -S
+    return tuple(1.0 / (c[i, j] + c[i, k] * c[j, k] / (c[i, k] + c[j, k]))
+                 for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)))
+
+
+@st.composite
+def whole_graphs(draw):
+    return build_graph(draw(FAMILIES), draw(st.integers(0, 4)), draw(st.integers(1, 3)),
+                       draw(st.floats(0.05, 0.3)))
+
+
+class TestBlockCounter:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(whole_graphs())
+    def test_matches_superlu_and_dense(self, g):
+        # every gap midpoint of both spectra, and on and one ulp either side
+        # of every eigenvalue of multiplicity >= 3
+        p_n = assemble_neumann(g)
+        pencils = [p_n] + ([apply_dirichlet(p_n, g, "v0")] if g.m else [])
+        spectra = [eig_dense(p) for p in pencils]
+        ev = np.unique(np.concatenate([sc.eigenvalues for sc in spectra]))
+        xs = list(0.5 * (ev[1:] + ev[:-1]))
+        for sc in spectra:
+            xs += cluster_thresholds(sc)
+        xs = np.array(sorted(x for x in xs if x > 0))
+        nd, nn = block_counter(g).count_below(xs * (1 + EPS_SHIFT))
+        for counts, p, sc in zip((nn, nd), pencils, spectra):
+            superlu = get_counter(p)
+            assert counts.tolist() == [
+                superlu.count_below(float(x) * (1 + EPS_SHIFT)).count for x in xs
+            ] == [sc.count_leq(float(x)) for x in xs]
+        if g.m == 0:
+            assert not nd.any()
+        assert np.all(np.diff(nd) >= 0) and np.all(np.diff(nn) >= 0) and np.all(nd <= nn)
+
+    @pytest.mark.parametrize("seq, m", [(geometric_to_limit(0.55, 0.3), 6), (SEQ, 7)])
+    def test_large_levels_match_superlu(self, seq, m):
+        g = build_graph(seq, m, 2, 0.25)
+        p_n = assemble_neumann(g)
+        p_d = apply_dirichlet(p_n, g, "v0")
+        xs = np.geomspace(1.0, lambda_max_bound(p_n), 40) * (1 + EPS_SHIFT)
+        nd, nn = block_counter(g).count_below(xs)
+        assert nd.tolist() == [get_counter(p_d).count_below(float(x)).count for x in xs]
+        assert nn.tolist() == [get_counter(p_n).count_below(float(x)).count for x in xs]
+
+    @pytest.mark.parametrize(
+        "seq", [SEQ, geometric_to_limit(0.55, 0.3), explicit([0.45, 0.53], tail="cycle")],
+        ids=lambda q: q.describe(),
+    )
+    def test_trace_on_v0_is_the_unit_triangle(self, seq):
+        # at x = 0, S_0 is the trace of the resistance form on V_0, so every
+        # V_0 pair resistance is 2/3; they are read off S_0's conductances,
+        # because a pseudo-inverse of the singular 3x3 would lose digits
+        compat = compatibility_check(seq, 6, beta=0.25)
+        for m in range(31):
+            delta_m, gamma = (1.0, []) if m == 0 else (
+                scale_factors(seq, m).delta[m], scale_factors(seq, m).gamma)
+            for s in (1, 2, 3):
+                ctr = BlockInertiaCounter(delta_m, gamma, s, 0.25, upper=0.0)
+                _, S0, _ = ctr._eliminate(np.zeros(1))
+                R = pair_resistances(S0[0])
+                assert max(abs(r - 2.0 / 3.0) for r in R) <= 1e-12, (m, s, R)
+                if m <= 6:  # the grounded SuperLU solves are off by up to 7.7e-12
+                    assert R == pytest.approx(compat.resistances[m], abs=compat.tolerance)
+
+    def test_threshold_on_neumann_eigenvalue(self):
+        # the level-0 triangle has a double eigenvalue at 9: S_0 is singular
+        # there, so N_N is nudged up while N_D (no interior) is not
+        ctr = block_counter(build_graph(SEQ, 0, 1, 0.25))
+        _, _, ok_d, ok_n = ctr.try_count(np.array([9.0]))
+        assert ok_d[0] and not ok_n[0]
+        assert ctr.count_below([9.0])[1].tolist() == [count_below(m0_pencil(), 9.0).count]
+
+    def test_s0_failure_nudges_only_n_n(self, monkeypatch):
+        # N_D keeps the first pass's count when only S_0 is near-singular
+        ctr = block_counter(build_graph(SEQ, 1, 2, 0.25))
+        ctr.count_below([1.0])  # the set-up pass runs on the first call
+        passes = iter([
+            (np.array([1]), np.array([2]), np.array([True]), np.array([False])),
+            (np.array([5]), np.array([6]), np.array([True]), np.array([True])),
+        ])
+        monkeypatch.setattr(ctr, "try_count", lambda x: next(passes))
+        nd, nn = ctr.count_below([10.0])
+        assert (nd[0], nn[0]) == (1, 6)
+
+    def test_interior_pivot_failure_nudges_both_counts(self):
+        # with s = 2 the pivot of a bridge's interior node is 2 c_k - x mu_k,
+        # zero at x = 2 c_k / mu_k, which is no eigenvalue of the pencils
+        g = build_graph(SEQ, 1, 2, 0.25)
+        ctr = block_counter(g)
+        x = 2.0 * ctr.seg_conductance[0] / (ctr.bridge_mass[0] / 2)
+        _, _, ok_d, ok_n = ctr.try_count(np.array([x]))
+        assert not ok_d[0] and not ok_n[0]
+        p_n = assemble_neumann(g)
+        nd, nn = ctr.count_below([x])
+        assert (nd[0], nn[0]) == (eig_dense(apply_dirichlet(p_n, g, "v0")).count_leq(x),
+                                  eig_dense(p_n).count_leq(x))
+
+    def test_threshold_error_on_hopeless_shift(self):
+        with pytest.raises(ThresholdAtEigenvalueError):
+            block_counter(build_graph(SEQ, 0, 1, 0.25)).count_below([0.0])
+
+    def test_setup_pass_must_be_positive_definite(self):
+        # a negative cell resistance makes L - x M indefinite below the
+        # bound; the first count_below runs the set-up pass
+        ctr = BlockInertiaCounter(-1.0, [], 1, 0.25, upper=0.0)
+        with pytest.raises(ConvergenceError):
+            ctr.count_below([1.0])
 
 
 class TestLowest:
