@@ -13,8 +13,11 @@ lower counts, splitting the coupling corners can only raise them, so
 
     lowerSum(x) <= N_D(x) <= N_N(x) <= upperSum(x)
 
-must hold as exact integers at every x sampled for N_D and N_N; each
-class of identical components is counted once.
+must hold as exact integers at every x sampled for N_D and N_N.  The
+sums come from the block-elimination pass of the level-m graph
+(BlockInertiaCounter), whose level-j blocks and bridges are the
+components; the component pencils of assemble_decoupled are only the
+independent oracle of the tests.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import Pencil, apply_dirichlet, assemble_decoupled, assemble_neumann, Boundary
+from .assembly import Pencil, apply_dirichlet, assemble_neumann, Boundary
 from .eigensolve import (
     DENSE_LIMIT,
     EPS_SHIFT,
@@ -147,6 +150,8 @@ def auto_grid(
     grid ends are located by bisection on the counting function.
     """
     n = p_neumann.n
+    if n < 3:
+        raise InsufficientDataError(f"the pencil has {n} rows; a grid needs at least 3")
     k_lo = min(10, max(2, n - 1))
     k_hi = max(k_lo + 1, min(n, math.ceil(eta * n)))
     if backend == "dense":
@@ -181,9 +186,8 @@ def _bisect_quantiles(count, ks, upper: float, lookahead: int = 1) -> list[float
     covers every midpoint an open bisection can reach in its next
     ``lookahead`` steps.
     """
-    top = upper * 1.0001
-    n_top = count([top])[0]
-    state = [[0.0, top if n_top >= k else 4.0 * top, 0] for k in ks]  # lo, hi, steps
+    # above the Gershgorin bound N = n, and auto_grid asks for no k above n
+    state = [[0.0, upper * 1.0001, 0] for _ in ks]  # lo, hi, steps
     while True:
         xs = []
         for lo, hi, steps in state:
@@ -359,35 +363,28 @@ def bracketing_check(
     g: GraphApprox,
     j: int,
     samples: Sequence[CountingSample],
-    backend: str = "dense",
-    dense_limit: int = DENSE_LIMIT,
     eps_shift: float = EPS_SHIFT,
 ) -> BracketingReport:
     """Verify lowerSum <= N_D <= N_N <= upperSum at every sample.
 
     ``samples`` are the ``counting_function`` samples of the level-m
     graph g; the report's samples add the two component sums to them.
-    Identical components (same stiffness and mass) form a class that is
-    counted once and weighted by its size.  Violations are collected in
-    the report rather than raised: an entry means a discretization or
-    convention bug and must stay inspectable.
+    The sums come from one block-elimination pass of g's
+    ``BlockInertiaCounter`` over every sample, which passes through the
+    level-j blocks and bridges that make up the decoupled forms; their
+    component pencils (``assemble_decoupled``) serve only as the test
+    oracle.  Violations are collected in the report rather than raised:
+    an entry means a discretization or convention bug and must stay
+    inspectable.
     """
     _check_bracketing(g.m, g.s, j)
-    sums = []
-    for kind in ("dirichlet_split", "neumann_split"):
-        classes = {}
-        for c in assemble_decoupled(g, j, kind):
-            key = tuple(a.tobytes() for a in (c.L.indptr, c.L.indices, c.L.data, c.mass))
-            classes.setdefault(key, [0, c])[0] += 1
-        sums.append([(k, _count_fn(c, backend, dense_limit, eps_shift))
-                     for k, c in classes.values()])
-    lower, upper = sums
+    xs = np.array([smp.x for smp in samples], dtype=float)
+    _, _, lower, upper = BlockInertiaCounter.from_graph(g).count_below(
+        xs * (1.0 + eps_shift), eps_shift, level=j)
     out = []
     violations = []
-    for smp in samples:
+    for smp, lo, up in zip(samples, lower.tolist(), upper.tolist()):
         x, nd, nn = smp.x, smp.n_dirichlet, smp.n_neumann
-        up = sum(k * fn(x) for k, fn in upper)
-        lo = sum(k * fn(x) for k, fn in lower)
         out.append(CountingSample(x, nd, nn, lo, up))
         if not (lo <= nd <= nn <= up):
             violations.append(
@@ -512,8 +509,8 @@ def run_counting_experiment(
     """Build the level-m graph, sample N(x), fit the exponent, report envelopes.
 
     With the inertia backend the level-m counts come from block
-    elimination (``BlockInertiaCounter``); the bracketing components are
-    counted by SuperLU.
+    elimination (``BlockInertiaCounter``); the bracketing sums do with
+    either backend.
     """
     if bracket_level is not None:
         _check_bracketing(m, s, bracket_level)
@@ -524,7 +521,7 @@ def run_counting_experiment(
     p_d = None
     if backend == "inertia":
         # the block counter counts the V_0-grounded pencil too
-        blocks = BlockInertiaCounter(g.delta[m], g.gamma, s, beta, lambda_max_bound(p_n))
+        blocks = BlockInertiaCounter.from_graph(g)
         p_n = _GraphPencil(p_n.L, p_n.mass, p_n.boundary, p_n.vertex_map, blocks)
     else:
         try:
@@ -541,10 +538,7 @@ def run_counting_experiment(
     )
     bracketing = None
     if bracket_level is not None:
-        bracketing = bracketing_check(
-            g, bracket_level, samples, backend=backend,
-            dense_limit=dense_limit, eps_shift=eps_shift,
-        )
+        bracketing = bracketing_check(g, bracket_level, samples, eps_shift=eps_shift)
         samples = bracketing.samples
     prediction = predicted_dimensions(seq)
     policy = policy or WindowPolicy()

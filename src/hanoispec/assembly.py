@@ -12,7 +12,9 @@ counting-function sandwich, both by cutting the graph and splitting it
 into connected components: cutting every bridge of level <= j off the
 block corners it joins (free "Neumann" split, which enlarges the form
 domain and can only raise counting functions), or grounding all of V_j
-(restriction, which can only lower them).
+(restriction, which can only lower them).  The counting code takes the
+sums over these components from block elimination of the whole graph;
+the component pencils are its independent check.
 """
 
 from __future__ import annotations

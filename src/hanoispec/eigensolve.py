@@ -11,8 +11,10 @@ Two backends:
   pencil eigenvalues strictly below x.  A whole level-m graph (its
   Neumann pencil and the V_0-grounded one) is counted by
   BlockInertiaCounter, which eliminates the graph one level at a time
-  with small dense blocks, for a batch of thresholds at once.  Any other
-  pencil (a bracketing component, a pencil passed to count_below) is
+  with small dense blocks, for a batch of thresholds at once; the same
+  pass gives the Dirichlet-Neumann bracketing sums of any level, so the
+  decoupled component pencils are never counted one by one.  Any other
+  pencil (a pencil passed to count_below or counting_function) is
   factored by InertiaCounter with SuperLU under a symmetric column
   ordering and no row interchanges; diag(U) is then the D of the LDL^T.
   A factorization that is exactly singular, that had to interchange rows,
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -44,6 +47,7 @@ from .errors import (
     AssemblyError,
     ConvergenceError,
     DomainError,
+    LevelError,
     PencilSizeError,
     ThresholdAtEigenvalueError,
 )
@@ -321,18 +325,31 @@ class BlockInertiaCounter:
     together: a bridge as length-G vectors, the inner corners as a
     (G, 6, 6) stack through eigvalsh (inertia) and solve (Schur complement).
 
+    The same pass gives the Dirichlet-Neumann bracketing sums of a level
+    j, the counts of the level-j decoupled forms.  Grounding V_j leaves
+    3^j level-j blocks with grounded outer corners and the interior of
+    each of the 3^k bridges of every level k <= j; cutting those bridges
+    off their corners leaves the free level-j blocks and free-free paths:
+
+        lowerSum_j = 3^j nu_j + sum_{k<=j} 3^k pi_k
+        upperSum_j = 3^j (nu_j + neg(S_j)) + sum_{k<=j} 3^k phi_k
+
+    where phi_k counts the free-free level-k bridge, its end masses
+    included, by eliminating it end to end (``_free_path``).
+
     Each Schur complement is carried as its off-diagonal entries and its
     row sums w' = w_o - K_oi K_ii^-1 w_i, and its diagonal is rebuilt from
     them.  At x = 0 the row sums stay exactly zero, where the plain
     K_oo - K_oi K_ii^-1 K_io loses digits at every level.
 
-    A pivot block (a bridge pivot, the inner-corner block or S_0) is
-    near-singular when its smallest |eigenvalue| is at most
-    SMALL_PIVOT_REL times the largest |entry| of its level;
-    ``count_below`` then nudges the threshold as InertiaCounter does.
+    A pivot block (a bridge pivot, the inner-corner block, a free
+    bridge's pivot, S_j or S_0) is near-singular when its smallest
+    |eigenvalue| is at most SMALL_PIVOT_REL times the largest |entry| of
+    its level; ``count_below`` then nudges the threshold as
+    InertiaCounter does, for each count only on the blocks it depends on.
     """
 
-    def __init__(self, delta_m: float, gamma, s: int, beta: float, upper: float):
+    def __init__(self, delta_m: float, gamma, s: int, beta: float):
         self.s = s
         # the graph's conductances and masses, as build_graph lays them out
         m = len(gamma)
@@ -340,14 +357,31 @@ class BlockInertiaCounter:
         self.corner_mass = cell_mass(m, beta) / 3.0
         self.seg_conductance = [1.0 / (float(gk) / s) for gk in gamma]
         self.bridge_mass = [bridge_mass(k, beta) for k in range(1, m + 1)]
-        # upper bounds the pencil's eigenvalues (lambda_max_bound of its
-        # Neumann pencil), so below -upper L - x M is positive definite; the
-        # first count_below checks that every pivot block comes out positive
-        # and clear of singularity there.
-        self._setup_x = -1.0 - float(upper)
+        # Gershgorin: no eigenvalue of the graph's pencils or of their
+        # decoupled components exceeds 2 sum|c| / mass over the vertex
+        # classes (a corner with only its cell share, a corner at a level-k
+        # bridge, an interior bridge node), so below -upper L - x M is
+        # positive definite; the first count_below checks that every pivot
+        # block comes out positive and clear of singularity there.
+        cell = 2.0 * abs(self.cell_conductance)
+        upper = 2.0 * cell / self.corner_mass
+        for ck, bm in zip(self.seg_conductance, self.bridge_mass):
+            upper = max(upper, 2.0 * (cell + abs(ck)) / (self.corner_mass + bm / (2 * s)))
+            if s > 1:
+                upper = max(upper, 4.0 * abs(ck) / (bm / s))
+        self._setup_x = -1.0 - upper
 
-    def _eliminate(self, x: np.ndarray):
-        """(nu_0, S_0, interior pivots clear) for each threshold in x."""
+    @classmethod
+    def from_graph(cls, g) -> "BlockInertiaCounter":
+        """The counter of a level-m graph built by build_graph."""
+        return cls(g.delta[g.m], g.gamma, g.s, g.beta)
+
+    def _eliminate(self, x: np.ndarray, level: Optional[int] = None):
+        """(nu_0, S_0, interior pivots clear, sums) for each threshold in x.
+
+        With a level j, sums holds lowerSum_j, upperSum_j and whether the
+        pivot blocks each depends on are clear; otherwise it is None.
+        """
         G, s, rel = x.size, self.s, SMALL_PIVOT_REL
         # S_m of a cell: off-diagonal -1/delta_m, row sums -x * corner mass
         c = self.cell_conductance
@@ -356,8 +390,15 @@ class BlockInertiaCounter:
         S[:, ::4] += w
         nu = np.zeros(G, dtype=np.int64)
         ok = np.ones(G, dtype=bool)
+        sums = None
         src = np.zeros((G, _ZERO + 1))
-        for ck, bm in zip(self.seg_conductance[::-1], self.bridge_mass[::-1]):
+        m = len(self.seg_conductance)
+        for k, ck, bm in zip(range(m, 0, -1), self.seg_conductance[::-1],
+                             self.bridge_mass[::-1]):
+            if k == level:
+                # the free level-j blocks add neg(S_j); the grounded ones do not
+                neg_s, clear_s = _inertia(S.reshape(G, 3, 3), rel * np.abs(S).max(axis=1))
+                sums = [3 ** k * nu, 3 ** k * (nu + neg_s), ok.copy(), ok & clear_s]
             mu, end = -x * (bm / s), -x * (bm / (2 * s))
             # the level's largest |entry|: in S_k or on the bridge
             tol = rel * np.maximum(np.abs(S).max(axis=1), np.maximum(ck, np.abs(2.0 * ck + mu)))
@@ -367,15 +408,23 @@ class BlockInertiaCounter:
             # the rest of the batch stays finite.
             g, ra, r = ck, end, (mu if s > 1 else end)
             pi = 0
+            clear = np.ones(G, dtype=bool)
             for i in range(1, s):
                 d = r + g + ck
                 pi = pi + (d < 0.0)
                 small = np.abs(d) <= tol
-                ok &= ~small
+                clear &= ~small
                 d = np.where(small, tol, d)
                 ra = ra + g * r / d
                 r = (mu if i < s - 1 else end) + ck * r / d
                 g = g * ck / d
+            ok &= clear
+            if level is not None and k <= level:
+                phi, clear_p = _free_path(ck, mu, end, s, tol)
+                sums[0] = sums[0] + 3 ** k * pi
+                sums[1] = sums[1] + 3 ** k * phi
+                sums[2] &= clear
+                sums[3] &= clear_p
             src[:, :9] = S
             src[:, 9:12] = w
             src[:, _NEG_G] = -g
@@ -385,11 +434,10 @@ class BlockInertiaCounter:
             src[:, _DIAG_B] = r + g
             T = (src[:, _GATHER_1] + src[:, _GATHER_2]).reshape(G, 6, 10)
             Kii, rhs = T[:, :, :6], T[:, :, 6:]
-            lam = np.linalg.eigvalsh(Kii)
-            small = np.abs(lam).min(axis=1) <= tol
-            ok &= ~small
-            if small.any():
-                Kii = np.where(small[:, None, None], np.eye(6), Kii)
+            n_k, clear = _inertia(Kii, tol)
+            ok &= clear
+            if not clear.all():
+                Kii = np.where(clear[:, None, None], Kii, np.eye(6))
             P = rhs[:, :, :3].transpose(0, 2, 1) @ np.linalg.solve(Kii, rhs)
             # S_{k-1}: symmetrised off-diagonal part, diagonal from the row sums
             w = w - P[:, :, 3]
@@ -397,42 +445,54 @@ class BlockInertiaCounter:
             S *= -0.5
             S = S.reshape(G, 9)
             S[:, ::4] = w - (S.reshape(G, 3, 3).sum(axis=2) - S[:, ::4])
-            nu = 3 * nu + 3 * pi + (lam < 0.0).sum(axis=1)
-        return nu, S.reshape(G, 3, 3), ok
+            nu = 3 * nu + 3 * pi + n_k
+        return nu, S.reshape(G, 3, 3), ok, sums
 
-    def try_count(self, x: np.ndarray):
-        """One pass at thresholds x: (N_D, N_N, N_D pivots clear, N_N pivots clear)."""
-        nu, S0, ok = self._eliminate(x)
-        lam = np.linalg.eigvalsh(S0)
-        ok_n = ok & (np.abs(lam).min(axis=1)
-                     > SMALL_PIVOT_REL * np.abs(S0).max(axis=(1, 2)))
-        return nu, nu + (lam < 0.0).sum(axis=1), ok, ok_n
+    def try_count(self, x: np.ndarray, level: Optional[int] = None):
+        """One pass at thresholds x: (counts, clear), one row per count.
 
-    def count_below(self, x, eps_shift: float = EPS_SHIFT) -> tuple[np.ndarray, np.ndarray]:
+        The rows are N_D and N_N, then lowerSum_j and upperSum_j for a
+        bracketing level j; clear says where each count's pivot blocks
+        were all clear of singularity.
+        """
+        nu, S0, ok, sums = self._eliminate(x, level)
+        neg, clear = _inertia(S0, SMALL_PIVOT_REL * np.abs(S0).max(axis=(1, 2)))
+        counts, oks = [nu, nu + neg], [ok, ok & clear]
+        if sums is not None:
+            counts += sums[:2]
+            oks += sums[2:]
+        return np.array(counts), np.array(oks)
+
+    def count_below(self, x, eps_shift: float = EPS_SHIFT, level: Optional[int] = None):
         """(N_D, N_N) strictly below each threshold, nudging x off near-singular shifts.
 
-        As in InertiaCounter.count_below, a threshold whose pass hits a
-        near-singular pivot block is retried at x * (1 + 10 eps_shift);
-        N_D needs the interior pivots clear, N_N also S_0.
+        With a bracketing level j, 1 <= j <= m, (lowerSum_j, upperSum_j)
+        follow.  As in InertiaCounter.count_below, a threshold whose pass
+        hits a near-singular pivot block is retried at x * (1 + 10 eps_shift),
+        each count only while its own pivot blocks fail: N_D needs the
+        interior pivots clear, N_N also S_0.
         """
+        m = len(self.seg_conductance)
+        if level is not None and not 1 <= level <= m:
+            raise LevelError(f"bracketing level {level} outside 1..{m}")
         if self._setup_x is not None:
-            _, nn, _, ok_n = self.try_count(np.array([self._setup_x]))
-            if nn[0] != 0 or not ok_n[0]:
+            counts, ok = self.try_count(np.array([self._setup_x]))
+            if counts[1, 0] != 0 or not ok[1, 0]:
                 raise ConvergenceError("block elimination set-up pass is not positive definite")
             self._setup_x = None
         x = np.array(x, dtype=float).ravel()
-        counts = np.zeros((2, x.size), dtype=np.int64)
-        todo = np.ones((2, x.size), dtype=bool)
+        rows = 2 if level is None else 4
+        counts = np.zeros((rows, x.size), dtype=np.int64)
+        todo = np.ones((rows, x.size), dtype=bool)
         xt = x.copy()
         for _ in range(RETRIES + 1):
             idx = np.flatnonzero(todo.any(axis=0))
             if idx.size == 0:
                 break
-            nd, nn, ok_d, ok_n = self.try_count(xt[idx])
-            for row, count, ok in ((0, nd, ok_d), (1, nn, ok_n)):
-                done = todo[row, idx] & ok
-                counts[row, idx[done]] = count[done]
-                todo[row, idx[done]] = False
+            count, ok = self.try_count(xt[idx], level)
+            done = todo[:, idx] & ok
+            counts[:, idx] = np.where(done, count, counts[:, idx])
+            todo[:, idx] &= ~done
             xt[idx] = xt[idx] * (1.0 + 10.0 * eps_shift)
         if todo.any():
             bad = x[np.flatnonzero(todo.any(axis=0))[0]]
@@ -440,7 +500,34 @@ class BlockInertiaCounter:
                 f"threshold {bad!r} sits on an eigenvalue: {RETRIES} retries with relative "
                 f"shift {10 * eps_shift:g} all hit a near-singular pivot block"
             )
-        return counts[0], counts[1]
+        return tuple(counts)
+
+
+def _free_path(ck: float, mu: np.ndarray, end: np.ndarray, s: int, tol: np.ndarray):
+    """Negative pivots of a free-free bridge eliminated end to end, and
+    whether they all clear tol.
+
+    This is the Sturm count of a tridiagonal matrix, which stays exact
+    next to the bridge's interior Dirichlet eigenvalues.  Those are
+    eigenvalues of the free bridge too, and next to them the 2x2 end
+    complement left by eliminating the interior first cancels to noise.
+    """
+    d = ck + end
+    neg = (d < 0.0).astype(np.int64)
+    clear = np.abs(d) > tol
+    for i in range(1, s + 1):
+        d = np.where(np.abs(d) > tol, d, tol)
+        d = (2.0 * ck + mu if i < s else ck + end) - ck * ck / d
+        neg += d < 0.0
+        clear &= np.abs(d) > tol
+    return neg, clear
+
+
+def _inertia(A: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Negative eigenvalues of each symmetric matrix in the stack, and
+    whether its smallest |eigenvalue| clears tol."""
+    lam = np.linalg.eigvalsh(A)
+    return (lam < 0.0).sum(axis=1), np.abs(lam).min(axis=1) > tol
 
 
 _counter_cache: "weakref.WeakKeyDictionary[Pencil, InertiaCounter]" = (

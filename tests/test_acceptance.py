@@ -95,7 +95,7 @@ def test_04_bracketing():
     for j in (1, 2):
         grid = np.geomspace(1.0, bound * 0.9, 30)
         samples = counting_function(p_n, apply_dirichlet(p_n, g, "v0"), grid, backend="dense")
-        rep = bracketing_check(g, j, samples, backend="dense")
+        rep = bracketing_check(g, j, samples)
         total_violations += len(rep.violations)
     elapsed = time.time() - t0
     ok = total_violations == 0 and elapsed <= 60.0

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hanoispec.analysis import (
     CountingSample,
@@ -17,9 +18,9 @@ from hanoispec.analysis import (
     run_counting_experiment,
     weyl_ratio,
 )
-from hanoispec import analysis, eigensolve
-from hanoispec.assembly import apply_dirichlet, assemble_decoupled, assemble_neumann
-from hanoispec.eigensolve import eig_dense, lambda_max_bound
+from hanoispec import analysis, assembly, eigensolve
+from hanoispec.assembly import Boundary, Pencil, apply_dirichlet, assemble_decoupled, assemble_neumann
+from hanoispec.eigensolve import BlockInertiaCounter, InertiaCounter, eig_dense, lambda_max_bound
 from hanoispec.errors import DomainError, InsufficientDataError, LevelError
 from hanoispec.geometry import build_graph, enumerate_words
 from hanoispec.sequences import constant, explicit, geometric_to_limit, predicted_dimensions
@@ -127,11 +128,19 @@ def level_m_samples(g, grid, backend="dense"):
     return counting_function(p_n, apply_dirichlet(p_n, g, "v0"), grid, backend=backend)
 
 
+def component_sums(g, j, xs) -> list:
+    """(lowerSum, upperSum) at each x: every decoupled component counted densely."""
+    spectra = {kind: [eig_dense(c) for c in assemble_decoupled(g, j, kind)]
+               for kind in ("dirichlet_split", "neumann_split")}
+    return [tuple(sum(sc.count_leq(x) for sc in spectra[kind])
+                  for kind in ("dirichlet_split", "neumann_split")) for x in xs]
+
+
 class TestBracketing:
     def test_m3_no_violations(self):
         g = build_graph(SEQ, 3, 2, 0.25)
         grid = np.geomspace(1.0, 3e4, 30)
-        rep = bracketing_check(g, 1, level_m_samples(g, grid), backend="dense")
+        rep = bracketing_check(g, 1, level_m_samples(g, grid))
         assert rep.ok
         for smp in rep.samples:
             assert smp.lower_sum <= smp.n_dirichlet <= smp.n_neumann <= smp.upper_sum
@@ -150,40 +159,60 @@ class TestBracketing:
         # reference: every component of the decoupled forms counted on its own
         g = build_graph(seq, m, s, 0.25)
         grid = np.geomspace(1.0, 0.9 * lambda_max_bound(assemble_neumann(g)), 20)
-        rep = bracketing_check(g, j, level_m_samples(g, grid, backend), backend=backend)
-        spectra = {kind: [eig_dense(c) for c in assemble_decoupled(g, j, kind)]
-                   for kind in ("dirichlet_split", "neumann_split")}
-        for smp in rep.samples:
-            assert smp.lower_sum == sum(sc.count_leq(smp.x) for sc in spectra["dirichlet_split"])
-            assert smp.upper_sum == sum(sc.count_leq(smp.x) for sc in spectra["neumann_split"])
+        rep = bracketing_check(g, j, level_m_samples(g, grid, backend))
+        assert [(smp.lower_sum, smp.upper_sum) for smp in rep.samples] == \
+            component_sums(g, j, grid)
 
-    def test_one_factorization_per_distinct_pencil(self, monkeypatch):
-        # the 6 distinct contents among the 42 components at j = 2; the
-        # level-m pencils are counted by block elimination, not by SuperLU
-        built = []
-        init = eigensolve.InertiaCounter.__init__
+    @pytest.mark.parametrize("backend", ["dense", "inertia"])
+    def test_bracketed_run_counts_no_component(self, monkeypatch, backend):
+        # the sums come from the block-elimination sweep: no component pencil
+        # is assembled or counted, and only the level-m pencils are solved
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a bracketed run assembled or factored a pencil")
 
-        def counting_init(self, pencil, *args, **kwargs):
-            built.append(pencil.n)
-            init(self, pencil, *args, **kwargs)
-
-        monkeypatch.setattr(eigensolve.InertiaCounter, "__init__", counting_init)
-        exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend="inertia", bracket_level=2)
-        assert exp.bracketing.ok
-        assert len(built) == 6
-
-    def test_one_dense_eigensolve_per_distinct_pencil(self, monkeypatch):
-        calls = []
+        solved = []
         dense = eigensolve.eig_dense
 
         def counting_dense(p, *args, **kwargs):
-            calls.append(p.n)
+            solved.append(p.boundary.kind)
             return dense(p, *args, **kwargs)
 
+        monkeypatch.setattr(assembly, "assemble_decoupled", forbidden)
+        monkeypatch.setattr(analysis, "assemble_decoupled", forbidden, raising=False)
+        monkeypatch.setattr(InertiaCounter, "__init__", forbidden)
         monkeypatch.setattr(eigensolve, "eig_dense", counting_dense)
-        exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend="dense", bracket_level=2)
+        exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend=backend, bracket_level=2)
         assert exp.bracketing.ok
-        assert len(calls) == 8
+        assert sorted(solved) == ([] if backend == "inertia" else ["dirichlet_v0", "neumann"])
+
+
+class TestAutoGrid:
+    @pytest.mark.parametrize("backend", ["dense", "inertia"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_small_pencil(self, backend, n):
+        p = free_path_pencil(1) if n == 2 else Pencil(
+            sp.csr_matrix([[1.0]]), np.ones(1), Boundary("neumann"), np.arange(1))
+        with pytest.raises(InsufficientDataError):
+            auto_grid(p, backend=backend)
+
+    @pytest.mark.parametrize("m, s", [(1, 1), (2, 3), (3, 2), (4, 2)])
+    def test_no_threshold_above_the_bound(self, monkeypatch, m, s):
+        # N = n above the Gershgorin bound, so the bisections never count there
+        g = build_graph(SEQ, m, s, 0.25)
+        p = assemble_neumann(g)
+        counted = []
+        count_below = BlockInertiaCounter.count_below
+
+        def spy(self, x, *args, **kwargs):
+            counted.extend(np.ravel(x))
+            return count_below(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(BlockInertiaCounter, "count_below", spy)
+        graph = analysis._GraphPencil(p.L, p.mass, p.boundary, p.vertex_map,
+                                      BlockInertiaCounter.from_graph(g))
+        grid = auto_grid(graph, backend="inertia")
+        assert 0 < max(counted) <= lambda_max_bound(p)
+        assert list(grid) == list(auto_grid(p, backend="inertia"))
 
 
 class TestOneDimReference:
@@ -273,9 +302,9 @@ class TestExperimentPipeline:
         samples = counting_function(p_n, apply_dirichlet(p_n, exp.graph, "v0"), grid,
                                     backend="inertia")
         if bracket_level is not None:
-            report = bracketing_check(exp.graph, bracket_level, samples, backend="inertia")
-            assert report == exp.bracketing
-            samples = report.samples
+            sums = component_sums(exp.graph, bracket_level, grid)
+            samples = [CountingSample(smp.x, smp.n_dirichlet, smp.n_neumann, lo, up)
+                       for smp, (lo, up) in zip(samples, sums)]
         assert tuple(samples) == exp.samples
         assert fit_exponent(samples, WindowPolicy(), exp.prediction) == exp.fit
 

@@ -18,6 +18,7 @@ from hanoispec.eigensolve import (
     EPS_SHIFT,
     BlockInertiaCounter,
     InertiaCounter,
+    Spectrum,
     count_below,
     eig_dense,
     eig_dense_cached,
@@ -28,6 +29,7 @@ from hanoispec.eigensolve import (
 from hanoispec.errors import (
     ConvergenceError,
     DomainError,
+    LevelError,
     PencilSizeError,
     ThresholdAtEigenvalueError,
 )
@@ -150,11 +152,6 @@ class TestInertia:
             assert res.count == oracle, (x, res)
 
 
-def block_counter(g) -> BlockInertiaCounter:
-    return BlockInertiaCounter(g.delta[g.m], g.gamma, g.s, g.beta,
-                               lambda_max_bound(assemble_neumann(g)))
-
-
 def cluster_thresholds(spec) -> list:
     """Each eigenvalue of multiplicity >= 3, and one ulp either side of it.
 
@@ -212,7 +209,7 @@ class TestBackendAgreement:
         if m:
             grid += cluster_thresholds(spec_d)
         grid = np.array(grid)
-        nd, nn = block_counter(g).count_below(grid * (1 + 1e-9))
+        nd, nn = BlockInertiaCounter.from_graph(g).count_below(grid * (1 + 1e-9))
         assert nn.tolist() == [spec_n.count_leq(float(x)) for x in grid]
         assert nd.tolist() == [spec_d.count_leq(float(x)) if m else 0 for x in grid]
 
@@ -274,6 +271,14 @@ def whole_graphs(draw):
                        draw(st.floats(0.05, 0.3)))
 
 
+@st.composite
+def bracketed_graphs(draw):
+    """A graph that can be bracketed (m >= 2, s >= 2) and a level 1 <= j <= m."""
+    m = draw(st.integers(2, 4))
+    g = build_graph(draw(FAMILIES), m, draw(st.sampled_from([2, 3])), draw(st.floats(0.05, 0.3)))
+    return g, draw(st.integers(1, m))
+
+
 class TestBlockCounter:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(whole_graphs())
@@ -288,7 +293,7 @@ class TestBlockCounter:
         for sc in spectra:
             xs += cluster_thresholds(sc)
         xs = np.array(sorted(x for x in xs if x > 0))
-        nd, nn = block_counter(g).count_below(xs * (1 + EPS_SHIFT))
+        nd, nn = BlockInertiaCounter.from_graph(g).count_below(xs * (1 + EPS_SHIFT))
         for counts, p, sc in zip((nn, nd), pencils, spectra):
             superlu = get_counter(p)
             assert counts.tolist() == [
@@ -298,13 +303,55 @@ class TestBlockCounter:
             assert not nd.any()
         assert np.all(np.diff(nd) >= 0) and np.all(np.diff(nn) >= 0) and np.all(nd <= nn)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(bracketed_graphs())
+    def test_bracketing_sums_match_components(self, graph_and_level):
+        # lowerSum_j and upperSum_j against every component of the decoupled
+        # forms counted densely, at every gap midpoint of their spectra and on
+        # and one ulp either side of every eigenvalue of multiplicity >= 3
+        g, j = graph_and_level
+        spectra = [
+            Spectrum(np.sort(np.concatenate([eig_dense(c).eigenvalues
+                                             for c in assemble_decoupled(g, j, kind)])), None, 0.0)
+            for kind in ("dirichlet_split", "neumann_split")
+        ]
+        ev = np.unique(np.concatenate([sc.eigenvalues for sc in spectra]))
+        xs = list(0.5 * (ev[1:] + ev[:-1]))
+        for sc in spectra:
+            xs += cluster_thresholds(sc)
+        # the free components' zero modes come out of LAPACK as +-1e-13
+        xs = np.array(sorted(x for x in xs if x > 1e-8 * ev[-1]))
+        ctr = BlockInertiaCounter.from_graph(g)
+        nd, nn, lower, upper = ctr.count_below(xs * (1 + EPS_SHIFT), level=j)
+        assert lower.tolist() == [spectra[0].count_leq(float(x)) for x in xs]
+        assert upper.tolist() == [spectra[1].count_leq(float(x)) for x in xs]
+        assert np.all(lower <= nd) and np.all(nd <= nn) and np.all(nn <= upper)
+        # the sums are nudged on their own pivot blocks only
+        plain = ctr.count_below(xs * (1 + EPS_SHIFT))
+        assert nd.tolist() == plain[0].tolist() and nn.tolist() == plain[1].tolist()
+
+    @pytest.mark.parametrize("j", [0, 4])
+    def test_bracketing_level_range(self, j):
+        with pytest.raises(LevelError):
+            BlockInertiaCounter.from_graph(build_graph(SEQ, 3, 2, 0.25)).count_below([1.0], level=j)
+
+    @pytest.mark.parametrize("m, s", [(0, 1), (1, 3), (3, 1), (4, 2)])
+    @pytest.mark.parametrize("seq", [SEQ, explicit([0.45, 0.53], tail="cycle")],
+                             ids=lambda q: q.describe())
+    def test_setup_shift_is_the_gershgorin_bound(self, seq, m, s):
+        for beta in (0.05, 0.25):
+            g = build_graph(seq, m, s, beta)
+            bound = lambda_max_bound(assemble_neumann(g))
+            shift = -1.0 - BlockInertiaCounter.from_graph(g)._setup_x
+            assert shift == pytest.approx(bound, rel=1e-14)
+
     @pytest.mark.parametrize("seq, m", [(geometric_to_limit(0.55, 0.3), 6), (SEQ, 7)])
     def test_large_levels_match_superlu(self, seq, m):
         g = build_graph(seq, m, 2, 0.25)
         p_n = assemble_neumann(g)
         p_d = apply_dirichlet(p_n, g, "v0")
         xs = np.geomspace(1.0, lambda_max_bound(p_n), 40) * (1 + EPS_SHIFT)
-        nd, nn = block_counter(g).count_below(xs)
+        nd, nn = BlockInertiaCounter.from_graph(g).count_below(xs)
         assert nd.tolist() == [get_counter(p_d).count_below(float(x)).count for x in xs]
         assert nn.tolist() == [get_counter(p_n).count_below(float(x)).count for x in xs]
 
@@ -321,8 +368,8 @@ class TestBlockCounter:
             delta_m, gamma = (1.0, []) if m == 0 else (
                 scale_factors(seq, m).delta[m], scale_factors(seq, m).gamma)
             for s in (1, 2, 3):
-                ctr = BlockInertiaCounter(delta_m, gamma, s, 0.25, upper=0.0)
-                _, S0, _ = ctr._eliminate(np.zeros(1))
+                ctr = BlockInertiaCounter(delta_m, gamma, s, 0.25)
+                _, S0, _, _ = ctr._eliminate(np.zeros(1))
                 R = pair_resistances(S0[0])
                 assert max(abs(r - 2.0 / 3.0) for r in R) <= 1e-12, (m, s, R)
                 if m <= 6:  # the grounded SuperLU solves are off by up to 7.7e-12
@@ -331,20 +378,20 @@ class TestBlockCounter:
     def test_threshold_on_neumann_eigenvalue(self):
         # the level-0 triangle has a double eigenvalue at 9: S_0 is singular
         # there, so N_N is nudged up while N_D (no interior) is not
-        ctr = block_counter(build_graph(SEQ, 0, 1, 0.25))
-        _, _, ok_d, ok_n = ctr.try_count(np.array([9.0]))
+        ctr = BlockInertiaCounter.from_graph(build_graph(SEQ, 0, 1, 0.25))
+        _, (ok_d, ok_n) = ctr.try_count(np.array([9.0]))
         assert ok_d[0] and not ok_n[0]
         assert ctr.count_below([9.0])[1].tolist() == [count_below(m0_pencil(), 9.0).count]
 
     def test_s0_failure_nudges_only_n_n(self, monkeypatch):
         # N_D keeps the first pass's count when only S_0 is near-singular
-        ctr = block_counter(build_graph(SEQ, 1, 2, 0.25))
+        ctr = BlockInertiaCounter.from_graph(build_graph(SEQ, 1, 2, 0.25))
         ctr.count_below([1.0])  # the set-up pass runs on the first call
         passes = iter([
-            (np.array([1]), np.array([2]), np.array([True]), np.array([False])),
-            (np.array([5]), np.array([6]), np.array([True]), np.array([True])),
+            (np.array([[1], [2]]), np.array([[True], [False]])),
+            (np.array([[5], [6]]), np.array([[True], [True]])),
         ])
-        monkeypatch.setattr(ctr, "try_count", lambda x: next(passes))
+        monkeypatch.setattr(ctr, "try_count", lambda x, level: next(passes))
         nd, nn = ctr.count_below([10.0])
         assert (nd[0], nn[0]) == (1, 6)
 
@@ -352,23 +399,38 @@ class TestBlockCounter:
         # with s = 2 the pivot of a bridge's interior node is 2 c_k - x mu_k,
         # zero at x = 2 c_k / mu_k, which is no eigenvalue of the pencils
         g = build_graph(SEQ, 1, 2, 0.25)
-        ctr = block_counter(g)
+        ctr = BlockInertiaCounter.from_graph(g)
         x = 2.0 * ctr.seg_conductance[0] / (ctr.bridge_mass[0] / 2)
-        _, _, ok_d, ok_n = ctr.try_count(np.array([x]))
+        _, (ok_d, ok_n) = ctr.try_count(np.array([x]))
         assert not ok_d[0] and not ok_n[0]
         p_n = assemble_neumann(g)
         nd, nn = ctr.count_below([x])
         assert (nd[0], nn[0]) == (eig_dense(apply_dirichlet(p_n, g, "v0")).count_leq(x),
                                   eig_dense(p_n).count_leq(x))
 
+    def test_free_bridge_pivot_failure_nudges_the_sums(self):
+        # a free bridge's end pivot c_k - x m_b / (2s) vanishes at
+        # x = 2 s c_k / m_b, and so does its interior's first pivot; with
+        # s = 2 this x is also an eigenvalue of the free bridge
+        g = build_graph(SEQ, 2, 2, 0.25)
+        ctr = BlockInertiaCounter.from_graph(g)
+        x = 2 * g.s * ctr.seg_conductance[0] / ctr.bridge_mass[0]
+        _, ok = ctr.try_count(np.array([x]), level=1)
+        assert not ok[2:].any()
+        xt = x * (1 + 10 * EPS_SHIFT)
+        want = [sum(eig_dense(c).count_leq(xt, 0.0) for c in assemble_decoupled(g, 1, kind))
+                for kind in ("dirichlet_split", "neumann_split")]
+        assert [int(c[0]) for c in ctr.count_below([x], level=1)[2:]] == want
+
     def test_threshold_error_on_hopeless_shift(self):
         with pytest.raises(ThresholdAtEigenvalueError):
-            block_counter(build_graph(SEQ, 0, 1, 0.25)).count_below([0.0])
+            BlockInertiaCounter.from_graph(build_graph(SEQ, 0, 1, 0.25)).count_below([0.0])
 
     def test_setup_pass_must_be_positive_definite(self):
-        # a negative cell resistance makes L - x M indefinite below the
-        # bound; the first count_below runs the set-up pass
-        ctr = BlockInertiaCounter(-1.0, [], 1, 0.25, upper=0.0)
+        # beta < -1/3 gives the V_0 corners negative mass, which makes L - x M
+        # indefinite below the bound; the first count_below runs the set-up pass
+        ctr = BlockInertiaCounter(0.5, [1.0 / 6.0], 1, -0.9)
+        assert ctr.corner_mass < 0
         with pytest.raises(ConvergenceError):
             ctr.count_below([1.0])
 
