@@ -1,9 +1,9 @@
 """Counting functions, exponent fits, bracketing and the 1D reference.
 
 The headline experiment samples the Dirichlet and Neumann eigenvalue
-counting functions N(x) on a log grid, fits the log-log slope over a
-window that drops the pre-asymptotic head (N < n_min), and compares the
-slope against half the predicted spectral dimension.  The
+counting functions N(x) on a log grid, fits the log-log slope of N_N over
+a window that drops the pre-asymptotic head (N_N < n_min), and compares
+the slope against half the predicted spectral dimension.  The
 discretization-polluted tail is left out by the grid itself: auto_grid
 ends at the eta-quantile Neumann eigenvalue.
 
@@ -27,9 +27,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import Pencil, apply_dirichlet, assemble_neumann, Boundary
+from .assembly import (
+    Boundary,
+    Pencil,
+    _laplacian_from_edges,
+    apply_dirichlet,
+    assemble_neumann,
+)
 from .eigensolve import (
     DENSE_LIMIT,
     EPS_SHIFT,
@@ -81,6 +86,8 @@ class _GraphPencil(Pencil):
 # steps costs about 1.4 passes over their next 2; of 1 to 6 steps, 3 and 4
 # gave the fastest auto_grid, and 3 counts fewer thresholds.
 BLOCK_LOOKAHEAD = 3
+# The most points auto_grid lays out, whatever the window's width in decades.
+MAX_GRID_POINTS = 400
 
 
 def _count_fn(p: Optional[Pencil], backend: str, dense_limit: int, eps_shift: float):
@@ -141,13 +148,14 @@ def auto_grid(
     backend: str = "dense",
     dense_limit: int = DENSE_LIMIT,
     eps_shift: float = EPS_SHIFT,
-    max_points: int = 400,
 ) -> np.ndarray:
     """Log-spaced grid from the 10th Neumann eigenvalue to the eta-quantile cutoff.
 
     The cutoff lambda_ceil(eta*n) marks the part of the discrete spectrum
     trusted to approximate the continuum; with the inertia backend both
-    grid ends are located by bisection on the counting function.
+    grid ends are located by bisection on the counting function.  The
+    grid has per_decade points a decade, at least 16 and at most
+    MAX_GRID_POINTS.
     """
     n = p_neumann.n
     if n < 3:
@@ -174,7 +182,7 @@ def auto_grid(
             f"degenerate grid window [{x_lo:g}, {x_hi:g}]; the pencil is too small"
         )
     n_points = int(round(per_decade * math.log10(x_hi / x_lo)))
-    n_points = min(max(n_points, 16), max_points)
+    n_points = min(max(n_points, 16), MAX_GRID_POINTS)
     return np.geomspace(x_lo, x_hi, n_points)
 
 
@@ -228,12 +236,10 @@ def _reachable_midpoints(lo: float, hi: float, steps: int, depth: int, out: list
 
 @dataclass(frozen=True)
 class WindowPolicy:
-    """Sample filter for the log-log fit."""
+    """Sample filter for the log-log fit: N_N >= n_min; the verdict's tolerance."""
 
     n_min: int = 10
     slope_tol: float = 0.08
-    x_lo: Optional[float] = None
-    x_hi: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -259,20 +265,13 @@ def fit_exponent(
     samples: Sequence[CountingSample],
     policy: WindowPolicy = WindowPolicy(),
     prediction: Optional[PredictionSet] = None,
-    which: str = "neumann",
 ) -> FitResult:
-    """Least-squares slope of log N against log x over the policy window."""
+    """Least-squares slope of log N_N against log x over the policy window."""
     xs, ns = [], []
     for smp in samples:
-        nval = smp.n_neumann if which == "neumann" else smp.n_dirichlet
-        if nval < policy.n_min:
-            continue
-        if policy.x_lo is not None and smp.x < policy.x_lo:
-            continue
-        if policy.x_hi is not None and smp.x > policy.x_hi:
-            continue
-        xs.append(smp.x)
-        ns.append(nval)
+        if smp.n_neumann >= policy.n_min:
+            xs.append(smp.x)
+            ns.append(smp.n_neumann)
     if len(xs) < 8:
         lo = min((s.x for s in samples), default=float("nan"))
         hi = max((s.x for s in samples), default=float("nan"))
@@ -317,15 +316,11 @@ def weyl_ratio(
     samples: Sequence[CountingSample],
     d_s: float,
     window: Optional[tuple] = None,
-    which: str = "neumann",
 ) -> tuple[list[tuple[float, float]], float, float]:
-    """Series N(x) / x**(d_s/2) and its min/max envelope over the window."""
+    """Series N_N(x) / x**(d_s/2) and its min/max envelope over the window."""
     if d_s <= 0:
         raise DomainError(f"spectral dimension must be positive, got {d_s}")
-    series = []
-    for smp in samples:
-        nval = smp.n_neumann if which == "neumann" else smp.n_dirichlet
-        series.append((smp.x, nval / smp.x ** (0.5 * d_s)))
+    series = [(smp.x, smp.n_neumann / smp.x ** (0.5 * d_s)) for smp in samples]
     sel = [
         r for (x, r) in series
         if r > 0 and (window is None or window[0] <= x <= window[1])
@@ -402,14 +397,7 @@ def free_path_pencil(s: int, resistance: float = 1.0, mass: float = 1.0) -> Penc
     if s < 1:
         raise DomainError(f"need at least one segment, got {s}")
     n = s + 1
-    c = s / resistance
-    rows, cols, vals = [], [], []
-    for i in range(s):
-        rows += [i, i + 1, i, i + 1]
-        cols += [i, i + 1, i + 1, i]
-        vals += [c, c, -c, -c]
-    L = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    L.sum_duplicates()
+    L = _laplacian_from_edges(((i, i + 1, resistance / s) for i in range(s)), n)
     m = np.full(n, mass / s)
     m[0] = m[-1] = mass / (2 * s)
     return Pencil(L, m, Boundary("neumann", component="path"), np.arange(n))
@@ -429,24 +417,21 @@ class OneDimReport:
         return self.bound_holds
 
 
-def one_dim_reference(
-    s: int,
-    grid: Optional[Sequence[float]] = None,
-    k_check: Optional[int] = None,
-) -> OneDimReport:
+def one_dim_reference(s: int, grid: Optional[Sequence[float]] = None) -> OneDimReport:
     """Fidelity check of the unit path against the Neumann interval.
 
     The continuum eigenvalues are (k pi)^2; the counting bound is
-    N(x) <= sqrt(x)/pi + 1.  The default grid places thresholds at
-    ((k + 1/2) pi)^2, halfway between consecutive reference eigenvalues,
-    where a count comparison between the discrete model and the continuum
-    bound is meaningful; near (k pi)^2 the two differ by the sub-percent
-    eigenvalue sag of the lumped discretization.
+    N(x) <= sqrt(x)/pi + 1.  The eigenvalue errors cover the lowest
+    max(1, s // 10) nonzero modes, which the s-segment path resolves to
+    well under a percent.  The default grid places thresholds at
+    ((k + 1/2) pi)^2 for those k and k = 0, halfway between consecutive
+    reference eigenvalues, where a count comparison between the discrete
+    model and the continuum bound is meaningful; near (k pi)^2 the two
+    differ by the sub-percent eigenvalue sag of the lumped discretization.
     """
     if s < 2:
         raise DomainError(f"the reference path needs s >= 2, got {s}")
-    if k_check is None:
-        k_check = max(1, s // 10)
+    k_check = max(1, s // 10)
     p = free_path_pencil(s)
     spec = eig_dense(p, dense_limit=max(DENSE_LIMIT, s + 1))
     errs = []
@@ -504,9 +489,10 @@ def run_counting_experiment(
     grid: Optional[Sequence[float]] = None,
     policy: Optional[WindowPolicy] = None,
     bracket_level: Optional[int] = None,
-    which: str = "neumann",
 ) -> CountingExperiment:
     """Build the level-m graph, sample N(x), fit the exponent, report envelopes.
+
+    The fit and the Weyl envelopes use N_N; the samples carry N_D as well.
 
     With the inertia backend the level-m counts come from block
     elimination (``BlockInertiaCounter``); the bracketing sums do with
@@ -542,12 +528,12 @@ def run_counting_experiment(
         samples = bracketing.samples
     prediction = predicted_dimensions(seq)
     policy = policy or WindowPolicy()
-    fit = fit_exponent(samples, policy, prediction, which=which)
+    fit = fit_exponent(samples, policy, prediction)
     if prediction.kind == "limit":
         d_s = prediction.d_s
     else:
         d_s = 0.5 * (prediction.d_s_lower + prediction.d_s_upper)
-    series, c1, c2 = weyl_ratio(samples, d_s, window=fit.window, which=which)
+    series, c1, c2 = weyl_ratio(samples, d_s, window=fit.window)
     return CountingExperiment(
         graph=g,
         prediction=prediction,

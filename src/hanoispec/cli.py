@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -55,29 +55,50 @@ EXIT_VIOLATION = 3
 # ---------------------------------------------------------------------------
 #
 # The dataclasses below are the config schema: config_from_dict reads the
-# keys, types and defaults off their fields, and config_to_dict is their
-# asdict.  A field without a default is a required key.
+# keys, types, defaults and allowed values off their fields, and
+# config_to_dict is their asdict.  A field without a default is a required
+# key.
+
+
+def _ranged(ok, rule: str, default=MISSING):
+    """A config field whose value, when not null, must satisfy ``ok``;
+    ``rule`` completes "must ..." in the error."""
+    return field(default=default, metadata={"check": (ok, rule)})
+
+
+def _one_of(*choices: str, default: str):
+    return _ranged(lambda v: v in choices, "be one of " + ", ".join(choices), default)
+
+
+def _increasing(values) -> bool:
+    """Strictly increasing and positive: each value above the one before, the first above 0."""
+    return all(a < b for a, b in zip((0.0,) + values, values))
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    backend: str = "auto"           # auto | dense | inertia
-    dense_limit: int = DENSE_LIMIT
-    eps_shift: float = EPS_SHIFT
-    k_lowest: Optional[int] = None
+    backend: str = _one_of("auto", "dense", "inertia", default="auto")
+    dense_limit: int = _ranged(lambda v: v >= 0, "be >= 0", DENSE_LIMIT)
+    eps_shift: float = _ranged(lambda v: 0.0 < v < 1e-4, "lie in (0, 1e-4)", EPS_SHIFT)
+    k_lowest: Optional[int] = _ranged(lambda v: v >= 1, "be >= 1", None)
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    mode: str = "auto"              # auto | explicit
-    points: int = 60                # per-decade density in auto mode
-    values: Optional[tuple[float, ...]] = None  # explicit grid
+    mode: str = _one_of("auto", "explicit", default="auto")
+    # per-decade density in auto mode
+    points: int = _ranged(lambda v: v >= 1, "be >= 1", 60)
+    # explicit grid
+    values: Optional[tuple[float, ...]] = _ranged(
+        _increasing, "be strictly increasing and positive", None)
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    n_min: int = 10
-    eta: float = 0.2                # grid cutoff quantile in auto mode
-    slope_tol: float = 0.08
+    n_min: int = _ranged(lambda v: v >= 1, "be >= 1", 10)
+    # grid cutoff quantile in auto mode
+    eta: float = _ranged(lambda v: 0.0 < v <= 1.0, "lie in (0, 1]", 0.2)
+    slope_tol: float = _ranged(lambda v: v >= 0.0, "be >= 0", 0.08)
 
 
 OUTPUT_FORMATS = ("csv", "json", "svg")  # csv and json are always written
@@ -93,10 +114,11 @@ class OutputConfig:
 @dataclass(frozen=True)
 class RunConfig:
     sequence: sequences.MatchingSequence
-    level: int
-    beta: float
-    subdivisions: int = 1
-    alpha: Optional[float] = None
+    level: int = _ranged(lambda v: v >= 0, "be >= 0")
+    beta: float = _ranged(lambda v: 0.0 < v < 1.0 / 3.0,
+                          "lie in (0, 1/3) for a finite line measure")
+    subdivisions: int = _ranged(lambda v: v >= 1, "be >= 1", 1)
+    alpha: Optional[float] = _ranged(lambda v: 0.0 < v < 1.0, "lie in (0, 1)", None)
     solver: SolverConfig = SolverConfig()
     grid: GridConfig = GridConfig()
     fit: FitConfig = FitConfig()
@@ -128,7 +150,11 @@ def _from_dict(cls, d, key: str = "", names: Optional[tuple] = None):
     kwargs = {}
     for name in names:
         if name in d:
-            kwargs[name] = _convert(hints[name], d[name], _dotted(key, name))
+            value = _convert(hints[name], d[name], _dotted(key, name))
+            ok, rule = by_name[name].metadata.get("check", (None, None))
+            if value is not None and ok is not None and not ok(value):
+                raise ConfigError(f"{_dotted(key, name)}: must {rule}, got {value!r}")
+            kwargs[name] = value
         elif by_name[name].default is MISSING:
             raise ConfigError(f"config: missing key {_dotted(key, name)!r}")
     return cls(**kwargs)
@@ -177,16 +203,6 @@ def _sequence_from_dict(d, key: str) -> sequences.MatchingSequence:
 
 def config_from_dict(d: dict) -> RunConfig:
     cfg = _from_dict(RunConfig, d)
-    if cfg.level < 0:
-        raise ConfigError(f"level: must be >= 0, got {cfg.level}")
-    if cfg.subdivisions < 1:
-        raise ConfigError(f"subdivisions: must be >= 1, got {cfg.subdivisions}")
-    if not (0.0 < cfg.beta < 1.0 / 3.0):
-        raise ConfigError(
-            f"beta: must lie in (0, 1/3) for a finite line measure, got {cfg.beta}"
-        )
-    if cfg.alpha is not None and not (0.0 < cfg.alpha < 1.0):
-        raise ConfigError(f"alpha: must lie in (0, 1), got {cfg.alpha}")
     if cfg.bracketing_level is not None:
         if not (1 <= cfg.bracketing_level < cfg.level):
             raise ConfigError(
@@ -198,10 +214,6 @@ def config_from_dict(d: dict) -> RunConfig:
                 "subdivisions: bracketing needs subdivisions >= 2 so the grounded "
                 f"bridges keep interior nodes, got {cfg.subdivisions}"
             )
-    if cfg.solver.backend not in ("auto", "dense", "inertia"):
-        raise ConfigError(f"solver.backend: unknown backend {cfg.solver.backend!r}")
-    if cfg.grid.mode not in ("auto", "explicit"):
-        raise ConfigError(f"grid.mode: unknown mode {cfg.grid.mode!r}")
     if cfg.grid.mode == "explicit" and not cfg.grid.values:
         raise ConfigError("grid.values: explicit grid mode needs values")
     for i, fmt in enumerate(cfg.outputs.formats):

@@ -58,6 +58,8 @@ EPS_SHIFT = 1e-9
 SMALL_PIVOT_REL = 1e-12
 # Nudges of a threshold that sits numerically on an eigenvalue before it fails.
 RETRIES = 3
+# Spectrum.multiplicities joins neighbours closer than this, relative.
+MULTIPLICITY_REL_GAP = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +82,8 @@ class Spectrum:
         """Right-continuous count #{lambda <= x} via the upward relative shift."""
         return int(np.searchsorted(self.eigenvalues, x * (1.0 + eps_shift), side="left"))
 
-    def multiplicities(self, rel_gap: float = 1e-8) -> list[tuple[float, int]]:
-        """Cluster eigenvalues whose relative gap is below ``rel_gap``."""
+    def multiplicities(self) -> list[tuple[float, int]]:
+        """Cluster eigenvalues whose relative gap is below MULTIPLICITY_REL_GAP."""
         ev = self.eigenvalues
         if len(ev) == 0:
             return []
@@ -89,7 +91,8 @@ class Spectrum:
         groups = []
         start = 0
         for i in range(1, len(ev) + 1):
-            if i == len(ev) or ev[i] - ev[i - 1] > rel_gap * max(abs(ev[i - 1]), scale * 1e-6):
+            if i == len(ev) or (ev[i] - ev[i - 1]
+                                > MULTIPLICITY_REL_GAP * max(abs(ev[i - 1]), scale * 1e-6)):
                 groups.append((float(np.mean(ev[start:i])), i - start))
                 start = i
         return groups
@@ -196,7 +199,7 @@ class InertiaCounter:
     copies the values, shifts the diagonal and factors L - x M.
     """
 
-    def __init__(self, pencil: Pencil, small_pivot_rel: float = SMALL_PIVOT_REL):
+    def __init__(self, pencil: Pencil):
         n = pencil.n
         self.n = n
         A = sp.csc_matrix(pencil.L, dtype=np.float64, copy=True)
@@ -207,7 +210,7 @@ class InertiaCounter:
             raise AssemblyError("stiffness matrix misses diagonal entries")
         self.indptr, self.indices, self.base = A.indptr, A.indices, A.data
         self.mass = pencil.mass.astype(np.float64)
-        self.pivot_tol = small_pivot_rel * float(np.max(np.abs(pencil.L.data)))
+        self.pivot_tol = SMALL_PIVOT_REL * float(np.max(np.abs(pencil.L.data)))
         # Below -lambda_max_bound the pencil has no eigenvalue and L - x M is
         # strictly diagonally dominant, so this factorization cannot fail; it
         # checks the backend and gives the fill, which is the same at every x.
@@ -252,17 +255,16 @@ class InertiaCounter:
             return 0, False
         return int(np.count_nonzero(d < 0.0)), True
 
-    def count_below(self, x: float, eps_shift: float = EPS_SHIFT,
-                    retries: int = RETRIES) -> InertiaResult:
+    def count_below(self, x: float, eps_shift: float = EPS_SHIFT) -> InertiaResult:
         """Count eigenvalues strictly below x, nudging x off near-singular shifts."""
         xt = x
-        for attempt in range(retries + 1):
+        for attempt in range(RETRIES + 1):
             count, ok = self.try_count(xt)
             if ok:
                 return InertiaResult(xt, count, attempt == 0)
             xt = xt * (1.0 + 10.0 * eps_shift)
         raise ThresholdAtEigenvalueError(
-            f"threshold {x!r} sits on an eigenvalue: {retries} retries with relative "
+            f"threshold {x!r} sits on an eigenvalue: {RETRIES} retries with relative "
             f"shift {10 * eps_shift:g} all hit a singular or row-interchanged factorization "
             f"or a pivot below {self.pivot_tol:.3e}"
         )
@@ -555,10 +557,10 @@ def eig_dense_cached(p: Pencil, dense_limit: int = DENSE_LIMIT) -> Spectrum:
     return spec
 
 
-def count_below(p: Pencil, x: float, eps_shift: float = EPS_SHIFT) -> InertiaResult:
+def count_below(p: Pencil, x: float) -> InertiaResult:
     """Sylvester inertia count #{lambda_k < x} for the pencil.
 
     To evaluate the right-continuous counting function N(x) = #{lambda <= x},
-    call with x * (1 + eps_shift), as counting_function does.
+    call with x * (1 + EPS_SHIFT), as counting_function does.
     """
-    return get_counter(p).count_below(x, eps_shift=eps_shift)
+    return get_counter(p).count_below(x)

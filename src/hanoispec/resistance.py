@@ -27,6 +27,9 @@ from .errors import ConnectivityError, DomainError, LevelError, PencilSizeError
 from .geometry import build_graph, cell_corner_ids, enumerate_words
 from .sequences import MatchingSequence, resistance_dimension, scale_factors
 
+# The largest deviation from 2/3 that compatibility_check accepts.
+COMPATIBILITY_TOL = 1e-9
+
 
 class GroundedSolver:
     """Shared factorization of the Laplacian grounded at one vertex or a set of them."""
@@ -123,9 +126,9 @@ def compatibility_check(
     seq: MatchingSequence,
     m_max: int,
     beta: float = 0.25,
-    tolerance: float = 1e-9,
 ) -> CompatibilityReport:
-    """Check that all three V_0 pair resistances equal 2/3 on every level <= m_max.
+    """Check that all three V_0 pair resistances equal 2/3, to within
+    COMPATIBILITY_TOL, on every level <= m_max.
 
     This is the defining property of matching pairs: each refinement is
     electrically equivalent to the unit-resistance triangle.
@@ -140,7 +143,8 @@ def compatibility_check(
         triple = (float(R[0, 1]), float(R[0, 2]), float(R[1, 2]))
         triples.append(triple)
         max_dev = max(max_dev, max(abs(r - 2.0 / 3.0) for r in triple))
-    return CompatibilityReport(tuple(range(m_max + 1)), tuple(triples), max_dev, tolerance)
+    return CompatibilityReport(tuple(range(m_max + 1)), tuple(triples), max_dev,
+                               COMPATIBILITY_TOL)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from hanoispec.analysis import (
 from hanoispec import analysis, assembly, eigensolve
 from hanoispec.assembly import Boundary, Pencil, apply_dirichlet, assemble_decoupled, assemble_neumann
 from hanoispec.eigensolve import BlockInertiaCounter, InertiaCounter, eig_dense, lambda_max_bound
-from hanoispec.errors import DomainError, InsufficientDataError, LevelError
+from hanoispec.errors import AssemblyError, DomainError, InsufficientDataError, LevelError
 from hanoispec.geometry import build_graph, enumerate_words
 from hanoispec.sequences import constant, explicit, geometric_to_limit, predicted_dimensions
 
@@ -93,13 +93,7 @@ class TestFit:
     def test_window_shift_stability(self):
         # moving the window edge by one grid step moves the slope by < stderr
         exp = run_counting_experiment(SEQ, 4, 2, 0.25, backend="dense")
-        xs = [s.x for s in exp.samples]
-        step = xs[1] / xs[0]
-        shifted = fit_exponent(
-            exp.samples,
-            WindowPolicy(x_lo=xs[0] * step, x_hi=xs[-1] / step),
-            predicted_dimensions(SEQ),
-        )
+        shifted = fit_exponent(exp.samples[1:-1], WindowPolicy(), predicted_dimensions(SEQ))
         assert abs(shifted.slope - exp.fit.slope) < max(exp.fit.stderr, shifted.stderr)
 
 
@@ -214,6 +208,19 @@ class TestAutoGrid:
         assert 0 < max(counted) <= lambda_max_bound(p)
         assert list(grid) == list(auto_grid(p, backend="inertia"))
 
+    @pytest.mark.parametrize("backend", ["dense", "inertia"])
+    def test_point_cap(self, backend):
+        # 1000 points a decade over this window would be more than the cap
+        g = build_graph(SEQ, 3, 2, 0.25)
+        p = assemble_neumann(g)
+        if backend == "inertia":
+            p = analysis._GraphPencil(p.L, p.mass, p.boundary, p.vertex_map,
+                                      BlockInertiaCounter.from_graph(g))
+        capped = auto_grid(p, per_decade=1000, backend=backend)
+        plain = auto_grid(p, backend=backend)
+        assert len(capped) == analysis.MAX_GRID_POINTS and len(plain) == 28
+        assert (capped[0], capped[-1]) == (plain[0], plain[-1])
+
 
 class TestOneDimReference:
     def test_eigenvalues_match_interval(self):
@@ -232,6 +239,12 @@ class TestOneDimReference:
     def test_path_pencil_spectrum(self):
         spec = eig_dense(free_path_pencil(2))
         np.testing.assert_allclose(spec.eigenvalues, [0.0, 8.0, 16.0], atol=1e-10)
+
+    @pytest.mark.parametrize("resistance", [0.0, -1.0])
+    def test_path_pencil_nonpositive_resistance(self, resistance):
+        # 0 once raised a bare ZeroDivisionError, -1 gave a negative diagonal
+        with pytest.raises(AssemblyError):
+            free_path_pencil(3, resistance=resistance)
 
     def test_s_guard(self):
         with pytest.raises(DomainError):

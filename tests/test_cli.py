@@ -100,6 +100,31 @@ MALFORMED = [
     pytest.param({"bracketing_level": 0}, "bracketing_level", id="bracketing_level-zero"),
     pytest.param({"subdivisions": 1, "bracketing_level": 1}, "subdivisions",
                  id="subdivisions-bracketing"),
+    # out-of-range values: 0 and -1 once ran (0 left-continuous, -1 exiting 2),
+    # as did grid.points 0 and -3 (a 16-point grid) and fit.eta 0 (the smallest
+    # window); a k_lowest of 0 and a bad explicit grid exited 2 at count time
+    pytest.param({"solver": {"eps_shift": 0}}, "solver.eps_shift", id="solver.eps_shift-zero"),
+    pytest.param({"solver": {"eps_shift": -1}}, "solver.eps_shift",
+                 id="solver.eps_shift-negative"),
+    pytest.param({"solver": {"eps_shift": 1e-4}}, "solver.eps_shift",
+                 id="solver.eps_shift-large"),
+    pytest.param({"solver": {"dense_limit": -1}}, "solver.dense_limit",
+                 id="solver.dense_limit-negative"),
+    pytest.param({"solver": {"k_lowest": 0}}, "solver.k_lowest", id="solver.k_lowest-zero"),
+    pytest.param({"grid": {"points": 0}}, "grid.points", id="grid.points-zero"),
+    pytest.param({"grid": {"points": -3}}, "grid.points", id="grid.points-negative"),
+    pytest.param({"grid": {"mode": "explicit", "values": [20.0, 5.0]}}, "grid.values",
+                 id="grid.values-decreasing"),
+    pytest.param({"grid": {"mode": "explicit", "values": [5.0, 5.0]}}, "grid.values",
+                 id="grid.values-repeated"),
+    pytest.param({"grid": {"mode": "explicit", "values": [0.0, 5.0]}}, "grid.values",
+                 id="grid.values-zero"),
+    pytest.param({"grid": {"mode": "explicit", "values": [-5.0, 5.0]}}, "grid.values",
+                 id="grid.values-negative"),
+    pytest.param({"fit": {"eta": 0}}, "fit.eta", id="fit.eta-zero"),
+    pytest.param({"fit": {"eta": 1.5}}, "fit.eta", id="fit.eta-above-one"),
+    pytest.param({"fit": {"n_min": 0}}, "fit.n_min", id="fit.n_min-zero"),
+    pytest.param({"fit": {"slope_tol": -0.1}}, "fit.slope_tol", id="fit.slope_tol-negative"),
 ]
 
 
@@ -131,6 +156,15 @@ class TestConfig:
         del cfg["sequence"]
         with pytest.raises(ConfigError):
             config_from_dict(cfg)
+
+    def test_range_ends_accepted(self):
+        cfg = config_from_dict(base_config(
+            "out",
+            solver={"dense_limit": 0, "eps_shift": 9.9e-5, "k_lowest": 1},
+            grid={"mode": "auto", "points": 1, "values": [1e-300]},
+            fit={"n_min": 1, "eta": 1.0, "slope_tol": 0.0},
+        ))
+        assert (cfg.solver.dense_limit, cfg.fit.eta, cfg.fit.slope_tol) == (0, 1.0, 0.0)
 
     def test_golden_hashes(self):
         for expected, d in GOLDEN_HASHES:
