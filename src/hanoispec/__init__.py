@@ -37,6 +37,7 @@ from .resistance import (
 from .analysis import (
     CountingSample,
     FitResult,
+    GraphCounts,
     WindowPolicy,
     bracketing_check,
     counting_function,

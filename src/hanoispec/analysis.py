@@ -7,6 +7,11 @@ the slope against half the predicted spectral dimension.  The
 discretization-polluted tail is left out by the grid itself: auto_grid
 ends at the eta-quantile Neumann eigenvalue.
 
+Every count of an experiment comes from one GraphCounts, which picks
+the backend for the level-m graph once: LAPACK spectra (dense) or block
+elimination (inertia, BlockInertiaCounter).  auto_grid and
+counting_function take it and never see a pencil or a backend name.
+
 The bracketing check sandwiches the counting functions between the
 component sums of the level-j decoupled forms: grounding V_j can only
 lower counts, splitting the coupling corners can only raise them, so
@@ -14,9 +19,9 @@ lower counts, splitting the coupling corners can only raise them, so
     lowerSum(x) <= N_D(x) <= N_N(x) <= upperSum(x)
 
 must hold as exact integers at every x sampled for N_D and N_N.  The
-sums come from the block-elimination pass of the level-m graph
-(BlockInertiaCounter), whose level-j blocks and bridges are the
-components; the component pencils of assemble_decoupled are only the
+sums come from the block-elimination pass of the level-m graph, whose
+level-j blocks and bridges are the components, in the same call as the
+counts; the component pencils of assemble_decoupled are only the
 independent oracle of the tests.
 """
 
@@ -39,17 +44,18 @@ from .eigensolve import (
     DENSE_LIMIT,
     EPS_SHIFT,
     BlockInertiaCounter,
+    Spectrum,
     eig_dense,
     eig_dense_cached,
-    get_counter,
     lambda_max_bound,
 )
 from .errors import (
+    ConvergenceError,
     DomainError,
     EmptyPencilError,
-    HanoiError,
     InsufficientDataError,
     LevelError,
+    ThresholdAtEigenvalueError,
 )
 from .geometry import GraphApprox, build_graph
 from .sequences import MatchingSequence, PredictionSet, predicted_dimensions
@@ -68,19 +74,6 @@ class CountingSample:
     upper_sum: Optional[int] = None
 
 
-@dataclass(eq=False)
-class _GraphPencil(Pencil):
-    """The Neumann pencil of a whole level-m graph, with its block counter.
-
-    ``run_counting_experiment`` hands it to ``auto_grid`` and
-    ``counting_function``: with the inertia backend they count it, and its
-    V_0-grounded restriction, by block elimination, many thresholds per
-    pass.  Every other pencil is counted by SuperLU.
-    """
-
-    blocks: BlockInertiaCounter
-
-
 # Bisection steps covered by one block-elimination pass.  At m = 3 a pass
 # over the up to 2 * 7 midpoints the two grid-end bisections can reach in 3
 # steps costs about 1.4 passes over their next 2; of 1 to 6 steps, 3 and 4
@@ -90,116 +83,116 @@ BLOCK_LOOKAHEAD = 3
 MAX_GRID_POINTS = 400
 
 
-def _count_fn(p: Optional[Pencil], backend: str, dense_limit: int, eps_shift: float):
-    """Return a function x -> N(x) = #{lambda <= x} for one pencil."""
-    if p is None or p.n == 0:
-        return lambda x: 0
-    if backend == "dense":
-        spec = eig_dense_cached(p, dense_limit=dense_limit)
-        return lambda x: spec.count_leq(x, eps_shift)
-    if backend == "inertia":
-        counter = get_counter(p)
-        return lambda x: counter.count_below(x * (1.0 + eps_shift), eps_shift).count
-    raise DomainError(f"unknown backend {backend!r}")
+class GraphCounts:
+    """The counting functions of one level-m graph, from the backend chosen for it.
+
+    The backend is picked once: ``auto`` takes ``dense`` for graphs of at
+    most ``dense_limit`` vertices and ``inertia`` above.  With ``dense``
+    the counts are read off the LAPACK spectra of the Neumann pencil and
+    the V_0-grounded one; with ``inertia`` they come from block
+    elimination (``BlockInertiaCounter``), every threshold of a call in
+    one pass.  The bracketing sums come from block elimination with either
+    backend.  ``n`` is the number of vertices and ``lambda_max`` the
+    Gershgorin bound of the Neumann pencil.
+    """
+
+    def __init__(self, g: GraphApprox, backend: str = "auto",
+                 dense_limit: int = DENSE_LIMIT, eps_shift: float = EPS_SHIFT):
+        if backend not in ("auto", "dense", "inertia"):
+            raise DomainError(f"unknown backend {backend!r}")
+        p_n = assemble_neumann(g)
+        self.m, self.s, self.n = g.m, g.s, p_n.n
+        self.lambda_max = lambda_max_bound(p_n)
+        self.eps_shift = eps_shift
+        if backend == "auto":
+            backend = "dense" if self.n <= dense_limit else "inertia"
+        self._blocks = BlockInertiaCounter.from_graph(g)
+        self._spectra = None
+        if backend == "dense":
+            try:
+                spec_d = eig_dense_cached(apply_dirichlet(p_n, g, "v0"), dense_limit)
+            except EmptyPencilError:    # the level-0 triangle is all V_0
+                spec_d = Spectrum(np.empty(0), None, 0.0)
+            self._spectra = (spec_d, eig_dense_cached(p_n, dense_limit))
+
+    def count(self, xs, level: Optional[int] = None) -> np.ndarray:
+        """Rows N_D and N_N, #{lambda <= x} at each threshold x; with a
+        bracketing level j, 1 <= j < m, then lowerSum_j and upperSum_j."""
+        if level is not None:
+            _check_bracketing(self.m, self.s, level)
+        xs = np.asarray(xs, dtype=float)
+        shifted = xs * (1.0 + self.eps_shift)
+        if self._spectra is None:
+            return np.array(self._blocks.count_below(shifted, self.eps_shift, level))
+        rows = [spec.count_leq(xs, self.eps_shift) for spec in self._spectra]
+        if level is not None:
+            rows += self._blocks.count_below(shifted, self.eps_shift, level)[2:]
+        return np.array(rows)
+
+    def neumann_quantiles(self, ks) -> list[float]:
+        """Smallest x with N_N(x) >= k for each k: the k-th Neumann
+        eigenvalue, exact with ``dense``, by bisection to 1e-4 relative
+        width with ``inertia``."""
+        if self._spectra is not None:
+            return [float(self._spectra[1].eigenvalues[k - 1]) for k in ks]
+        return _bisect_quantiles(lambda xs: self.count(xs)[1], ks, self.lambda_max)
 
 
 def counting_function(
-    p_neumann: Pencil,
-    p_dirichlet: Optional[Pencil],
+    counts: GraphCounts,
     grid: Sequence[float],
-    backend: str = "dense",
-    dense_limit: int = DENSE_LIMIT,
-    eps_shift: float = EPS_SHIFT,
+    level: Optional[int] = None,
 ) -> list[CountingSample]:
-    """Sample N_D and N_N on the grid with the selected backend.
-
-    ``p_dirichlet`` may be None for graphs whose Dirichlet condition
-    constrains everything (the level-0 triangle); its counts are then 0.
-    For the whole-graph pencil of ``run_counting_experiment`` the inertia
-    backend counts N_D and N_N at every grid point in one block-elimination
-    pass, and ``p_dirichlet`` is not used.
-    """
+    """Sample N_D and N_N on the grid, and with a bracketing level j the
+    sums lowerSum_j and upperSum_j, all from one call of ``counts``."""
     grid = np.asarray(grid, dtype=float)
-    if len(grid) == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise DomainError("grid must be strictly increasing and positive")
-    if backend == "inertia" and isinstance(p_neumann, _GraphPencil):
-        try:
-            nd, nn = p_neumann.blocks.count_below(grid * (1.0 + eps_shift), eps_shift)
-        except HanoiError as exc:
-            raise type(exc)(
-                f"counting failed on the grid [{grid[0]:g}, {grid[-1]:g}]: {exc}"
-            ) from None
-        return [CountingSample(float(x), int(d), int(n)) for x, d, n in zip(grid, nd, nn)]
-    fn_n = _count_fn(p_neumann, backend, dense_limit, eps_shift)
-    fn_d = _count_fn(p_dirichlet, backend, dense_limit, eps_shift)
-    out = []
-    for x in grid:
-        try:
-            out.append(CountingSample(float(x), fn_d(float(x)), fn_n(float(x))))
-        except HanoiError as exc:
-            raise type(exc)(f"counting failed at grid point x={x:g}: {exc}") from None
-    return out
+    if (len(grid) == 0 or not np.all(np.isfinite(grid)) or np.any(grid <= 0)
+            or np.any(np.diff(grid) <= 0)):
+        raise DomainError("grid must be finite, strictly increasing and positive")
+    try:
+        rows = counts.count(grid, level)
+    except (ConvergenceError, ThresholdAtEigenvalueError) as exc:
+        raise type(exc)(
+            f"counting failed on the grid [{grid[0]:g}, {grid[-1]:g}]: {exc}"
+        ) from None
+    return [CountingSample(float(x), *map(int, col)) for x, col in zip(grid, rows.T)]
 
 
-def auto_grid(
-    p_neumann: Pencil,
-    eta: float = 0.2,
-    per_decade: int = 60,
-    backend: str = "dense",
-    dense_limit: int = DENSE_LIMIT,
-    eps_shift: float = EPS_SHIFT,
-) -> np.ndarray:
+def auto_grid(counts: GraphCounts, eta: float = 0.2, per_decade: int = 60) -> np.ndarray:
     """Log-spaced grid from the 10th Neumann eigenvalue to the eta-quantile cutoff.
 
     The cutoff lambda_ceil(eta*n) marks the part of the discrete spectrum
-    trusted to approximate the continuum; with the inertia backend both
-    grid ends are located by bisection on the counting function.  The
-    grid has per_decade points a decade, at least 16 and at most
-    MAX_GRID_POINTS.
+    trusted to approximate the continuum (``GraphCounts.neumann_quantiles``
+    locates both ends).  The grid has per_decade points a decade, at least
+    16 and at most MAX_GRID_POINTS.
     """
-    n = p_neumann.n
-    if n < 3:
-        raise InsufficientDataError(f"the pencil has {n} rows; a grid needs at least 3")
-    k_lo = min(10, max(2, n - 1))
+    n = counts.n
+    k_lo = min(10, n - 1)
     k_hi = max(k_lo + 1, min(n, math.ceil(eta * n)))
-    if backend == "dense":
-        spec = eig_dense_cached(p_neumann, dense_limit=dense_limit)
-        x_lo = float(spec.eigenvalues[k_lo - 1])
-        x_hi = float(spec.eigenvalues[k_hi - 1])
-    elif backend == "inertia" and isinstance(p_neumann, _GraphPencil):
-        blocks = p_neumann.blocks
-        x_lo, x_hi = _bisect_quantiles(
-            lambda xs: blocks.count_below(np.multiply(xs, 1.0 + eps_shift), eps_shift)[1],
-            (k_lo, k_hi), lambda_max_bound(p_neumann), BLOCK_LOOKAHEAD,
-        )
-    else:
-        fn = _count_fn(p_neumann, backend, dense_limit, eps_shift)
-        x_lo, x_hi = _bisect_quantiles(
-            lambda xs: [fn(x) for x in xs], (k_lo, k_hi), lambda_max_bound(p_neumann)
-        )
+    x_lo, x_hi = counts.neumann_quantiles((k_lo, k_hi))
     if x_hi <= x_lo * (1.0 + 1e-9):
         raise InsufficientDataError(
-            f"degenerate grid window [{x_lo:g}, {x_hi:g}]; the pencil is too small"
+            f"degenerate grid window [{x_lo:g}, {x_hi:g}]; the graph is too small"
         )
     n_points = int(round(per_decade * math.log10(x_hi / x_lo)))
     n_points = min(max(n_points, 16), MAX_GRID_POINTS)
     return np.geomspace(x_lo, x_hi, n_points)
 
 
-def _bisect_quantiles(count, ks, upper: float, lookahead: int = 1) -> list[float]:
+def _bisect_quantiles(count, ks, upper: float) -> list[float]:
     """Smallest x with N(x) >= k for each k, by bisection to 1e-4 relative width.
 
     The bisections run in lockstep, each on the midpoints it would take
     alone.  ``count`` maps a list of thresholds to N at each; one call
     covers every midpoint an open bisection can reach in its next
-    ``lookahead`` steps.
+    BLOCK_LOOKAHEAD steps.
     """
     # above the Gershgorin bound N = n, and auto_grid asks for no k above n
     state = [[0.0, upper * 1.0001, 0] for _ in ks]  # lo, hi, steps
     while True:
         xs = []
         for lo, hi, steps in state:
-            _reachable_midpoints(lo, hi, steps, lookahead, xs)
+            _reachable_midpoints(lo, hi, steps, BLOCK_LOOKAHEAD, xs)
         if not xs:
             return [hi for _, hi, _ in state]
         xs = list(dict.fromkeys(xs))
@@ -354,38 +347,25 @@ def _check_bracketing(m: int, s: int, j: int):
         )
 
 
-def bracketing_check(
-    g: GraphApprox,
-    j: int,
-    samples: Sequence[CountingSample],
-    eps_shift: float = EPS_SHIFT,
-) -> BracketingReport:
+def bracketing_check(j: int, samples: Sequence[CountingSample]) -> BracketingReport:
     """Verify lowerSum <= N_D <= N_N <= upperSum at every sample.
 
-    ``samples`` are the ``counting_function`` samples of the level-m
-    graph g; the report's samples add the two component sums to them.
-    The sums come from one block-elimination pass of g's
-    ``BlockInertiaCounter`` over every sample, which passes through the
-    level-j blocks and bridges that make up the decoupled forms; their
-    component pencils (``assemble_decoupled``) serve only as the test
-    oracle.  Violations are collected in the report rather than raised:
-    an entry means a discretization or convention bug and must stay
-    inspectable.
+    ``samples`` are the ``counting_function`` samples of a level-m graph
+    counted with bracketing level j, so each carries both sums.
+    Violations are collected in the report rather than raised: an entry
+    means a discretization or convention bug and must stay inspectable.
     """
-    _check_bracketing(g.m, g.s, j)
-    xs = np.array([smp.x for smp in samples], dtype=float)
-    _, _, lower, upper = BlockInertiaCounter.from_graph(g).count_below(
-        xs * (1.0 + eps_shift), eps_shift, level=j)
-    out = []
     violations = []
-    for smp, lo, up in zip(samples, lower.tolist(), upper.tolist()):
-        x, nd, nn = smp.x, smp.n_dirichlet, smp.n_neumann
-        out.append(CountingSample(x, nd, nn, lo, up))
+    for smp in samples:
+        x, lo, nd, nn, up = smp.x, smp.lower_sum, smp.n_dirichlet, smp.n_neumann, smp.upper_sum
+        if lo is None:
+            raise DomainError(f"the sample at x={x:g} has no bracketing sums; count "
+                              "them with counting_function(counts, grid, level=j)")
         if not (lo <= nd <= nn <= up):
             violations.append(
                 f"x={x:.6g}: lowerSum={lo}, N_D={nd}, N_N={nn}, upperSum={up}"
             )
-    return BracketingReport(j, tuple(out), tuple(violations))
+    return BracketingReport(j, tuple(samples), tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -493,39 +473,18 @@ def run_counting_experiment(
     """Build the level-m graph, sample N(x), fit the exponent, report envelopes.
 
     The fit and the Weyl envelopes use N_N; the samples carry N_D as well.
-
-    With the inertia backend the level-m counts come from block
-    elimination (``BlockInertiaCounter``); the bracketing sums do with
-    either backend.
+    All counts, the bracketing sums included, come from one ``GraphCounts``.
     """
     if bracket_level is not None:
         _check_bracketing(m, s, bracket_level)
     g = build_graph(seq, m, s, beta)
-    p_n = assemble_neumann(g)
-    if backend == "auto":
-        backend = "dense" if p_n.n <= dense_limit else "inertia"
-    p_d = None
-    if backend == "inertia":
-        # the block counter counts the V_0-grounded pencil too
-        blocks = BlockInertiaCounter.from_graph(g)
-        p_n = _GraphPencil(p_n.L, p_n.mass, p_n.boundary, p_n.vertex_map, blocks)
-    else:
-        try:
-            p_d = apply_dirichlet(p_n, g, "v0")
-        except EmptyPencilError:
-            pass
+    counts = GraphCounts(g, backend, dense_limit, eps_shift)
     if grid is None:
-        grid = auto_grid(
-            p_n, eta=eta, per_decade=per_decade, backend=backend,
-            dense_limit=dense_limit, eps_shift=eps_shift,
-        )
-    samples = counting_function(
-        p_n, p_d, grid, backend=backend, dense_limit=dense_limit, eps_shift=eps_shift
-    )
+        grid = auto_grid(counts, eta=eta, per_decade=per_decade)
+    samples = counting_function(counts, grid, level=bracket_level)
     bracketing = None
     if bracket_level is not None:
-        bracketing = bracketing_check(g, bracket_level, samples, eps_shift=eps_shift)
-        samples = bracketing.samples
+        bracketing = bracketing_check(bracket_level, samples)
     prediction = predicted_dimensions(seq)
     policy = policy or WindowPolicy()
     fit = fit_exponent(samples, policy, prediction)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -177,11 +178,12 @@ def _convert(tp, value, key: str):
         if not isinstance(value, str):
             raise ConfigError(f"{key}: expected a string, got {type(value).__name__}")
         return value
-    # a JSON number, not a boolean or a string; an int field takes only integral ones
+    # a finite JSON number, not a boolean or a string (Python's json reads
+    # Infinity and NaN); an int field takes only integral ones
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        tp is int and not (isinstance(value, int) or value.is_integer())
-    ):
-        kind = "an integer" if tp is int else "a number"
+        isinstance(value, float) and not math.isfinite(value)
+    ) or (tp is int and not (isinstance(value, int) or value.is_integer())):
+        kind = "an integer" if tp is int else "a finite number"
         raise ConfigError(f"{key}: expected {kind}, got {value!r}")
     return tp(value)
 

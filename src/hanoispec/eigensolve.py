@@ -13,22 +13,23 @@ Two backends:
   BlockInertiaCounter, which eliminates the graph one level at a time
   with small dense blocks, for a batch of thresholds at once; the same
   pass gives the Dirichlet-Neumann bracketing sums of any level, so the
-  decoupled component pencils are never counted one by one.  Any other
-  pencil (a pencil passed to count_below or counting_function) is
-  factored by InertiaCounter with SuperLU under a symmetric column
-  ordering and no row interchanges; diag(U) is then the D of the LDL^T.
-  A factorization that is exactly singular, that had to interchange rows,
+  decoupled component pencils are never counted one by one; the
+  counting experiments of analysis use no other inertia counter.  Any
+  other pencil (one passed to count_below) is factored by InertiaCounter
+  with SuperLU under a symmetric column ordering and no row
+  interchanges; diag(U) is then the D of the LDL^T.  A factorization that is exactly singular, that had to interchange rows,
   or that has a pivot magnitude under 1e-12 * max|L| (for the block
   counter: a pivot block with an eigenvalue that small against its level)
   means x sits numerically on an eigenvalue; the threshold is then nudged
   up by 10 * eps_shift relatively and the elimination retried.
 
 The backends are cross-validated against each other in the test suite on
-every pencil family the package produces.
+every pencil family the package produces; InertiaCounter is the
+independent oracle of the block counter.
 
 The CSC pattern of L and the positions of its diagonal are shared by
-all thresholds x, so they are set up once per pencil and reused across a
-whole counting grid.
+all thresholds x, so InertiaCounter sets them up once per pencil and
+reuses them for every threshold.
 """
 
 from __future__ import annotations
@@ -78,9 +79,13 @@ class Spectrum:
     def n(self) -> int:
         return len(self.eigenvalues)
 
-    def count_leq(self, x: float, eps_shift: float = EPS_SHIFT) -> int:
-        """Right-continuous count #{lambda <= x} via the upward relative shift."""
-        return int(np.searchsorted(self.eigenvalues, x * (1.0 + eps_shift), side="left"))
+    def count_leq(self, x, eps_shift: float = EPS_SHIFT):
+        """Right-continuous count #{lambda <= x} via the upward relative shift.
+
+        An array of thresholds gives an array of counts.
+        """
+        counts = np.searchsorted(self.eigenvalues, np.multiply(x, 1.0 + eps_shift), side="left")
+        return counts if np.ndim(x) else int(counts)
 
     def multiplicities(self) -> list[tuple[float, int]]:
         """Cluster eigenvalues whose relative gap is below MULTIPLICITY_REL_GAP."""

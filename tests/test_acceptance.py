@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from hanoispec.analysis import (
+    GraphCounts,
     bracketing_check,
     counting_function,
     one_dim_reference,
@@ -92,10 +93,10 @@ def test_04_bracketing():
     p_n = assemble_neumann(g)
     bound = lambda_max_bound(p_n)
     total_violations = 0
+    counts = GraphCounts(g, "dense")
     for j in (1, 2):
         grid = np.geomspace(1.0, bound * 0.9, 30)
-        samples = counting_function(p_n, apply_dirichlet(p_n, g, "v0"), grid, backend="dense")
-        rep = bracketing_check(g, j, samples)
+        rep = bracketing_check(j, counting_function(counts, grid, level=j))
         total_violations += len(rep.violations)
     elapsed = time.time() - t0
     ok = total_violations == 0 and elapsed <= 60.0

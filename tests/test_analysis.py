@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from hanoispec.analysis import (
     CountingSample,
+    GraphCounts,
     WindowPolicy,
     auto_grid,
     bracketing_check,
@@ -19,8 +19,14 @@ from hanoispec.analysis import (
     weyl_ratio,
 )
 from hanoispec import analysis, assembly, eigensolve
-from hanoispec.assembly import Boundary, Pencil, apply_dirichlet, assemble_decoupled, assemble_neumann
-from hanoispec.eigensolve import BlockInertiaCounter, InertiaCounter, eig_dense, lambda_max_bound
+from hanoispec.assembly import apply_dirichlet, assemble_decoupled, assemble_neumann
+from hanoispec.eigensolve import (
+    EPS_SHIFT,
+    BlockInertiaCounter,
+    InertiaCounter,
+    eig_dense,
+    lambda_max_bound,
+)
 from hanoispec.errors import AssemblyError, DomainError, InsufficientDataError, LevelError
 from hanoispec.geometry import build_graph, enumerate_words
 from hanoispec.sequences import constant, explicit, geometric_to_limit, predicted_dimensions
@@ -30,39 +36,46 @@ SEQ = constant(0.5)
 
 class TestCountingFunction:
     def test_m0_counts(self):
-        p = assemble_neumann(build_graph(SEQ, 0, 1, 0.25))
-        samples = counting_function(p, None, [1.0, 10.0])
+        counts = GraphCounts(build_graph(SEQ, 0, 1, 0.25), "dense")
+        samples = counting_function(counts, [1.0, 10.0])
         assert [(s.n_neumann, s.n_dirichlet) for s in samples] == [(1, 0), (3, 0)]
 
     def test_exact_eigenvalue_grid_point(self):
-        p = assemble_neumann(build_graph(SEQ, 0, 1, 0.25))
-        samples = counting_function(p, None, [9.0])
+        counts = GraphCounts(build_graph(SEQ, 0, 1, 0.25), "dense")
+        samples = counting_function(counts, [9.0])
         assert samples[0].n_neumann == 3  # right-continuous convention
 
     def test_backends_agree(self):
         g = build_graph(SEQ, 3, 2, 0.25)
-        p_n = assemble_neumann(g)
-        p_d = apply_dirichlet(p_n, g, "v0")
         grid = np.geomspace(1.0, 1e4, 25)
-        dense = counting_function(p_n, p_d, grid, backend="dense")
-        inertia = counting_function(p_n, p_d, grid, backend="inertia")
+        dense = counting_function(GraphCounts(g, "dense"), grid)
+        inertia = counting_function(GraphCounts(g, "inertia"), grid)
         assert [(s.n_neumann, s.n_dirichlet) for s in dense] == [
             (s.n_neumann, s.n_dirichlet) for s in inertia
         ]
 
     def test_interlacing(self):
         for m, s in [(2, 2), (3, 1)]:
-            g = build_graph(SEQ, m, s, 0.25)
-            p_n = assemble_neumann(g)
-            p_d = apply_dirichlet(p_n, g, "v0")
-            grid = auto_grid(p_n)
-            for smp in counting_function(p_n, p_d, grid):
+            counts = GraphCounts(build_graph(SEQ, m, s, 0.25), "dense")
+            for smp in counting_function(counts, auto_grid(counts)):
                 assert 0 <= smp.n_neumann - smp.n_dirichlet <= 3
 
     def test_bad_grid(self):
-        p = assemble_neumann(build_graph(SEQ, 0, 1, 0.25))
+        counts = GraphCounts(build_graph(SEQ, 0, 1, 0.25), "dense")
         with pytest.raises(DomainError):
-            counting_function(p, None, [2.0, 1.0])
+            counting_function(counts, [2.0, 1.0])
+
+    @pytest.mark.parametrize("backend", ["dense", "inertia"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid(self, backend, bad):
+        # nan once gave N_D = 117 and N_N = 120 under dense, and inf a LinAlgError
+        counts = GraphCounts(build_graph(SEQ, 3, 2, 0.25), backend)
+        with pytest.raises(DomainError):
+            counting_function(counts, [1.0, bad])
+
+    def test_unknown_backend(self):
+        with pytest.raises(DomainError):
+            GraphCounts(build_graph(SEQ, 1, 1, 0.25), "superlu")
 
 
 class TestFit:
@@ -117,9 +130,8 @@ class TestWeyl:
             weyl_ratio([], -1.0)
 
 
-def level_m_samples(g, grid, backend="dense"):
-    p_n = assemble_neumann(g)
-    return counting_function(p_n, apply_dirichlet(p_n, g, "v0"), grid, backend=backend)
+def bracketed_samples(g, j, grid, backend="dense"):
+    return counting_function(GraphCounts(g, backend), grid, level=j)
 
 
 def component_sums(g, j, xs) -> list:
@@ -134,15 +146,23 @@ class TestBracketing:
     def test_m3_no_violations(self):
         g = build_graph(SEQ, 3, 2, 0.25)
         grid = np.geomspace(1.0, 3e4, 30)
-        rep = bracketing_check(g, 1, level_m_samples(g, grid))
+        rep = bracketing_check(1, bracketed_samples(g, 1, grid))
         assert rep.ok
         for smp in rep.samples:
             assert smp.lower_sum <= smp.n_dirichlet <= smp.n_neumann <= smp.upper_sum
 
     def test_level_guard(self):
+        # counting with a bracketing level checks 1 <= j < m and s >= 2
+        for s, j, error in [(2, 2, LevelError), (2, 0, LevelError), (1, 1, DomainError)]:
+            g = build_graph(SEQ, 2, s, 0.25)
+            for backend in ("dense", "inertia"):
+                with pytest.raises(error):
+                    bracketed_samples(g, j, [1.0], backend)
+
+    def test_samples_without_sums(self):
         g = build_graph(SEQ, 2, 2, 0.25)
-        with pytest.raises(LevelError):
-            bracketing_check(g, 2, level_m_samples(g, [1.0]))
+        with pytest.raises(DomainError):
+            bracketing_check(1, counting_function(GraphCounts(g), [1.0]))
 
     @pytest.mark.parametrize("backend", ["dense", "inertia"])
     @pytest.mark.parametrize("s", [2, 3])
@@ -153,7 +173,7 @@ class TestBracketing:
         # reference: every component of the decoupled forms counted on its own
         g = build_graph(seq, m, s, 0.25)
         grid = np.geomspace(1.0, 0.9 * lambda_max_bound(assemble_neumann(g)), 20)
-        rep = bracketing_check(g, j, level_m_samples(g, grid, backend))
+        rep = bracketing_check(j, bracketed_samples(g, j, grid, backend))
         assert [(smp.lower_sum, smp.upper_sum) for smp in rep.samples] == \
             component_sums(g, j, grid)
 
@@ -179,20 +199,48 @@ class TestBracketing:
         assert exp.bracketing.ok
         assert sorted(solved) == ([] if backend == "inertia" else ["dirichlet_v0", "neumann"])
 
+    def test_bracketed_run_eliminates_its_grid_once(self, monkeypatch):
+        # the grid's N_D, N_N and both sums come from one pass of one counter
+        built, sizes = [], []
+        init, count_below = BlockInertiaCounter.__init__, BlockInertiaCounter.count_below
+
+        def spy_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def spy_count(self, x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return count_below(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(BlockInertiaCounter, "__init__", spy_init)
+        monkeypatch.setattr(BlockInertiaCounter, "count_below", spy_count)
+        exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend="inertia", bracket_level=2)
+        assert len(built) == 1
+        assert sizes.count(len(exp.samples)) == 1
+
+
+def grid_quantiles(n: int, eta: float = 0.2) -> tuple:
+    """The Neumann eigenvalue indices k of auto_grid's two ends."""
+    k_lo = min(10, n - 1)
+    return k_lo, max(k_lo + 1, min(n, math.ceil(eta * n)))
+
 
 class TestAutoGrid:
     @pytest.mark.parametrize("backend", ["dense", "inertia"])
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_too_small_pencil(self, backend, n):
-        p = free_path_pencil(1) if n == 2 else Pencil(
-            sp.csr_matrix([[1.0]]), np.ones(1), Boundary("neumann"), np.arange(1))
+    def test_too_small_graph(self, backend):
+        # the level-0 triangle's 2nd and 3rd eigenvalues coincide
         with pytest.raises(InsufficientDataError):
-            auto_grid(p, backend=backend)
+            auto_grid(GraphCounts(build_graph(SEQ, 0, 1, 0.25), backend))
 
-    @pytest.mark.parametrize("m, s", [(1, 1), (2, 3), (3, 2), (4, 2)])
-    def test_no_threshold_above_the_bound(self, monkeypatch, m, s):
-        # N = n above the Gershgorin bound, so the bisections never count there
-        g = build_graph(SEQ, m, s, 0.25)
+    @pytest.mark.parametrize("m, s", [(1, 1), (2, 3), (3, 2), (4, 2), (5, 2)])
+    @pytest.mark.parametrize(
+        "seq", [SEQ, explicit([0.45, 0.53], tail="cycle"), geometric_to_limit(0.55, 0.3)],
+        ids=lambda q: q.describe(),
+    )
+    def test_no_threshold_above_the_bound(self, monkeypatch, seq, m, s):
+        # N = n above the Gershgorin bound, so the bisections never count
+        # there; each bisected end lies within 1e-4 above its eigenvalue
+        g = build_graph(seq, m, s, 0.25)
         p = assemble_neumann(g)
         counted = []
         count_below = BlockInertiaCounter.count_below
@@ -202,22 +250,18 @@ class TestAutoGrid:
             return count_below(self, x, *args, **kwargs)
 
         monkeypatch.setattr(BlockInertiaCounter, "count_below", spy)
-        graph = analysis._GraphPencil(p.L, p.mass, p.boundary, p.vertex_map,
-                                      BlockInertiaCounter.from_graph(g))
-        grid = auto_grid(graph, backend="inertia")
+        grid = auto_grid(GraphCounts(g, "inertia"))
         assert 0 < max(counted) <= lambda_max_bound(p)
-        assert list(grid) == list(auto_grid(p, backend="inertia"))
+        ev = eig_dense(p).eigenvalues
+        for end, k in zip((grid[0], grid[-1]), grid_quantiles(p.n)):
+            assert ev[k - 1] / (1 + 1e-9) <= end <= ev[k - 1] * (1 + 1e-4)
 
     @pytest.mark.parametrize("backend", ["dense", "inertia"])
     def test_point_cap(self, backend):
         # 1000 points a decade over this window would be more than the cap
-        g = build_graph(SEQ, 3, 2, 0.25)
-        p = assemble_neumann(g)
-        if backend == "inertia":
-            p = analysis._GraphPencil(p.L, p.mass, p.boundary, p.vertex_map,
-                                      BlockInertiaCounter.from_graph(g))
-        capped = auto_grid(p, per_decade=1000, backend=backend)
-        plain = auto_grid(p, backend=backend)
+        counts = GraphCounts(build_graph(SEQ, 3, 2, 0.25), backend)
+        capped = auto_grid(counts, per_decade=1000)
+        plain = auto_grid(counts)
         assert len(capped) == analysis.MAX_GRID_POINTS and len(plain) == 28
         assert (capped[0], capped[-1]) == (plain[0], plain[-1])
 
@@ -306,14 +350,20 @@ class TestExperimentPipeline:
     )
     def test_block_counts_equal_superlu(self, seq, m, bracket_level):
         # the experiment counts the level-m pencils by block elimination; the
-        # same grid, samples, fit and report must come from SuperLU on them
+        # same grid ends, samples, fit and report must come from SuperLU on them
         exp = run_counting_experiment(seq, m, 2, 0.25, backend="inertia",
                                       bracket_level=bracket_level)
         p_n = assemble_neumann(exp.graph)
-        grid = auto_grid(p_n, backend="inertia")
-        assert list(grid) == [smp.x for smp in exp.samples]
-        samples = counting_function(p_n, apply_dirichlet(p_n, exp.graph, "v0"), grid,
-                                    backend="inertia")
+        superlu = [InertiaCounter(p) for p in (apply_dirichlet(p_n, exp.graph, "v0"), p_n)]
+
+        def count(x):   # (N_D, N_N)
+            return [c.count_below(x * (1.0 + EPS_SHIFT), EPS_SHIFT).count for c in superlu]
+
+        grid = [smp.x for smp in exp.samples]
+        ends = analysis._bisect_quantiles(lambda xs: [count(x)[1] for x in xs],
+                                          grid_quantiles(p_n.n), lambda_max_bound(p_n))
+        assert [grid[0], grid[-1]] == ends
+        samples = [CountingSample(x, *count(x)) for x in grid]
         if bracket_level is not None:
             sums = component_sums(exp.graph, bracket_level, grid)
             samples = [CountingSample(smp.x, smp.n_dirichlet, smp.n_neumann, lo, up)

@@ -125,6 +125,15 @@ MALFORMED = [
     pytest.param({"fit": {"eta": 1.5}}, "fit.eta", id="fit.eta-above-one"),
     pytest.param({"fit": {"n_min": 0}}, "fit.n_min", id="fit.n_min-zero"),
     pytest.param({"fit": {"slope_tol": -0.1}}, "fit.slope_tol", id="fit.slope_tol-negative"),
+    # json reads Infinity and NaN: an infinite grid value once passed the order
+    # check and died in the count with a LinAlgError traceback, and an infinite
+    # slope_tol or sequence value passed as well
+    pytest.param({"grid": {"mode": "explicit", "values": [1.0, 8000.0, float("inf")]}},
+                 "grid.values", id="grid.values-infinite"),
+    pytest.param({"fit": {"slope_tol": float("inf")}}, "fit.slope_tol",
+                 id="fit.slope_tol-infinite"),
+    pytest.param({"sequence": {"kind": "explicit", "values": [0.5, float("inf")]}},
+                 "sequence.values", id="sequence.values-infinite"),
 ]
 
 
