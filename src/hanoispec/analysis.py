@@ -8,9 +8,11 @@ discretization-polluted tail is left out by the grid itself: auto_grid
 ends at the eta-quantile Neumann eigenvalue.
 
 Every count of an experiment comes from one GraphCounts, which picks
-the backend for the level-m graph once: LAPACK spectra (dense) or block
-elimination (inertia, BlockInertiaCounter).  auto_grid and
-counting_function take it and never see a pencil or a backend name.
+the backend for the level-m graph once: block elimination (inertia,
+BlockInertiaCounter, also what auto means at every size) or LAPACK
+spectra (dense, the reference).  auto_grid and counting_function take it
+and never see a pencil or a backend name; auto_grid bisects its ends on
+the counts under either backend, so the two backends give the same grid.
 
 The bracketing check sandwiches the counting functions between the
 component sums of the level-j decoupled forms: grounding V_j can only
@@ -81,19 +83,25 @@ class CountingSample:
 BLOCK_LOOKAHEAD = 3
 # The most points auto_grid lays out, whatever the window's width in decades.
 MAX_GRID_POINTS = 400
+# Steps of one grid-end bisection, arithmetic and geometric together,
+# before it raises ConvergenceError.
+MAX_BISECTION_STEPS = 80
 
 
 class GraphCounts:
     """The counting functions of one level-m graph, from the backend chosen for it.
 
-    The backend is picked once: ``auto`` takes ``dense`` for graphs of at
-    most ``dense_limit`` vertices and ``inertia`` above.  With ``dense``
-    the counts are read off the LAPACK spectra of the Neumann pencil and
-    the V_0-grounded one; with ``inertia`` they come from block
-    elimination (``BlockInertiaCounter``), every threshold of a call in
-    one pass.  The bracketing sums come from block elimination with either
-    backend.  ``n`` is the number of vertices and ``lambda_max`` the
-    Gershgorin bound of the Neumann pencil.
+    The backend is picked once.  ``inertia`` (and ``auto``, its synonym at
+    every size) counts by block elimination (``BlockInertiaCounter``),
+    every threshold of a call in one pass.  ``dense`` is the reference
+    path: it reads the counts off the LAPACK spectra of the Neumann pencil
+    and the V_0-grounded one, for graphs of at most ``dense_limit``
+    vertices.  On families with ratios r below about 0.11 its 1e-9
+    threshold shift is under LAPACK's error on clustered eigenvalues, so it
+    can miscount there; only an explicit ``dense`` reaches that path.
+    The bracketing sums come from block elimination with either backend.
+    ``n`` is the number of vertices and ``lambda_max`` the Gershgorin bound
+    of the Neumann pencil.
     """
 
     def __init__(self, g: GraphApprox, backend: str = "auto",
@@ -104,8 +112,6 @@ class GraphCounts:
         self.m, self.s, self.n = g.m, g.s, p_n.n
         self.lambda_max = lambda_max_bound(p_n)
         self.eps_shift = eps_shift
-        if backend == "auto":
-            backend = "dense" if self.n <= dense_limit else "inertia"
         self._blocks = BlockInertiaCounter.from_graph(g)
         self._spectra = None
         if backend == "dense":
@@ -128,14 +134,6 @@ class GraphCounts:
         if level is not None:
             rows += self._blocks.count_below(shifted, self.eps_shift, level)[2:]
         return np.array(rows)
-
-    def neumann_quantiles(self, ks) -> list[float]:
-        """Smallest x with N_N(x) >= k for each k: the k-th Neumann
-        eigenvalue, exact with ``dense``, by bisection to 1e-4 relative
-        width with ``inertia``."""
-        if self._spectra is not None:
-            return [float(self._spectra[1].eigenvalues[k - 1]) for k in ks]
-        return _bisect_quantiles(lambda xs: self.count(xs)[1], ks, self.lambda_max)
 
 
 def counting_function(
@@ -162,14 +160,16 @@ def auto_grid(counts: GraphCounts, eta: float = 0.2, per_decade: int = 60) -> np
     """Log-spaced grid from the 10th Neumann eigenvalue to the eta-quantile cutoff.
 
     The cutoff lambda_ceil(eta*n) marks the part of the discrete spectrum
-    trusted to approximate the continuum (``GraphCounts.neumann_quantiles``
-    locates both ends).  The grid has per_decade points a decade, at least
-    16 and at most MAX_GRID_POINTS.
+    trusted to approximate the continuum.  Both ends are bisected on N_N
+    to 1e-4 relative width, whatever the backend of ``counts``.  The grid
+    has per_decade points a decade, at least 16 and at most
+    MAX_GRID_POINTS.
     """
     n = counts.n
     k_lo = min(10, n - 1)
     k_hi = max(k_lo + 1, min(n, math.ceil(eta * n)))
-    x_lo, x_hi = counts.neumann_quantiles((k_lo, k_hi))
+    x_lo, x_hi = _bisect_quantiles(lambda xs: counts.count(xs)[1], (k_lo, k_hi),
+                                   counts.lambda_max)
     if x_hi <= x_lo * (1.0 + 1e-9):
         raise InsufficientDataError(
             f"degenerate grid window [{x_lo:g}, {x_hi:g}]; the graph is too small"
@@ -185,7 +185,8 @@ def _bisect_quantiles(count, ks, upper: float) -> list[float]:
     The bisections run in lockstep, each on the midpoints it would take
     alone.  ``count`` maps a list of thresholds to N at each; one call
     covers every midpoint an open bisection can reach in its next
-    BLOCK_LOOKAHEAD steps.
+    BLOCK_LOOKAHEAD steps.  A bisection still wider than 1e-4 when its
+    MAX_BISECTION_STEPS run out raises ConvergenceError.
     """
     # above the Gershgorin bound N = n, and auto_grid asks for no k above n
     state = [[0.0, upper * 1.0001, 0] for _ in ks]  # lo, hi, steps
@@ -194,6 +195,13 @@ def _bisect_quantiles(count, ks, upper: float) -> list[float]:
         for lo, hi, steps in state:
             _reachable_midpoints(lo, hi, steps, BLOCK_LOOKAHEAD, xs)
         if not xs:
+            for (lo, hi, _), k in zip(state, ks):
+                if not _converged(lo, hi):
+                    raise ConvergenceError(
+                        f"bisection for the {k}-th eigenvalue stopped at "
+                        f"[{lo:g}, {hi:g}] after {MAX_BISECTION_STEPS} steps, "
+                        f"starting from the bound {upper:g}"
+                    )
             return [hi for _, hi, _ in state]
         xs = list(dict.fromkeys(xs))
         counted = dict(zip(xs, count(xs)))
@@ -210,8 +218,12 @@ def _midpoint(lo: float, hi: float) -> float:
     return 0.5 * (lo + hi) if lo == 0.0 else math.sqrt(lo * hi)
 
 
+def _converged(lo: float, hi: float) -> bool:
+    return lo > 0 and hi / lo < 1.0 + 1e-4
+
+
 def _bisection_open(lo: float, hi: float, steps: int) -> bool:
-    return steps < 80 and not (lo > 0 and hi / lo < 1.0 + 1e-4)
+    return steps < MAX_BISECTION_STEPS and not _converged(lo, hi)
 
 
 def _reachable_midpoints(lo: float, hi: float, steps: int, depth: int, out: list):

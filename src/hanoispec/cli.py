@@ -109,7 +109,6 @@ OUTPUT_FORMATS = ("csv", "json", "svg")  # csv and json are always written
 class OutputConfig:
     directory: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
-    seed: int = 20240601
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Two backends:
 
 * dense: reduce with the diagonal mass to the standard symmetric problem
   M^{-1/2} L M^{-1/2} and call LAPACK.  This is the oracle path and the
-  only one that returns eigenvalues; it is capped by a size limit.
+  only one that returns eigenvalues; it is capped by a size limit, and
+  the counting experiments of analysis reach it only when the dense
+  backend is asked for by name.
 
 * inertia: for counting only, by Sylvester's law of inertia: the
   negative pivots of an LDL^T-type elimination of L - x M count the
@@ -13,15 +15,17 @@ Two backends:
   BlockInertiaCounter, which eliminates the graph one level at a time
   with small dense blocks, for a batch of thresholds at once; the same
   pass gives the Dirichlet-Neumann bracketing sums of any level, so the
-  decoupled component pencils are never counted one by one; the
-  counting experiments of analysis use no other inertia counter.  Any
-  other pencil (one passed to count_below) is factored by InertiaCounter
-  with SuperLU under a symmetric column ordering and no row
-  interchanges; diag(U) is then the D of the LDL^T.  A factorization that is exactly singular, that had to interchange rows,
-  or that has a pivot magnitude under 1e-12 * max|L| (for the block
-  counter: a pivot block with an eigenvalue that small against its level)
-  means x sits numerically on an eigenvalue; the threshold is then nudged
-  up by 10 * eps_shift relatively and the elimination retried.
+  decoupled component pencils are never counted one by one.  It is the
+  default counting engine of analysis at every graph size and the only
+  inertia counter the counting experiments use.  Any other pencil (one
+  passed to count_below) is factored by InertiaCounter with SuperLU
+  under a symmetric column ordering and no row interchanges; diag(U) is
+  then the D of the LDL^T.  A factorization that is exactly singular,
+  that had to interchange rows, or that has a pivot magnitude under
+  1e-12 * max|L| (for the block counter: a pivot block with an
+  eigenvalue that small against its level) means x sits numerically on
+  an eigenvalue; the threshold is then nudged up by 10 * eps_shift
+  relatively and the elimination retried.
 
 The backends are cross-validated against each other in the test suite on
 every pencil family the package produces; InertiaCounter is the

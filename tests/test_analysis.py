@@ -27,7 +27,13 @@ from hanoispec.eigensolve import (
     eig_dense,
     lambda_max_bound,
 )
-from hanoispec.errors import AssemblyError, DomainError, InsufficientDataError, LevelError
+from hanoispec.errors import (
+    AssemblyError,
+    ConvergenceError,
+    DomainError,
+    InsufficientDataError,
+    LevelError,
+)
 from hanoispec.geometry import build_graph, enumerate_words
 from hanoispec.sequences import constant, explicit, geometric_to_limit, predicted_dimensions
 
@@ -177,10 +183,11 @@ class TestBracketing:
         assert [(smp.lower_sum, smp.upper_sum) for smp in rep.samples] == \
             component_sums(g, j, grid)
 
-    @pytest.mark.parametrize("backend", ["dense", "inertia"])
+    @pytest.mark.parametrize("backend", ["dense", "inertia", "auto"])
     def test_bracketed_run_counts_no_component(self, monkeypatch, backend):
         # the sums come from the block-elimination sweep: no component pencil
-        # is assembled or counted, and only the level-m pencils are solved
+        # is assembled or counted, and only the level-m pencils are solved,
+        # and only by dense; auto solves none, though n <= DENSE_LIMIT
         def forbidden(*args, **kwargs):
             raise AssertionError("a bracketed run assembled or factored a pencil")
 
@@ -196,8 +203,8 @@ class TestBracketing:
         monkeypatch.setattr(InertiaCounter, "__init__", forbidden)
         monkeypatch.setattr(eigensolve, "eig_dense", counting_dense)
         exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend=backend, bracket_level=2)
-        assert exp.bracketing.ok
-        assert sorted(solved) == ([] if backend == "inertia" else ["dirichlet_v0", "neumann"])
+        assert exp.bracketing.ok and exp.graph.n_vertices <= eigensolve.DENSE_LIMIT
+        assert sorted(solved) == (["dirichlet_v0", "neumann"] if backend == "dense" else [])
 
     def test_bracketed_run_eliminates_its_grid_once(self, monkeypatch):
         # the grid's N_D, N_N and both sums come from one pass of one counter
@@ -255,6 +262,22 @@ class TestAutoGrid:
         ev = eig_dense(p).eigenvalues
         for end, k in zip((grid[0], grid[-1]), grid_quantiles(p.n)):
             assert ev[k - 1] / (1 + 1e-9) <= end <= ev[k - 1] * (1 + 1e-4)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_unconverged_end_raises(self, k):
+        # the k-th step of N lies below upper * 2**-80: halving from the bound
+        # never gives the bisection a positive lower end within its budget
+        upper = 1e6
+        steps = [upper * 2.0 ** -90, upper * 2.0 ** -85]
+
+        def count(xs):
+            return [sum(x >= t for t in steps) for x in xs]
+
+        with pytest.raises(ConvergenceError):
+            analysis._bisect_quantiles(count, (k,), upper)
+        # with the steps within reach, both ends converge as before
+        ends = analysis._bisect_quantiles(count, (1, 2), upper * 2.0 ** -70)
+        assert [e / t for e, t in zip(ends, steps)] == pytest.approx([1, 1], rel=1e-4)
 
     @pytest.mark.parametrize("backend", ["dense", "inertia"])
     def test_point_cap(self, backend):
@@ -343,16 +366,22 @@ class TestExperimentPipeline:
             run_counting_experiment(SEQ, m, s, 0.25, backend="inertia", bracket_level=j)
 
     @pytest.mark.parametrize("bracket_level", [None, 2])
-    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("m, s", [(3, 2), (4, 2), (4, 3), (5, 2)])
     @pytest.mark.parametrize(
         "seq", [SEQ, geometric_to_limit(0.55, 0.3), explicit([0.45, 0.53], tail="cycle")],
         ids=lambda q: q.describe(),
     )
-    def test_block_counts_equal_superlu(self, seq, m, bracket_level):
+    def test_block_counts_equal_superlu(self, seq, m, s, bracket_level):
         # the experiment counts the level-m pencils by block elimination; the
-        # same grid ends, samples, fit and report must come from SuperLU on them
-        exp = run_counting_experiment(seq, m, 2, 0.25, backend="inertia",
+        # same grid ends, samples, fit and report must come from SuperLU on
+        # them, and from the dense backend and auto
+        exp = run_counting_experiment(seq, m, s, 0.25, backend="inertia",
                                       bracket_level=bracket_level)
+        for backend in ("dense", "auto"):
+            other = run_counting_experiment(seq, m, s, 0.25, backend=backend,
+                                            bracket_level=bracket_level)
+            assert (other.samples, other.fit, other.weyl_series, other.bracketing) == \
+                (exp.samples, exp.fit, exp.weyl_series, exp.bracketing)
         p_n = assemble_neumann(exp.graph)
         superlu = [InertiaCounter(p) for p in (apply_dirichlet(p_n, exp.graph, "v0"), p_n)]
 

@@ -32,10 +32,11 @@ def base_config(outdir, **overrides):
     return cfg
 
 
-# config_hash of each config as computed before the config parser was derived
-# from the dataclasses; every output file carries this hash, so it must not move
+# config_hash of each config: the sha256 of its canonical JSON, which holds
+# every settable value; every output file carries this hash, so it must not
+# move unless a settable value is added or removed
 GOLDEN_HASHES = [
-    ("feea755c85a85b0d", {  # the README example
+    ("2a8cf3d220103b11", {  # the README example
         "sequence": {"kind": "constant", "r": 0.5},
         "level": 4, "subdivisions": 2, "beta": 0.25,
         "solver": {"backend": "auto", "dense_limit": 4000, "eps_shift": 1e-9},
@@ -43,30 +44,30 @@ GOLDEN_HASHES = [
         "fit": {"n_min": 10, "eta": 0.2, "slope_tol": 0.08},
         "outputs": {"directory": "out", "formats": ["csv", "json", "svg"]},
     }),
-    ("4f47925326a12fe0", {
+    ("57be120dc8b31808", {
         "sequence": {"kind": "constant", "r": 0.5}, "level": 2, "beta": 0.25,
     }),
-    ("35fc9f953ba5480d", {
+    ("2900d512db8f07c1", {
         "sequence": {"kind": "explicit", "values": [0.45, 0.53], "tail": "cycle"},
         "level": 3, "subdivisions": 2, "beta": 0.2,
     }),
-    ("e0561fc87287f3c4", {
+    ("1c653f1b1290147d", {
         "sequence": {"kind": "explicit", "values": [0.5, 0.4, 0.55]},
         "level": 3, "beta": 0.3,
     }),
-    ("6480ba385f79f7d6", {
+    ("ec65351cf0526190", {
         "sequence": {"kind": "geometric_to_limit", "r_limit": 0.55, "q": 0.3},
         "level": 4, "subdivisions": 3, "beta": 0.28, "alpha": 0.4,
         "solver": {"backend": "inertia"},
     }),
-    ("59f05bb74e645f6e", {
+    ("ae4e78051c64edc2", {
         "sequence": {"kind": "constant", "r": 0.42},
         "level": 3, "subdivisions": 2, "beta": 0.25,
         "solver": {"backend": "dense", "dense_limit": 10, "k_lowest": 4},
         "grid": {"mode": "explicit", "values": [5, 20.0, 80.0, 320.0]},
-        "outputs": {"directory": "elsewhere", "formats": ["csv"], "seed": 7},
+        "outputs": {"directory": "elsewhere", "formats": ["csv"]},
     }),
-    ("030644b2d5885ca0", {
+    ("2e9784bc9b630fff", {
         "sequence": {"kind": "constant", "r": 0.5},
         "level": 3, "subdivisions": 2, "beta": 0.25,
         "solver": {"backend": "inertia", "eps_shift": 1e-10},
@@ -93,6 +94,8 @@ MALFORMED = [
                  id="solver.eps_shift-boolean"),
     pytest.param({"outputs": {"formats": ["csv", "svgg"]}}, "outputs.formats[1]",
                  id="outputs.formats"),
+    # no command ever read outputs.seed; it only moved the config hash
+    pytest.param({"outputs": {"seed": 7}}, "outputs.seed", id="outputs.seed"),
     # bracketing needs 1 <= bracketing_level < level and s >= 2; these once ran
     # the whole count before exiting 2
     pytest.param({"level": 3, "bracketing_level": 3}, "bracketing_level",
@@ -340,6 +343,23 @@ class TestCountingCommand:
         assert main(["counting", "--config", cfgfile, "--quiet"]) == 0
         report = json.loads((tmp_path / "outb" / "report.json").read_text())
         assert report["bracketing"]["violations"] == []
+
+    @pytest.mark.parametrize("bracketing", [None, 2], ids=["plain", "bracketed"])
+    def test_backends_write_the_same_files(self, tmp_path, bracketing):
+        # dense and inertia bisect the same auto-grid ends on the same counts,
+        # so every output agrees byte for byte apart from the config hash
+        outputs = {}
+        for backend in ("dense", "inertia"):
+            code, outdir = self._run(tmp_path, outname=backend, solver={"backend": backend},
+                                     bracketing_level=bracketing)
+            h = config_hash(load_config(str(tmp_path / f"{backend}.json")))
+            files = {}
+            for name in ("counting.csv", "report.json", "loglog.svg"):
+                lines = (outdir / name).read_text().splitlines()
+                assert sum(h in line for line in lines) == 1
+                files[name] = [line for line in lines if h not in line]
+            outputs[backend] = (code, files)
+        assert outputs["dense"] == outputs["inertia"]
 
     def test_insufficient_window_exit_two(self, tmp_path):
         cfg = base_config(tmp_path / "outx", level=1, subdivisions=1)
