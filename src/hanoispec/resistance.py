@@ -5,7 +5,8 @@ conductance Laplacian with its grounded vertices removed is factored once
 by SuperLU; a solve takes a matrix of right-hand sides, and a column whose
 residual is above 1e-10 * ||rhs|| gets one step of iterative refinement.
 A disconnected network raises ``ConnectivityError``.  The resistances
-among k vertices take one solve with k-1 columns.
+among k vertices take k-1 columns; a stack of vertex sets is solved in
+chunks of whole sets, with at most STACK_COLUMNS columns per solve.
 
 The module verifies the electrical equivalence that defines matching
 pairs (all boundary pair resistances equal 2/3 at every level), computes
@@ -29,6 +30,10 @@ from .sequences import MatchingSequence, resistance_dimension, scale_factors
 
 # The largest deviation from 2/3 that compatibility_check accepts.
 COMPATIBILITY_TOL = 1e-9
+
+# Right-hand-side columns per solve of a stack of vertex sets: an unchunked
+# stack of the 243 level-5 blocks raised peak memory by a fifth.
+STACK_COLUMNS = 64
 
 
 class GroundedSolver:
@@ -73,29 +78,55 @@ class GroundedSolver:
         return phi.reshape(b_full.shape)
 
     def resistance_matrix(self, ids) -> np.ndarray:
-        """Effective resistances among the k distinct vertices ``ids``, from one solve.
+        """Effective resistances among k distinct vertices: (k, k) for one set
+        ``ids`` of shape (k,), (B, k, k) for a stack of shape (B, k).
 
-        Column i of V holds the potentials at ``ids`` for the current
-        e_{ids[i]} - e_{ids[0]} (column 0 is zero); M = V - V[0] is their
-        energy pairing, so R[i, j] = M[i, i] + M[j, j] - 2 M[i, j].
+        For each set, column i of V holds the potentials at the set for the
+        current e_{ids[i]} - e_{ids[0]} (column 0 is zero); M = V - V[0] is
+        their energy pairing, so R[i, j] = M[i, i] + M[j, j] - 2 M[i, j].  A
+        stack is solved in chunks of whole sets of at most STACK_COLUMNS
+        columns; a single set takes one solve with k-1 columns.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        k = ids.size
-        if k < 2 or np.unique(ids).size != k:
-            raise DomainError("effective resistance needs two or more distinct vertices")
-        b = np.zeros((self.n, k - 1))
-        b[ids[1:], np.arange(k - 1)] = 1.0
-        b[ids[0]] = -1.0
-        V = np.zeros((k, k))
-        V[:, 1:] = self.solve(b)[ids]
-        M = V - V[0]
-        M = 0.5 * (M + M.T)     # symmetric in exact arithmetic
-        d = np.diag(M)
-        R = d[:, None] + d[None, :] - 2.0 * M
-        off = R[~np.eye(k, dtype=bool)]
-        if not np.all(off > 0.0):
+        if ids.ndim not in (1, 2):
+            raise DomainError(f"vertex ids must have shape (k,) or (B, k), got {ids.shape}")
+        stack = ids[None] if ids.ndim == 1 else ids
+        k = stack.shape[1]
+        if k < 2:
+            raise DomainError(f"effective resistance needs two or more vertices, got {k}")
+        repeated = (np.diff(np.sort(stack, axis=1), axis=1) == 0).any(axis=1)
+        if repeated.any():
+            raise DomainError(
+                "effective resistance needs distinct vertices, got "
+                f"{stack[np.argmax(repeated)].tolist()}"
+            )
+        per_solve = max(1, STACK_COLUMNS // (k - 1))
+        R = np.empty((len(stack), k, k))
+        for start in range(0, len(stack), per_solve):
+            R[start:start + per_solve] = self._stack_resistances(stack[start:start + per_solve])
+        return R[0] if ids.ndim == 1 else R
+
+    def _stack_resistances(self, stack: np.ndarray) -> np.ndarray:
+        """resistance_matrix of a (B, k) stack of distinct-vertex sets, from one solve."""
+        sets, k = stack.shape
+        cols = np.arange(sets * (k - 1)).reshape(sets, k - 1)
+        b = np.zeros((self.n, cols.size))
+        b[stack[:, 1:], cols] = 1.0
+        b[stack[:, :1], cols] = -1.0
+        phi = self.solve(b).reshape(self.n, sets, k - 1)
+        V = np.zeros((sets, k, k))
+        V[:, :, 1:] = phi[stack, np.arange(sets)[:, None]]
+        M = V - V[:, :1]
+        M = 0.5 * (M + M.transpose(0, 2, 1))     # symmetric in exact arithmetic
+        d = np.diagonal(M, axis1=1, axis2=2)
+        R = d[:, :, None] + d[:, None, :] - 2.0 * M
+        off = R[:, ~np.eye(k, dtype=bool)]
+        bad = ~np.all(off > 0.0, axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
             raise ConnectivityError(
-                f"nonpositive effective resistance {off.min()!r} among vertices {ids.tolist()}"
+                f"nonpositive effective resistance {off[i].min()!r} among vertices "
+                f"{stack[i].tolist()}"
             )
         return R
 
@@ -201,30 +232,37 @@ def cell_diameter_scaling(
     j_max: int,
     beta: float = 0.25,
 ) -> DiameterScaling:
-    """Corner-pair diameter proxy of every level-j block on the level-m graph.
+    """Corner-pair diameter proxy of every level-j block, j <= j_max.
 
     The proxy takes the maximum pairwise effective resistance among the
     three outer corners of the block; it underestimates the true block
     diameter by at most a bounded factor, which moves the intercept of
     the log fit, not its slope.
+
+    The resistances come from the level-j_max graph, whatever ``m`` is.
+    Matching pairs make every cell, seen from its three corners, the
+    triangle it refines (the compatibility of Alonso-Ruiz, Freiberg and
+    Kigami), so the level-m graph traced onto V_{j_max} is the level-j_max
+    graph (Kigami, *Analysis on Fractals*, 2001, ch. 2, on traces), and
+    the corner resistances of blocks of level <= j_max are the same on
+    both.  A larger graph only loses digits to rounding.  ``m`` stays in
+    the signature, validated as 0 <= j_max < m, because the CLI and the
+    benchmark pass it positionally.  Each level's 3**j corner triples are
+    one stacked ``resistance_matrix`` call.
     """
-    if j_max >= m:
-        raise LevelError(f"j_max ({j_max}) must be below the graph level ({m})")
-    g = build_graph(seq, m, s=1, beta=beta)
-    p = assemble_neumann(g)
-    solver = GroundedSolver(p)
+    if not 0 <= j_max < m:
+        raise LevelError(f"j_max ({j_max}) must be in 0..{m - 1}, below the graph level ({m})")
+    g = build_graph(seq, j_max, s=1, beta=beta)
+    solver = GroundedSolver(assemble_neumann(g))
     records = []
     max_d, min_d = [], []
     for j in range(j_max + 1):
-        best = -np.inf
-        worst = np.inf
-        for w in enumerate_words(j):
-            d = float(solver.resistance_matrix(cell_corner_ids(g, w)).max())
-            records.append((j, w, d))
-            best = max(best, d)
-            worst = min(worst, d)
-        max_d.append(best)
-        min_d.append(worst)
+        words = enumerate_words(j)
+        corners = np.array([cell_corner_ids(g, w) for w in words])
+        d = solver.resistance_matrix(corners).max(axis=(1, 2))
+        records.extend((j, w, dw) for w, dw in zip(words, d.tolist()))
+        max_d.append(float(d.max()))
+        min_d.append(float(d.min()))
 
     js = np.arange(j_max + 1, dtype=float)
     logs = np.log(np.array(max_d))
@@ -284,20 +322,14 @@ def resistance_diameter(
         return DiameterResult(float(R.max()), True, n * (n - 1) // 2, None)
     if mode != "sampled":
         raise DomainError(f"unknown diameter mode {mode!r}")
-    solver = GroundedSolver(p)
     rng = np.random.default_rng(seed)
-    best = 0.0
-    pairs = 0
     if anchors is None:
         anchors = list(range(min(3, n)))
-    for a in anchors:
-        for v in range(n):
-            if v == a:
-                continue
-            best = max(best, solver.pair_resistance(a, v))
-            pairs += 1
-    for _ in range(k):
-        u, v = rng.choice(n, size=2, replace=False)
-        best = max(best, solver.pair_resistance(int(u), int(v)))
-        pairs += 1
-    return DiameterResult(best, False, pairs, seed)
+    a = np.repeat(np.asarray(anchors, dtype=np.int64), n)
+    v = np.tile(np.arange(n), len(anchors))
+    # a call per pair: one call of size (k, 2) would make all 2k vertices distinct
+    draws = np.array([rng.choice(n, size=2, replace=False) for _ in range(k)],
+                     dtype=np.int64).reshape(k, 2)
+    pairs = np.concatenate([np.stack([a, v], axis=1)[a != v], draws])
+    R = GroundedSolver(p).resistance_matrix(pairs)
+    return DiameterResult(float(R[:, 0, 1].max(initial=0.0)), False, len(pairs), seed)

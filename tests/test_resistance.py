@@ -8,9 +8,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from hanoispec.assembly import Boundary, Pencil, assemble_decoupled, assemble_neumann
-from hanoispec.errors import ConnectivityError, LevelError, PencilSizeError
+from hanoispec.errors import ConnectivityError, DomainError, LevelError, PencilSizeError
 from hanoispec.geometry import build_graph, cell_corner_ids, enumerate_words
 from hanoispec.resistance import (
+    STACK_COLUMNS,
     GroundedSolver,
     cell_diameter_scaling,
     compatibility_check,
@@ -106,12 +107,40 @@ class TestDisconnected:
             lambda p: effective_resistance(p, 0, 1),
             lambda p: harmonic_extension(p, {0: 1.0, 1: 0.0}),
             lambda p: GroundedSolver(p),
+            lambda p: GroundedSolver(p).resistance_matrix([[0, 1], [0, 2]]),
         ],
-        ids=["across", "within", "harmonic_extension", "GroundedSolver"],
+        ids=["across", "within", "harmonic_extension", "GroundedSolver", "stacked"],
     )
     def test_connectivity_error(self, call):
         with pytest.raises(ConnectivityError):
             call(two_disjoint_edges())
+
+    def test_stacked_error_names_only_the_offending_set(self):
+        # one grounded vertex per component keeps the solver nonsingular;
+        # a set of two grounded vertices then has zero resistance
+        solver = GroundedSolver(two_disjoint_edges(), ground=[0, 2])
+        with pytest.raises(ConnectivityError, match=r"among vertices \[0, 2\]$"):
+            solver.resistance_matrix([[1, 3], [0, 2]])
+
+
+class TestResistanceMatrixShapes:
+    def test_repeated_vertex_names_only_its_set(self):
+        solver = GroundedSolver(assemble_neumann(build_graph(SEQ, 1, 1, 0.25)))
+        with pytest.raises(DomainError, match=r"got \[2, 5, 2\]$"):
+            solver.resistance_matrix([[0, 1, 2], [2, 5, 2], [3, 3, 4]])
+
+    @pytest.mark.parametrize("ids", [[0], [[0], [1]], [[[0, 1]]]], ids=["one", "ones", "3-d"])
+    def test_bad_shapes(self, ids):
+        solver = GroundedSolver(assemble_neumann(build_graph(SEQ, 1, 1, 0.25)))
+        with pytest.raises(DomainError):
+            solver.resistance_matrix(ids)
+
+    def test_chunks_hold_whole_sets(self, solve_calls):
+        p = assemble_neumann(build_graph(SEQ, 2, 1, 0.25))
+        R = GroundedSolver(p).resistance_matrix(np.tile([0, 5, 9, 14], (40, 1)))
+        assert R.shape == (40, 4, 4)
+        per_solve = STACK_COLUMNS // 3
+        assert solve_calls == [(p.n, 3 * per_solve), (p.n, 3 * (40 - per_solve))]
 
     def test_ground_in_every_component(self):
         ext = harmonic_extension(two_disjoint_edges(), {0: 1.0, 2: 0.0})
@@ -275,15 +304,36 @@ class TestDiameterScaling:
         )
         assert ds.slope == ds.slope_raw  # no drift for constant families
 
-    def test_level_guard(self):
+    @pytest.mark.parametrize("j_max", [3, -1])
+    def test_level_guard(self, j_max):
         with pytest.raises(LevelError):
-            cell_diameter_scaling(SEQ, 3, 3)
+            cell_diameter_scaling(SEQ, 3, j_max)
 
     def test_records_cover_all_blocks(self, solve_calls):
         ds = cell_diameter_scaling(SEQ, 3, 2)
         assert len(ds.records) == 1 + 3 + 9
-        # one two-column solve per block
-        assert solve_calls == [(81, 2)] * len(ds.records)
+        # one stacked solve per level on the level-2 graph, two columns a block
+        assert solve_calls == [(27, 2), (27, 6), (27, 18)]
+
+    @pytest.mark.parametrize(
+        "seq",
+        [constant(0.5), geometric_to_limit(0.55, 0.3), explicit([0.45, 0.53], "cycle")],
+        ids=["constant", "geometric", "band"],
+    )
+    @pytest.mark.parametrize("j_max", [0, 1, 2, 3])
+    def test_level_m_graph_traces_to_level_j_max(self, seq, j_max):
+        # the diameters come from the level-j_max graph; the level-m graph's
+        # corner resistances agree with them, so m changes nothing
+        ds = cell_diameter_scaling(seq, j_max + 1, j_max)
+        assert cell_diameter_scaling(seq, j_max + 2, j_max).records == ds.records
+        diameters = np.array([d for _, _, d in ds.records])
+        for m in (j_max + 1, j_max + 2):
+            g = build_graph(seq, m, 1, 0.25)
+            ids = [v for _, w, _ in ds.records for v in cell_corner_ids(g, w)]
+            R = pinv_resistances(assemble_neumann(g), ids)
+            blocks = np.arange(len(ds.records))
+            oracle = R.reshape(len(blocks), 3, len(blocks), 3)[blocks, :, blocks].max(axis=(1, 2))
+            np.testing.assert_allclose(diameters, oracle, rtol=1e-9)
 
 
 RATIOS = st.floats(0.2, 0.58)
@@ -320,6 +370,21 @@ class TestResistanceMatrixProperties:
         assert np.all(np.diag(R) == 0.0)
         # triangle inequality R[i, j] <= R[i, l] + R[l, j] over all triples
         assert np.all(R[:, None, :] <= (R[:, :, None] + R[None, :, :]) * (1 + 1e-12))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(networks(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_stack_matches_one_call_per_set(self, net, cross_chunk, seed):
+        # B = 1, or one set more than a solve takes, so the stack spans two solves
+        p, ids = net
+        k = len(ids)
+        sets = STACK_COLUMNS // (k - 1) + 1 if cross_chunk else 1
+        rng = np.random.default_rng(seed)
+        stack = [ids] + [rng.permutation(p.n)[:k] for _ in range(sets - 1)]
+        solver = GroundedSolver(p)
+        R = solver.resistance_matrix(stack)
+        assert R.shape == (sets, k, k)
+        for Rs, s in zip(R, stack):
+            np.testing.assert_allclose(Rs, solver.resistance_matrix(s), rtol=1e-12, atol=0)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(networks())
