@@ -389,7 +389,8 @@ def free_path_pencil(s: int, resistance: float = 1.0, mass: float = 1.0) -> Penc
     if s < 1:
         raise DomainError(f"need at least one segment, got {s}")
     n = s + 1
-    L = _laplacian_from_edges(((i, i + 1, resistance / s) for i in range(s)), n)
+    i = np.arange(s)
+    L = _laplacian_from_edges(i, i + 1, np.full(s, resistance / s), n)
     m = np.full(n, mass / s)
     m[0] = m[-1] = mass / (2 * s)
     return Pencil(L, m, Boundary("neumann", component="path"), np.arange(n))

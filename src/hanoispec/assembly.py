@@ -78,15 +78,22 @@ class Pencil:
         return "\n".join(lines) + "\n", "\n".join(mass_lines) + "\n"
 
 
-def _laplacian_from_edges(edge_iter, n: int) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for u, v, r in edge_iter:
-        if r <= 0.0:
-            raise AssemblyError(f"edge ({u},{v}) has nonpositive resistance {r!r}")
-        c = 1.0 / r
-        rows += [u, v, u, v]
-        cols += [u, v, v, u]
-        vals += [c, c, -c, -c]
+def _laplacian_from_edges(u: np.ndarray, v: np.ndarray, r: np.ndarray, n: int) -> sp.csr_matrix:
+    """Conductance Laplacian of the edges (u[e], v[e]) with resistances r[e].
+
+    Edge after edge, the COO triplets are (u,u), (v,v), (u,v), (v,u).
+    """
+    bad = ~(np.isfinite(r) & (r > 0.0))
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise AssemblyError(
+            f"edge ({u[e]},{v[e]}) has resistance {float(r[e])!r}; "
+            "it must be finite and positive"
+        )
+    c = 1.0 / r
+    rows = np.stack([u, v, u, v], axis=1).ravel()
+    cols = np.stack([u, v, v, u], axis=1).ravel()
+    vals = np.stack([c, c, -c, -c], axis=1).ravel()
     L = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     L.sum_duplicates()
     L.sort_indices()
@@ -96,7 +103,7 @@ def _laplacian_from_edges(edge_iter, n: int) -> sp.csr_matrix:
 def assemble_neumann(g: GraphApprox) -> Pencil:
     """Full conductance Laplacian with the lumped masses (free boundary)."""
     n = g.n_vertices
-    L = _laplacian_from_edges(((e.u, e.v, e.resistance) for e in g.edges), n)
+    L = _laplacian_from_edges(g.edge_u, g.edge_v, g.edge_r, n)
     mass = g.masses
     if np.any(mass <= 0.0):
         raise AssemblyError("every vertex must carry positive mass")
@@ -126,7 +133,7 @@ def apply_dirichlet(p: Pencil, g: GraphApprox, where: str, level: Optional[int] 
     elif where == "vm":
         if level is None:
             raise LevelError("where='vm' needs a level")
-        constrained = vertex_set_v(g, level) + vertex_set_v(g, 0)
+        constrained = np.concatenate([vertex_set_v(g, level), vertex_set_v(g, 0)])
         boundary = Boundary("dirichlet_vm", level=level)
     else:
         raise LevelError(f"unknown constraint set {where!r}")
@@ -179,13 +186,10 @@ def assemble_decoupled(g: GraphApprox, j: int, kind: str) -> list[Pencil]:
         # bridge's end segment, and the corner's line share is its end share
         relink = np.arange(n)
         relink[ends] = n + np.arange(ends.size)
-        relink = relink.tolist()
-        edges = (
-            (e.u, e.v, e.resistance) if e.kind == "cell"
-            else (relink[e.u], relink[e.v], e.resistance)
-            for e in g.edges
-        )
-        L = _laplacian_from_edges(edges, n + ends.size)
+        u, v = g.edge_u.copy(), g.edge_v.copy()
+        line = slice(g.n_cell_edges, None)
+        u[line], v[line] = relink[u[line]], relink[v[line]]
+        L = _laplacian_from_edges(u, v, g.edge_r, n + ends.size)
         mass = np.concatenate([g.mass_cell + np.where(cut, 0.0, g.mass_line),
                                g.mass_line[ends]])
         vertex_map = np.concatenate([np.arange(n), ends])

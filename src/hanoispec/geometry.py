@@ -22,6 +22,16 @@ level-k bridge receives (1/3 - beta)*beta**(k-1)/2, lumped trapezoidally
 along its path (interior nodes take 1/s of the bridge mass, each endpoint
 corner takes 1/(2s)).  The total is exactly 1 at every level.
 
+The graph is a set of arrays, and the arrays are its only representation.
+Edges come in one fixed order: first the three sides (3r, 3r+1),
+(3r, 3r+2), (3r+1, 3r+2) of every m-cell of rank r, then the s segments
+of every bridge, bridges ordered by level, then address w, then edge
+index i, each path walked from its end in block w*a to its end in block
+w*b.  ``edge_u``, ``edge_v``, ``edge_r`` and ``edge_level`` hold the
+edges in that order and ``bridge_paths`` the vertex path of every bridge.
+The per-object records ``tags``, ``edges`` and ``line_paths`` are built
+from these arrays on access, for dumps and tests.
+
 Euclidean coordinates (corner maps with contraction (1-alpha)/2) are
 optional and used only for dumps; the analysis is purely combinatorial.
 """
@@ -42,6 +52,10 @@ ALPHABET = "123"
 
 # Unit equilateral triangle used when Euclidean coordinates are requested.
 _P0 = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
+
+# The letters a < b other than the edge index i = 1, 2, 3, less one.
+_A = np.array([1, 0, 0])
+_B = np.array([2, 2, 1])
 
 
 def enumerate_words(m: int) -> list[str]:
@@ -103,9 +117,22 @@ class LinePath:
     mass: float             # total lumped mass of the bridge
 
 
+def _bridge_addresses(m: int):
+    """(level k, word w, edge i) of every bridge, in bridge order."""
+    for k in range(1, m + 1):
+        for w in enumerate_words(k - 1):
+            for i in (1, 2, 3):
+                yield k, w, i
+
+
 @dataclass(eq=False)
 class GraphApprox:
-    """The level-m weighted graph with lumped vertex masses."""
+    """The level-m weighted graph with lumped vertex masses.
+
+    Edges are held in the module's edge order: the first ``n_cell_edges``
+    are the cell sides, the rest the bridge segments.  ``tags``, ``edges``
+    and ``line_paths`` are derived from the arrays on each access.
+    """
 
     m: int
     s: int
@@ -114,9 +141,11 @@ class GraphApprox:
     seq: MatchingSequence
     delta: np.ndarray               # delta_0..delta_m
     gamma: np.ndarray               # gamma_1..gamma_m (empty for m = 0)
-    tags: list
-    edges: list
-    line_paths: list
+    edge_u: np.ndarray              # first vertex of every edge
+    edge_v: np.ndarray              # second vertex of every edge
+    edge_r: np.ndarray              # resistance of every edge
+    edge_level: np.ndarray          # m for cell edges, bridge level k for line segments
+    bridge_paths: np.ndarray        # (n_bridges, s + 1) vertex path of every bridge
     mass_cell: np.ndarray           # cell-measure share per vertex
     mass_line: np.ndarray           # line-measure share per vertex
     line_level: np.ndarray          # level of the unique bridge at a corner (0 = none)
@@ -124,15 +153,47 @@ class GraphApprox:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.tags)
+        return self.mass_cell.size
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.edge_u.size
+
+    @property
+    def n_cell_edges(self) -> int:
+        return 3 ** (self.m + 1)
 
     @property
     def masses(self) -> np.ndarray:
         return self.mass_cell + self.mass_line
+
+    @property
+    def tags(self) -> list:
+        """One CornerTag or LineTag per vertex, indexed by vertex id."""
+        tags = [CornerTag(w, i) for w in enumerate_words(self.m) for i in (1, 2, 3)]
+        for k, w, i in _bridge_addresses(self.m):
+            tags.extend(LineTag(k, w, i, pos) for pos in range(1, self.s))
+        return tags
+
+    @property
+    def edges(self) -> list:
+        """One EdgeRec per edge, in edge order."""
+        nc = self.n_cell_edges
+        kinds = ["cell"] * nc + ["line"] * (self.n_edges - nc)
+        return [
+            EdgeRec(*rec) for rec in zip(self.edge_u.tolist(), self.edge_v.tolist(),
+                                         self.edge_r.tolist(), kinds,
+                                         self.edge_level.tolist())
+        ]
+
+    @property
+    def line_paths(self) -> list:
+        """One LinePath per bridge, in bridge order."""
+        gamma = self.gamma.tolist()
+        return [
+            LinePath(k, w, i, tuple(nodes), gamma[k - 1], bridge_mass(k, self.beta))
+            for (k, w, i), nodes in zip(_bridge_addresses(self.m), self.bridge_paths.tolist())
+        ]
 
     def corner_id(self, word: str, corner: int) -> int:
         """Vertex id of corner ``corner`` of the m-cell ``word``."""
@@ -174,9 +235,15 @@ def bridge_mass(k: int, beta: float) -> float:
     return 0.5 * (1.0 / 3.0 - beta) * beta ** (k - 1)
 
 
-def _other_letters(i: int) -> tuple[int, int]:
-    a, b = sorted({1, 2, 3} - {i})
-    return a, b
+def _block_corners(m: int, j: int) -> np.ndarray:
+    """(3**j, 3) vertex ids: row rank(w), column i - 1 is corner i of block w.
+
+    Corner i of block w is corner i of the cell w*i*...*i of rank
+    rank(w)*3**(m-j) + (i-1)*(3**(m-j) - 1)/2.
+    """
+    t = 3 ** (m - j)
+    i = np.arange(3)
+    return 3 * (t * np.arange(3 ** j)[:, None] + i * ((t - 1) // 2)) + i
 
 
 def build_graph(
@@ -190,7 +257,14 @@ def build_graph(
 
     Vertex ids are deterministic: corner (w, i) gets id 3*rank(w) + i - 1,
     and interior line nodes follow in bridge enumeration order (by level,
-    then address, then edge index).
+    then address, then edge index), s - 1 per bridge.
+
+    The bridge ends come in closed form, vectorised over all words u and
+    edges i of a level k: with {a, b} = {1, 2, 3} \\ {i}, the bridge joins
+    corner b of the cell u*a*b^(m-k) to corner a of the cell u*b*a^(m-k),
+    and the rank of u*a*b^(m-k) is
+
+        rank(u)*3**(m-k+1) + (a-1)*3**(m-k) + (b-1)*(3**(m-k) - 1)/2.
     """
     if m < 0:
         raise DomainError(f"level must be >= 0, got {m}")
@@ -211,79 +285,65 @@ def build_graph(
         delta = np.array([1.0])
         gamma = np.array([])
 
-    words = enumerate_words(m)
     n_corners = 3 ** (m + 1)
     n_bridges = (3 ** (m + 1) - 3) // 2
     n = n_corners + (s - 1) * n_bridges
 
-    tags: list = [None] * n
     mass_cell = np.zeros(n)
+    mass_cell[:n_corners] = cell_mass(m, beta) / 3.0
     mass_line = np.zeros(n)
     line_level = np.zeros(n, dtype=np.int64)
-    edges: list = []
-    line_paths: list = []
 
-    corner_share = cell_mass(m, beta) / 3.0
-    delta_m = float(delta[m])
-    for rank, w in enumerate(words):
-        base = 3 * rank
-        for i in (1, 2, 3):
-            tags[base + i - 1] = CornerTag(w, i)
-            mass_cell[base + i - 1] = corner_share
-        edges.append(EdgeRec(base, base + 1, delta_m, "cell", m))
-        edges.append(EdgeRec(base, base + 2, delta_m, "cell", m))
-        edges.append(EdgeRec(base + 1, base + 2, delta_m, "cell", m))
-
-    next_id = n_corners
+    paths = np.empty((n_bridges, s + 1), dtype=np.int64)
+    paths[:, 1:s] = n_corners + np.arange(n_bridges * (s - 1)).reshape(n_bridges, s - 1)
+    seg_r = np.empty(n_bridges)
+    bridge_level = np.empty(n_bridges, dtype=np.int64)
+    start = 0
     for k in range(1, m + 1):
-        gk = float(gamma[k - 1])
-        seg_r = gk / s
+        stop = start + 3 ** k
+        # corners[u, a - 1, c - 1] is corner c of the level-k block u*a
+        corners = _block_corners(m, k).reshape(-1, 3, 3)
+        paths[start:stop, 0] = corners[:, _A, _B].ravel()
+        paths[start:stop, s] = corners[:, _B, _A].ravel()
         bm = bridge_mass(k, beta)
-        for u in enumerate_words(k - 1):
-            for i in (1, 2, 3):
-                a, b = _other_letters(i)
-                ra = u + str(a) + str(b) * (m - k)
-                rb = u + str(b) + str(a) * (m - k)
-                va = 3 * word_rank(ra) + (b - 1)
-                vb = 3 * word_rank(rb) + (a - 1)
-                path = [va]
-                for pos in range(1, s):
-                    tags[next_id] = LineTag(k, u, i, pos)
-                    mass_line[next_id] = bm / s
-                    path.append(next_id)
-                    next_id += 1
-                path.append(vb)
-                mass_line[va] += bm / (2 * s)
-                mass_line[vb] += bm / (2 * s)
-                line_level[va] = k
-                line_level[vb] = k
-                for p in range(s):
-                    edges.append(EdgeRec(path[p], path[p + 1], seg_r, "line", k))
-                line_paths.append(
-                    LinePath(k, u, i, tuple(path), gk, bm)
-                )
+        mass_line[paths[start:stop, 1:s]] = bm / s
+        ends = paths[start:stop][:, [0, s]]
+        # a corner ends at most one bridge, so this sets its whole line share
+        mass_line[ends] = bm / (2 * s)
+        line_level[ends] = k
+        seg_r[start:stop] = float(gamma[k - 1]) / s
+        bridge_level[start:stop] = k
+        start = stop
+
+    cells = 3 * np.arange(3 ** m)
+    edge_u = np.concatenate([np.stack([cells, cells, cells + 1], axis=1).ravel(),
+                             paths[:, :s].ravel()])
+    edge_v = np.concatenate([np.stack([cells + 1, cells + 2, cells + 2], axis=1).ravel(),
+                             paths[:, 1:].ravel()])
+    edge_r = np.concatenate([np.full(n_corners, float(delta[m])), np.repeat(seg_r, s)])
+    edge_level = np.concatenate([np.full(n_corners, m, dtype=np.int64),
+                                 np.repeat(bridge_level, s)])
 
     coords = None
     if alpha is not None:
         coords = np.zeros((n, 2))
         c = (1.0 - alpha) / 2.0
-        for rank, w in enumerate(words):
-            pts = _P0.copy()
-            for ch in reversed(w):
-                p = _P0[int(ch) - 1]
-                pts = c * (pts - p) + p
-            coords[3 * rank : 3 * rank + 3] = pts
-        for lp in line_paths:
-            pa = coords[lp.nodes[0]]
-            pb = coords[lp.nodes[-1]]
-            for j, vid in enumerate(lp.nodes[1:-1], start=1):
-                t = j / s
-                coords[vid] = (1.0 - t) * pa + t * pb
+        # apply the corner maps of each word from its last letter to its first
+        pts = np.broadcast_to(_P0, (3 ** m, 3, 2))
+        for p in range(m):
+            q = _P0[(np.arange(3 ** m) // 3 ** p) % 3][:, None, :]
+            pts = c * (pts - q) + q
+        coords[:n_corners] = pts.reshape(n_corners, 2)
+        pa, pb = coords[paths[:, 0]], coords[paths[:, s]]
+        for j in range(1, s):
+            t = j / s
+            coords[paths[:, j]] = (1.0 - t) * pa + t * pb
 
     return GraphApprox(
         m=m, s=s, beta=beta, alpha=alpha, seq=seq,
         delta=np.asarray(delta, dtype=float), gamma=np.asarray(gamma, dtype=float),
-        tags=tags, edges=edges, line_paths=line_paths,
+        edge_u=edge_u, edge_v=edge_v, edge_r=edge_r, edge_level=edge_level,
+        bridge_paths=paths,
         mass_cell=mass_cell, mass_line=mass_line, line_level=line_level,
         coords=coords,
     )
@@ -305,11 +365,16 @@ def cell_corner_ids(g: GraphApprox, word: str) -> tuple[int, int, int]:
     )
 
 
-def vertex_set_v(g: GraphApprox, j: int) -> list[int]:
-    """Vertex ids of V_j: all outer corners of the 3**j level-j blocks."""
+def block_corner_ids(g: GraphApprox, j: int) -> np.ndarray:
+    """The (3**j, 3) outer-corner vertex ids of all level-j blocks.
+
+    Row r holds ``cell_corner_ids(g, w)`` for the word w of rank r.
+    """
     if not (0 <= j <= g.m):
         raise LevelError(f"level {j} outside 0..{g.m}")
-    ids = []
-    for w in enumerate_words(j):
-        ids.extend(cell_corner_ids(g, w))
-    return sorted(set(ids))
+    return _block_corners(g.m, j)
+
+
+def vertex_set_v(g: GraphApprox, j: int) -> np.ndarray:
+    """Sorted vertex ids of V_j: all outer corners of the 3**j level-j blocks."""
+    return np.sort(block_corner_ids(g, j), axis=None)

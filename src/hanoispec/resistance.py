@@ -25,7 +25,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import Pencil, assemble_neumann
 from .errors import ConnectivityError, DomainError, LevelError, PencilSizeError
-from .geometry import build_graph, cell_corner_ids, enumerate_words
+from .geometry import block_corner_ids, build_graph, enumerate_words
 from .sequences import MatchingSequence, resistance_dimension, scale_factors
 
 # The largest deviation from 2/3 that compatibility_check accepts.
@@ -170,7 +170,7 @@ def compatibility_check(
     max_dev = 0.0
     for m in range(m_max + 1):
         g = build_graph(seq, m, s=1, beta=beta)
-        R = GroundedSolver(assemble_neumann(g)).resistance_matrix(cell_corner_ids(g, ""))
+        R = GroundedSolver(assemble_neumann(g)).resistance_matrix(block_corner_ids(g, 0)[0])
         triple = (float(R[0, 1]), float(R[0, 2]), float(R[1, 2]))
         triples.append(triple)
         max_dev = max(max_dev, max(abs(r - 2.0 / 3.0) for r in triple))
@@ -257,10 +257,8 @@ def cell_diameter_scaling(
     records = []
     max_d, min_d = [], []
     for j in range(j_max + 1):
-        words = enumerate_words(j)
-        corners = np.array([cell_corner_ids(g, w) for w in words])
-        d = solver.resistance_matrix(corners).max(axis=(1, 2))
-        records.extend((j, w, dw) for w, dw in zip(words, d.tolist()))
+        d = solver.resistance_matrix(block_corner_ids(g, j)).max(axis=(1, 2))
+        records.extend((j, w, dw) for w, dw in zip(enumerate_words(j), d.tolist()))
         max_d.append(float(d.max()))
         min_d.append(float(d.min()))
 

@@ -307,10 +307,11 @@ class TestOneDimReference:
         spec = eig_dense(free_path_pencil(2))
         np.testing.assert_allclose(spec.eigenvalues, [0.0, 8.0, 16.0], atol=1e-10)
 
-    @pytest.mark.parametrize("resistance", [0.0, -1.0])
+    @pytest.mark.parametrize("resistance", [0.0, -1.0, float("nan"), float("inf")])
     def test_path_pencil_nonpositive_resistance(self, resistance):
-        # 0 once raised a bare ZeroDivisionError, -1 gave a negative diagonal
-        with pytest.raises(AssemblyError):
+        # 0 once raised a bare ZeroDivisionError, -1 gave a negative diagonal,
+        # nan an all-nan Laplacian and inf an all-zero one
+        with pytest.raises(AssemblyError, match=r"edge \(0,1\)"):
             free_path_pencil(3, resistance=resistance)
 
     def test_s_guard(self):
@@ -326,6 +327,7 @@ class TestRegroupingIdentity:
         g = build_graph(SEQ, 3, 1, 0.25)
         rng = np.random.default_rng(5)
         cell_edges = [e for e in g.edges if e.kind == "cell"]
+        tags = g.tags
         for _ in range(10):
             u = rng.normal(size=g.n_vertices)
             q_full = sum((u[e.u] - u[e.v]) ** 2 for e in cell_edges)
@@ -334,7 +336,7 @@ class TestRegroupingIdentity:
                 q_groups += sum(
                     (u[e.u] - u[e.v]) ** 2
                     for e in cell_edges
-                    if g.tags[e.u].word.startswith(letter)
+                    if tags[e.u].word.startswith(letter)
                 )
             assert q_groups == pytest.approx(q_full, rel=1e-12)
 

@@ -12,7 +12,7 @@ from hanoispec.assembly import (
     assemble_neumann,
 )
 from hanoispec.eigensolve import eig_dense
-from hanoispec.errors import EmptyPencilError, LevelError
+from hanoispec.errors import AssemblyError, EmptyPencilError, LevelError
 from hanoispec.geometry import build_graph
 from hanoispec.sequences import constant, explicit
 
@@ -61,6 +61,13 @@ class TestNeumann:
         p = assemble_neumann(graph(2, 2))
         w = np.linalg.eigvalsh(p.L.toarray())
         assert w[0] >= -1e-12 * abs(w[-1])
+
+    def test_names_first_bad_edge(self):
+        g = graph(2, 2)
+        g.edge_r[[7, 40]] = [np.inf, -1.0]
+        u, v = g.edge_u[7], g.edge_v[7]
+        with pytest.raises(AssemblyError, match=rf"edge \({u},{v}\) has resistance inf"):
+            assemble_neumann(g)
 
     def test_zero_mode_constant(self):
         p = assemble_neumann(graph(2, 1))

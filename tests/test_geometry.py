@@ -1,18 +1,30 @@
 """Graph construction: counts, masses, addressing, determinism."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from hanoispec.assembly import assemble_neumann
-from hanoispec.errors import AddressError, DomainError
+from hanoispec.assembly import Boundary, Pencil, _components, assemble_decoupled, assemble_neumann
+from hanoispec.errors import AddressError, DomainError, LevelError
 from hanoispec.geometry import (
+    CornerTag,
+    EdgeRec,
+    LinePath,
+    LineTag,
+    block_corner_ids,
+    bridge_mass,
     build_graph,
     cell_corner_ids,
+    cell_mass,
     enumerate_words,
+    vertex_set_v,
     word_rank,
 )
-from hanoispec.sequences import constant
+from hanoispec.sequences import constant, explicit, geometric_to_limit, scale_factors
 
 SEQ = constant(0.5)
 
@@ -167,6 +179,21 @@ class TestAddressing:
         with pytest.raises(AddressError):
             cell_corner_ids(g, "4")
 
+    @pytest.mark.parametrize("m", range(0, 5))
+    def test_block_corner_ids_match_cell_corner_ids(self, m):
+        g = build_graph(SEQ, m, 2, 0.25)
+        for j in range(m + 1):
+            words = enumerate_words(j)
+            expect = [cell_corner_ids(g, w) for w in words]
+            assert block_corner_ids(g, j).tolist() == [list(ids) for ids in expect]
+            assert vertex_set_v(g, j).tolist() == sorted({v for ids in expect for v in ids})
+
+    def test_block_corner_ids_level_range(self):
+        g = build_graph(SEQ, 2, 1, 0.25)
+        for j in (-1, 3):
+            with pytest.raises(LevelError):
+                block_corner_ids(g, j)
+
 
 GOLDEN_M1_S2 = """\
 V 0 corner 1 1 0.09722222222222221
@@ -227,3 +254,199 @@ class TestDeterminism:
         assert first[:5] == ["V", "0", "corner", "1", "1"]
         assert len(first) == 8  # mass plus x and y columns
         assert float(first[6]) == 0.0 and float(first[7]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-object loop construction that the arrays replaced
+# ---------------------------------------------------------------------------
+
+_P0 = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
+
+
+def _loop_build(seq, m, s, beta, alpha=None):
+    """The level-m graph built one object per vertex, edge and bridge, each
+    bridge end found by ranking its cell word."""
+    if m >= 1:
+        sf = scale_factors(seq, m)
+        delta, gamma = sf.delta, sf.gamma
+    else:
+        delta, gamma = np.array([1.0]), np.array([])
+    words = enumerate_words(m)
+    n_corners = 3 ** (m + 1)
+    n = n_corners + (s - 1) * (3 ** (m + 1) - 3) // 2
+    tags = [None] * n
+    mass_cell = np.zeros(n)
+    mass_line = np.zeros(n)
+    line_level = np.zeros(n, dtype=np.int64)
+    edges, line_paths = [], []
+
+    corner_share = cell_mass(m, beta) / 3.0
+    delta_m = float(delta[m])
+    for rank, w in enumerate(words):
+        base = 3 * rank
+        for i in (1, 2, 3):
+            tags[base + i - 1] = CornerTag(w, i)
+            mass_cell[base + i - 1] = corner_share
+        edges.append(EdgeRec(base, base + 1, delta_m, "cell", m))
+        edges.append(EdgeRec(base, base + 2, delta_m, "cell", m))
+        edges.append(EdgeRec(base + 1, base + 2, delta_m, "cell", m))
+
+    next_id = n_corners
+    for k in range(1, m + 1):
+        gk = float(gamma[k - 1])
+        seg_r = gk / s
+        bm = bridge_mass(k, beta)
+        for u in enumerate_words(k - 1):
+            for i in (1, 2, 3):
+                a, b = sorted({1, 2, 3} - {i})
+                va = 3 * word_rank(u + str(a) + str(b) * (m - k)) + (b - 1)
+                vb = 3 * word_rank(u + str(b) + str(a) * (m - k)) + (a - 1)
+                path = [va]
+                for pos in range(1, s):
+                    tags[next_id] = LineTag(k, u, i, pos)
+                    mass_line[next_id] = bm / s
+                    path.append(next_id)
+                    next_id += 1
+                path.append(vb)
+                mass_line[va] += bm / (2 * s)
+                mass_line[vb] += bm / (2 * s)
+                line_level[va] = k
+                line_level[vb] = k
+                for p in range(s):
+                    edges.append(EdgeRec(path[p], path[p + 1], seg_r, "line", k))
+                line_paths.append(LinePath(k, u, i, tuple(path), gk, bm))
+
+    coords = None
+    if alpha is not None:
+        coords = np.zeros((n, 2))
+        c = (1.0 - alpha) / 2.0
+        for rank, w in enumerate(words):
+            pts = _P0.copy()
+            for ch in reversed(w):
+                p = _P0[int(ch) - 1]
+                pts = c * (pts - p) + p
+            coords[3 * rank : 3 * rank + 3] = pts
+        for lp in line_paths:
+            pa = coords[lp.nodes[0]]
+            pb = coords[lp.nodes[-1]]
+            for j, vid in enumerate(lp.nodes[1:-1], start=1):
+                t = j / s
+                coords[vid] = (1.0 - t) * pa + t * pb
+
+    return SimpleNamespace(tags=tags, edges=edges, line_paths=line_paths,
+                           mass_cell=mass_cell, mass_line=mass_line,
+                           line_level=line_level, coords=coords)
+
+
+def _loop_dump(ref) -> str:
+    out = []
+    for vid, tag in enumerate(ref.tags):
+        mass = ref.mass_cell[vid] + ref.mass_line[vid]
+        word = tag.word or "-"
+        if isinstance(tag, CornerTag):
+            fields = ["V", str(vid), "corner", word, str(tag.corner), f"{mass:.17g}"]
+        else:
+            fields = ["V", str(vid), "line", word, f"{tag.edge}@{tag.pos}", f"{mass:.17g}"]
+        if ref.coords is not None:
+            fields += [f"{ref.coords[vid, 0]:.17g}", f"{ref.coords[vid, 1]:.17g}"]
+        out.append(" ".join(fields))
+    for e in ref.edges:
+        out.append(f"E {e.u} {e.v} {e.resistance:.17g} {e.kind} {e.level}")
+    return "\n".join(out) + "\n"
+
+
+def _loop_laplacian(edge_iter, n):
+    rows, cols, vals = [], [], []
+    for u, v, r in edge_iter:
+        c = 1.0 / r
+        rows += [u, v, u, v]
+        cols += [u, v, v, u]
+        vals += [c, c, -c, -c]
+    L = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    L.sum_duplicates()
+    L.sort_indices()
+    return L
+
+
+def _loop_neumann_split(ref, j):
+    n = len(ref.tags)
+    cut = (ref.line_level > 0) & (ref.line_level <= j)
+    ends = np.flatnonzero(cut)
+    relink = np.arange(n)
+    relink[ends] = n + np.arange(ends.size)
+    relink = relink.tolist()
+    L = _loop_laplacian(
+        ((e.u, e.v, e.resistance) if e.kind == "cell"
+         else (relink[e.u], relink[e.v], e.resistance) for e in ref.edges),
+        n + ends.size,
+    )
+    mass = np.concatenate([ref.mass_cell + np.where(cut, 0.0, ref.mass_line),
+                           ref.mass_line[ends]])
+    vertex_map = np.concatenate([np.arange(n), ends])
+    boundary = Boundary("neumann_split", j)
+    return _components(Pencil(L, mass, boundary, vertex_map), boundary)
+
+
+def _same(a, b):
+    """Equal dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def _same_matrix(A, B):
+    for name in ("data", "indices", "indptr"):
+        _same(getattr(A, name), getattr(B, name))
+
+
+FAMILIES = {
+    "constant(0.5)": constant(0.5),
+    "geometric_to_limit(0.55, 0.3)": geometric_to_limit(0.55, 0.3),
+    "explicit([0.45, 0.53], cycle)": explicit([0.45, 0.53], "cycle"),
+}
+
+
+class TestLoopOracle:
+    """The array construction reproduces the loop builder bit for bit."""
+
+    @pytest.mark.parametrize("s", range(1, 4))
+    @pytest.mark.parametrize("m", range(0, 7))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_bit_identical(self, family, m, s):
+        seq = FAMILIES[family]
+        alpha = 0.4 if s == 2 else None
+        g = build_graph(seq, m, s, 0.25, alpha)
+        ref = _loop_build(seq, m, s, 0.25, alpha)
+
+        _same(g.edge_u, [e.u for e in ref.edges])
+        _same(g.edge_v, [e.v for e in ref.edges])
+        _same(g.edge_r, [e.resistance for e in ref.edges])
+        _same(g.edge_level, np.array([e.level for e in ref.edges], dtype=np.int64))
+        assert [e.kind for e in ref.edges[:g.n_cell_edges]] == ["cell"] * g.n_cell_edges
+        assert {e.kind for e in ref.edges[g.n_cell_edges:]} <= {"line"}
+        _same(g.bridge_paths, np.array([lp.nodes for lp in ref.line_paths],
+                                       dtype=np.int64).reshape(-1, s + 1))
+        for name in ("mass_cell", "mass_line", "line_level"):
+            _same(getattr(g, name), getattr(ref, name))
+        if alpha is None:
+            assert g.coords is None
+        else:
+            _same(g.coords, ref.coords)
+        assert g.tags == ref.tags
+        assert g.edges == ref.edges
+        assert g.line_paths == ref.line_paths
+        assert g.dump_text() == _loop_dump(ref)
+
+        n = len(ref.tags)
+        L = assemble_neumann(g).L
+        _same_matrix(L, _loop_laplacian(((e.u, e.v, e.resistance) for e in ref.edges), n))
+
+        j = (m + 1) // 2
+        comps = assemble_decoupled(g, j, "neumann_split")
+        expect = _loop_neumann_split(ref, j)
+        assert len(comps) == len(expect)
+        for c, e in zip(comps, expect):
+            assert c.boundary == e.boundary
+            _same_matrix(c.L, e.L)
+            _same(c.mass, e.mass)
+            _same(c.vertex_map, e.vertex_map)
