@@ -11,8 +11,9 @@ Every count of an experiment comes from one GraphCounts, which picks
 the backend for the level-m graph once: block elimination (inertia,
 BlockInertiaCounter, also what auto means at every size) or LAPACK
 spectra (dense, the reference).  auto_grid and counting_function take it
-and never see a pencil or a backend name; auto_grid bisects its ends on
-the counts under either backend, so the two backends give the same grid.
+and never see a pencil or a backend name; auto_grid finds its ends by a
+log-space multisection on the counts under either backend, so the two
+backends give the same grid.
 
 The bracketing check sandwiches the counting functions between the
 component sums of the level-j decoupled forms: grounding V_j can only
@@ -76,16 +77,16 @@ class CountingSample:
     upper_sum: Optional[int] = None
 
 
-# Bisection steps covered by one block-elimination pass.  At m = 3 a pass
-# over the up to 2 * 7 midpoints the two grid-end bisections can reach in 3
-# steps costs about 1.4 passes over their next 2; of 1 to 6 steps, 3 and 4
-# gave the fastest auto_grid, and 3 counts fewer thresholds.
-BLOCK_LOOKAHEAD = 3
 # The most points auto_grid lays out, whatever the window's width in decades.
 MAX_GRID_POINTS = 400
-# Steps of one grid-end bisection, arithmetic and geometric together,
-# before it raises ConvergenceError.
-MAX_BISECTION_STEPS = 80
+# Sections of one open grid-end bracket per pass: SECTIONS - 1 log-uniform
+# points cut it into SECTIONS, each 1/SECTIONS of its log width.  A bracket
+# without a lower end yet is cut on [hi * SECTIONS**-SECTIONS, hi], a
+# ladder of hi / SECTIONS**i down to about 4.8e-7 * hi, so no pass counts
+# near x = 0, where the Neumann zero eigenvalue stops block elimination.
+SECTIONS = 8
+# Passes of the grid-end multisection before it raises ConvergenceError.
+MAX_PASSES = 16
 
 
 class GraphCounts:
@@ -143,10 +144,7 @@ def counting_function(
 ) -> list[CountingSample]:
     """Sample N_D and N_N on the grid, and with a bracketing level j the
     sums lowerSum_j and upperSum_j, all from one call of ``counts``."""
-    grid = np.asarray(grid, dtype=float)
-    if (len(grid) == 0 or not np.all(np.isfinite(grid)) or np.any(grid <= 0)
-            or np.any(np.diff(grid) <= 0)):
-        raise DomainError("grid must be finite, strictly increasing and positive")
+    grid = _checked_grid(grid)
     try:
         rows = counts.count(grid, level)
     except (ConvergenceError, ThresholdAtEigenvalueError) as exc:
@@ -156,14 +154,24 @@ def counting_function(
     return [CountingSample(float(x), *map(int, col)) for x, col in zip(grid, rows.T)]
 
 
+def _checked_grid(grid: Sequence[float]) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if (len(grid) == 0 or not np.all(np.isfinite(grid)) or np.any(grid <= 0)
+            or np.any(np.diff(grid) <= 0)):
+        raise DomainError("grid must be finite, strictly increasing and positive")
+    return grid
+
+
 def auto_grid(counts: GraphCounts, eta: float = 0.2, per_decade: int = 60) -> np.ndarray:
     """Log-spaced grid from the 10th Neumann eigenvalue to the eta-quantile cutoff.
 
     The cutoff lambda_ceil(eta*n) marks the part of the discrete spectrum
-    trusted to approximate the continuum.  Both ends are bisected on N_N
-    to 1e-4 relative width, whatever the backend of ``counts``.  The grid
-    has per_decade points a decade, at least 16 and at most
-    MAX_GRID_POINTS.
+    trusted to approximate the continuum.  Both ends are found together
+    by log-space multisection on N_N to 1e-4 relative width, whatever the
+    backend of ``counts``.  Until an end has a lower bracket, each pass
+    counts a ladder down to about 4.8e-7 times its upper one, so an end
+    up to 69 decades below the Gershgorin bound converges.  The grid has
+    per_decade points a decade, at least 16 and at most MAX_GRID_POINTS.
     """
     n = counts.n
     k_lo = min(10, n - 1)
@@ -180,59 +188,36 @@ def auto_grid(counts: GraphCounts, eta: float = 0.2, per_decade: int = 60) -> np
 
 
 def _bisect_quantiles(count, ks, upper: float) -> list[float]:
-    """Smallest x with N(x) >= k for each k, by bisection to 1e-4 relative width.
+    """Smallest x with N(x) >= k for each k, by multisection to 1e-4 relative width.
 
-    The bisections run in lockstep, each on the midpoints it would take
-    alone.  ``count`` maps a list of thresholds to N at each; one call
-    covers every midpoint an open bisection can reach in its next
-    BLOCK_LOOKAHEAD steps.  A bisection still wider than 1e-4 when its
-    MAX_BISECTION_STEPS run out raises ConvergenceError.
+    ``count`` maps an array of thresholds to N at each.  Each pass counts
+    the SECTIONS - 1 log-uniform points of every open bracket (lo, hi),
+    with lo raised to hi * SECTIONS**-SECTIONS while it is 0, in one call,
+    then moves each k's ends to the largest counted x with N(x) < k and the
+    smallest with N(x) >= k; N is exact and monotone, so every counted
+    point narrows every bracket it falls in.  A bracket still wider than
+    1e-4 after MAX_PASSES passes raises ConvergenceError.
     """
+    ks = np.asarray(ks)
     # above the Gershgorin bound N = n, and auto_grid asks for no k above n
-    state = [[0.0, upper * 1.0001, 0] for _ in ks]  # lo, hi, steps
-    while True:
-        xs = []
-        for lo, hi, steps in state:
-            _reachable_midpoints(lo, hi, steps, BLOCK_LOOKAHEAD, xs)
-        if not xs:
-            for (lo, hi, _), k in zip(state, ks):
-                if not _converged(lo, hi):
-                    raise ConvergenceError(
-                        f"bisection for the {k}-th eigenvalue stopped at "
-                        f"[{lo:g}, {hi:g}] after {MAX_BISECTION_STEPS} steps, "
-                        f"starting from the bound {upper:g}"
-                    )
-            return [hi for _, hi, _ in state]
-        xs = list(dict.fromkeys(xs))
-        counted = dict(zip(xs, count(xs)))
-        for st, k in zip(state, ks):
-            while _bisection_open(*st):
-                mid = _midpoint(st[0], st[1])
-                if mid not in counted:
-                    break
-                st[1 if counted[mid] >= k else 0] = mid
-                st[2] += 1
-
-
-def _midpoint(lo: float, hi: float) -> float:
-    return 0.5 * (lo + hi) if lo == 0.0 else math.sqrt(lo * hi)
-
-
-def _converged(lo: float, hi: float) -> bool:
-    return lo > 0 and hi / lo < 1.0 + 1e-4
-
-
-def _bisection_open(lo: float, hi: float, steps: int) -> bool:
-    return steps < MAX_BISECTION_STEPS and not _converged(lo, hi)
-
-
-def _reachable_midpoints(lo: float, hi: float, steps: int, depth: int, out: list):
-    if depth == 0 or not _bisection_open(lo, hi, steps):
-        return
-    mid = _midpoint(lo, hi)
-    out.append(mid)
-    _reachable_midpoints(lo, mid, steps + 1, depth - 1, out)
-    _reachable_midpoints(mid, hi, steps + 1, depth - 1, out)
+    lo, hi = np.zeros(len(ks)), np.full(len(ks), upper * 1.0001)
+    for passes in range(MAX_PASSES + 1):
+        open_ = hi >= lo * (1.0 + 1e-4)
+        if not open_.any():
+            return hi.tolist()
+        if passes == MAX_PASSES:
+            break
+        h = hi[open_]
+        l = np.maximum(lo[open_], h * SECTIONS ** -SECTIONS)
+        xs = np.unique(np.geomspace(l, h, SECTIONS + 1, axis=1)[:, 1:-1])
+        below = np.asarray(count(xs))[None, :] < ks[:, None]
+        lo = np.maximum(lo, np.where(below, xs, 0.0).max(axis=1))
+        hi = np.minimum(hi, np.where(below, np.inf, xs).min(axis=1))
+    i = int(np.argmax(open_))
+    raise ConvergenceError(
+        f"multisection for the {ks[i]}-th eigenvalue stopped at [{lo[i]:g}, {hi[i]:g}] "
+        f"after {MAX_PASSES} passes, starting from the bound {upper:g}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +418,7 @@ def one_dim_reference(s: int, grid: Optional[Sequence[float]] = None) -> OneDimR
         errs.append(abs(float(spec.eigenvalues[k]) - target) / target)
     if grid is None:
         grid = [((k + 0.5) * math.pi) ** 2 for k in range(0, k_check + 1)]
+    grid = _checked_grid(grid)
     margins = []
     counts = []
     holds = True

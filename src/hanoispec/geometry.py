@@ -67,10 +67,9 @@ def enumerate_words(m: int) -> list[str]:
 
 def word_rank(word: str) -> int:
     """Lexicographic rank of a word among words of its length."""
+    _check_word(word)
     rank = 0
     for ch in word:
-        if ch not in ALPHABET:
-            raise AddressError(f"word {word!r} uses letter {ch!r} outside {{1,2,3}}")
         rank = 3 * rank + (int(ch) - 1)
     return rank
 

@@ -35,7 +35,13 @@ from hanoispec.errors import (
     LevelError,
 )
 from hanoispec.geometry import build_graph, enumerate_words
-from hanoispec.sequences import constant, explicit, geometric_to_limit, predicted_dimensions
+from hanoispec.sequences import (
+    constant,
+    explicit,
+    geometric_to_limit,
+    predicted_dimensions,
+    scale_factors,
+)
 
 SEQ = constant(0.5)
 
@@ -232,6 +238,21 @@ def grid_quantiles(n: int, eta: float = 0.2) -> tuple:
     return k_lo, max(k_lo + 1, min(n, math.ceil(eta * n)))
 
 
+def graph_free_ends(seq, m: int, s: int = 2, beta: float = 0.25):
+    """auto_grid's quantile indices, their ends and N_N, from the block
+    counter alone: no level-m graph is built."""
+    sf = scale_factors(seq, m)
+    counter = BlockInertiaCounter(sf.delta[m], sf.gamma, s, beta)
+    upper = -1.0 - counter._setup_x     # its Gershgorin bound, before a count
+    n = 3 ** (m + 1) + (s - 1) * (3 ** (m + 1) - 3) // 2
+
+    def n_neumann(xs):
+        return counter.count_below(np.asarray(xs) * (1.0 + EPS_SHIFT), EPS_SHIFT)[1]
+
+    ks = grid_quantiles(n)
+    return ks, analysis._bisect_quantiles(n_neumann, ks, upper), n_neumann
+
+
 class TestAutoGrid:
     @pytest.mark.parametrize("backend", ["dense", "inertia"])
     def test_too_small_graph(self, backend):
@@ -245,8 +266,8 @@ class TestAutoGrid:
         ids=lambda q: q.describe(),
     )
     def test_no_threshold_above_the_bound(self, monkeypatch, seq, m, s):
-        # N = n above the Gershgorin bound, so the bisections never count
-        # there; each bisected end lies within 1e-4 above its eigenvalue
+        # N = n above the Gershgorin bound, so the multisection never counts
+        # there; each end found lies within 1e-4 above its eigenvalue
         g = build_graph(seq, m, s, 0.25)
         p = assemble_neumann(g)
         counted = []
@@ -265,19 +286,32 @@ class TestAutoGrid:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_unconverged_end_raises(self, k):
-        # the k-th step of N lies below upper * 2**-80: halving from the bound
-        # never gives the bisection a positive lower end within its budget
+        # a pass without a lower end reaches down to SECTIONS**-(SECTIONS - 1)
+        # of its top, so steps of N at 2**-90 and 2**-85 of the bound converge;
+        # steps below what MAX_PASSES such passes reach do not
         upper = 1e6
         steps = [upper * 2.0 ** -90, upper * 2.0 ** -85]
 
-        def count(xs):
-            return [sum(x >= t for t in steps) for x in xs]
+        def step_count(steps):
+            return lambda xs: [sum(x >= t for t in steps) for x in xs]
 
-        with pytest.raises(ConvergenceError):
-            analysis._bisect_quantiles(count, (k,), upper)
-        # with the steps within reach, both ends converge as before
-        ends = analysis._bisect_quantiles(count, (1, 2), upper * 2.0 ** -70)
-        assert [e / t for e, t in zip(ends, steps)] == pytest.approx([1, 1], rel=1e-4)
+        ends = analysis._bisect_quantiles(step_count(steps), (1, 2), upper)
+        assert all(t <= e < t * (1 + 1e-4) for e, t in zip(ends, steps))
+        reach = upper * analysis.SECTIONS ** (-(analysis.SECTIONS - 1) * analysis.MAX_PASSES)
+        with pytest.raises(ConvergenceError, match=rf"the {k}-th eigenvalue .* after "
+                           rf"{analysis.MAX_PASSES} passes"):
+            analysis._bisect_quantiles(step_count([reach / 4, reach / 2]), (k,), upper)
+
+    @pytest.mark.parametrize("m", [19, 20])
+    def test_ends_at_depth(self, m):
+        # past graph building the Gershgorin bound is above 1e23 and the 10th
+        # eigenvalue near 391; both ends still converge, and the lower one
+        # agrees with the level-12 end
+        seq = geometric_to_limit(0.6, 0.5)
+        ks, ends, n_neumann = graph_free_ends(seq, m)
+        for end, k in zip(ends, ks):
+            assert n_neumann([end])[0] >= k > n_neumann([end / (1 + 1e-4)])[0]
+        assert ends[0] == pytest.approx(graph_free_ends(seq, 12)[1][0], rel=1e-4)
 
     @pytest.mark.parametrize("backend", ["dense", "inertia"])
     def test_point_cap(self, backend):
@@ -302,6 +336,12 @@ class TestOneDimReference:
     def test_explicit_threshold_above_first_mode(self):
         rep = one_dim_reference(200, grid=[math.pi ** 2 * (1 + 1e-9)])
         assert rep.counts[0] == 2
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_grid(self, bad):
+        # -1 once raised a bare math domain error, nan and inf passed the bound
+        with pytest.raises(DomainError, match="grid must be"):
+            one_dim_reference(10, grid=[bad])
 
     def test_path_pencil_spectrum(self):
         spec = eig_dense(free_path_pencil(2))

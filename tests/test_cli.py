@@ -346,7 +346,7 @@ class TestCountingCommand:
 
     @pytest.mark.parametrize("bracketing", [None, 2], ids=["plain", "bracketed"])
     def test_backends_write_the_same_files(self, tmp_path, bracketing):
-        # dense and inertia bisect the same auto-grid ends on the same counts,
+        # dense and inertia find the same auto-grid ends on the same counts,
         # so every output agrees byte for byte apart from the config hash
         outputs = {}
         for backend in ("dense", "inertia"):
