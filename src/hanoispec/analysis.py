@@ -9,11 +9,12 @@ ends at the eta-quantile Neumann eigenvalue.
 
 Every count of an experiment comes from one GraphCounts, which picks
 the backend for the level-m graph once: block elimination (inertia,
-BlockInertiaCounter, also what auto means at every size) or LAPACK
-spectra (dense, the reference).  auto_grid and counting_function take it
-and never see a pencil or a backend name; auto_grid finds its ends by a
-log-space multisection on the counts under either backend, so the two
-backends give the same grid.
+BlockInertiaCounter, also what auto means at every size), which needs
+only the scale factors and builds no graph, or LAPACK spectra (dense,
+the reference).  auto_grid and counting_function take it and never see
+a pencil or a backend name; auto_grid finds its ends by a log-space
+multisection on the counts under either backend, so the two backends
+give the same grid.
 
 The bracketing check sandwiches the counting functions between the
 component sums of the level-j decoupled forms: grounding V_j can only
@@ -30,6 +31,7 @@ independent oracle of the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -50,7 +52,6 @@ from .eigensolve import (
     Spectrum,
     eig_dense,
     eig_dense_cached,
-    lambda_max_bound,
 )
 from .errors import (
     ConvergenceError,
@@ -58,6 +59,7 @@ from .errors import (
     EmptyPencilError,
     InsufficientDataError,
     LevelError,
+    PencilSizeError,
     ThresholdAtEigenvalueError,
 )
 from .geometry import GraphApprox, build_graph
@@ -93,29 +95,37 @@ class GraphCounts:
     """The counting functions of one level-m graph, from the backend chosen for it.
 
     The backend is picked once.  ``inertia`` (and ``auto``, its synonym at
-    every size) counts by block elimination (``BlockInertiaCounter``),
-    every threshold of a call in one pass.  ``dense`` is the reference
-    path: it reads the counts off the LAPACK spectra of the Neumann pencil
-    and the V_0-grounded one, for graphs of at most ``dense_limit``
-    vertices.  On families with ratios r below about 0.11 its 1e-9
-    threshold shift is under LAPACK's error on clustered eigenvalues, so it
-    can miscount there; only an explicit ``dense`` reaches that path.
-    The bracketing sums come from block elimination with either backend.
-    ``n`` is the number of vertices and ``lambda_max`` the Gershgorin bound
-    of the Neumann pencil.
+    every size) counts by block elimination (``BlockInertiaCounter``)
+    from the scale factors, every threshold of a call in one pass, and
+    builds no graph.  ``dense`` is the reference path: it builds the graph
+    and reads the counts off the LAPACK spectra of the Neumann pencil and
+    the V_0-grounded one, for graphs of at most ``dense_limit`` vertices.
+    On families with ratios r below about 0.11 its 1e-9 threshold shift is
+    under LAPACK's error on clustered eigenvalues, so it can miscount
+    there; only an explicit ``dense`` reaches that path.  The bracketing
+    sums come from block elimination with either backend.  ``n`` (the
+    number of vertices) and ``lambda_max`` (the Gershgorin bound of the
+    Neumann pencil) are the counter's closed forms.
     """
 
-    def __init__(self, g: GraphApprox, backend: str = "auto",
-                 dense_limit: int = DENSE_LIMIT, eps_shift: float = EPS_SHIFT):
+    def __init__(self, seq: MatchingSequence, m: int, s: int, beta: float,
+                 backend: str = "auto", dense_limit: int = DENSE_LIMIT,
+                 eps_shift: float = EPS_SHIFT):
         if backend not in ("auto", "dense", "inertia"):
             raise DomainError(f"unknown backend {backend!r}")
-        p_n = assemble_neumann(g)
-        self.m, self.s, self.n = g.m, g.s, p_n.n
-        self.lambda_max = lambda_max_bound(p_n)
+        self._blocks = BlockInertiaCounter(seq, m, s, beta)
+        self.m, self.s, self.n = m, s, self._blocks.n
+        self.lambda_max = self._blocks.lambda_max
         self.eps_shift = eps_shift
-        self._blocks = BlockInertiaCounter.from_graph(g)
         self._spectra = None
         if backend == "dense":
+            if self.n > dense_limit:
+                raise PencilSizeError(
+                    f"the level-{m} graph has {self.n} vertices, above the dense limit "
+                    f"{dense_limit}; use the inertia backend at this size"
+                )
+            g = build_graph(seq, m, s, beta)
+            p_n = assemble_neumann(g)
             try:
                 spec_d = eig_dense_cached(apply_dirichlet(p_n, g, "v0"), dense_limit)
             except EmptyPencilError:    # the level-0 triangle is all V_0
@@ -445,7 +455,10 @@ def one_dim_reference(s: int, grid: Optional[Sequence[float]] = None) -> OneDimR
 
 @dataclass(frozen=True)
 class CountingExperiment:
-    graph: GraphApprox
+    seq: MatchingSequence
+    m: int
+    s: int
+    beta: float
     prediction: PredictionSet
     samples: tuple
     fit: FitResult
@@ -453,6 +466,11 @@ class CountingExperiment:
     c1: float
     c2: float
     bracketing: Optional[BracketingReport]
+
+    @functools.cached_property
+    def graph(self) -> GraphApprox:
+        """The level-m graph, built on first read; counting never needs it."""
+        return build_graph(self.seq, self.m, self.s, self.beta)
 
 
 def run_counting_experiment(
@@ -469,15 +487,15 @@ def run_counting_experiment(
     policy: Optional[WindowPolicy] = None,
     bracket_level: Optional[int] = None,
 ) -> CountingExperiment:
-    """Build the level-m graph, sample N(x), fit the exponent, report envelopes.
+    """Sample N(x) of the level-m graph, fit the exponent, report envelopes.
 
     The fit and the Weyl envelopes use N_N; the samples carry N_D as well.
-    All counts, the bracketing sums included, come from one ``GraphCounts``.
+    All counts, the bracketing sums included, come from one ``GraphCounts``,
+    so only the dense backend builds the graph.
     """
     if bracket_level is not None:
         _check_bracketing(m, s, bracket_level)
-    g = build_graph(seq, m, s, beta)
-    counts = GraphCounts(g, backend, dense_limit, eps_shift)
+    counts = GraphCounts(seq, m, s, beta, backend, dense_limit, eps_shift)
     if grid is None:
         grid = auto_grid(counts, eta=eta, per_decade=per_decade)
     samples = counting_function(counts, grid, level=bracket_level)
@@ -493,7 +511,7 @@ def run_counting_experiment(
         d_s = 0.5 * (prediction.d_s_lower + prediction.d_s_upper)
     series, c1, c2 = weyl_ratio(samples, d_s, window=fit.window)
     return CountingExperiment(
-        graph=g,
+        seq=seq, m=m, s=s, beta=beta,
         prediction=prediction,
         samples=tuple(samples),
         fit=fit,

@@ -12,8 +12,8 @@ Two backends:
   negative pivots of an LDL^T-type elimination of L - x M count the
   pencil eigenvalues strictly below x.  A whole level-m graph (its
   Neumann pencil and the V_0-grounded one) is counted by
-  BlockInertiaCounter, which eliminates the graph one level at a time
-  with small dense blocks, for a batch of thresholds at once; the same
+  BlockInertiaCounter, which needs only its scale factors and masses
+  and eliminates it one level at a time with small dense blocks, for a batch of thresholds at once; the same
   pass gives the Dirichlet-Neumann bracketing sums of any level, so the
   decoupled component pencils are never counted one by one.  It is the
   default counting engine of analysis at every graph size and the only
@@ -56,13 +56,16 @@ from .errors import (
     PencilSizeError,
     ThresholdAtEigenvalueError,
 )
-from .geometry import bridge_mass, cell_mass
+from .geometry import bridge_mass, cell_mass, check_graph_args, level_scales, vertex_count
+from .sequences import MatchingSequence
 
 DENSE_LIMIT = 4000
 EPS_SHIFT = 1e-9
 SMALL_PIVOT_REL = 1e-12
 # Nudges of a threshold that sits numerically on an eigenvalue before it fails.
 RETRIES = 3
+# Counts are int64: a graph with more vertices than this is not counted.
+COUNT_MAX = int(np.iinfo(np.int64).max)
 # Spectrum.multiplicities joins neighbours closer than this, relative.
 MULTIPLICITY_REL_GAP = 1e-8
 
@@ -322,6 +325,11 @@ _GATHER_1, _GATHER_2 = _inner_gathers()
 class BlockInertiaCounter:
     """Inertia of L - x M on a whole level-m graph: N_D and N_N in one pass.
 
+    It is built from the graph's parameters, checked as build_graph
+    checks them, and never builds the graph: ``n`` (the vertex count) and
+    ``lambda_max`` (the Gershgorin bound of its pencils) are closed forms,
+    and a graph whose counts int64 cannot hold raises LevelError.
+
     Every level-k block of the graph is the same weighted graph, so the
     pencil is counted one level at a time.  A level-(k-1) block is three
     level-k blocks, each reduced to the Schur complement S_k onto its three
@@ -360,18 +368,23 @@ class BlockInertiaCounter:
     InertiaCounter does, for each count only on the blocks it depends on.
     """
 
-    def __init__(self, delta_m: float, gamma, s: int, beta: float):
+    def __init__(self, seq: MatchingSequence, m: int, s: int, beta: float):
+        check_graph_args(m, s, beta)
+        self.n = vertex_count(m, s)
+        if self.n > COUNT_MAX:
+            raise LevelError(f"the level-{m} graph has {self.n} vertices, more than "
+                             f"int64 counts hold ({COUNT_MAX})")
         self.s = s
         # the graph's conductances and masses, as build_graph lays them out
-        m = len(gamma)
-        self.cell_conductance = 1.0 / float(delta_m)
+        delta, gamma = level_scales(seq, m)
+        self.cell_conductance = 1.0 / float(delta[m])
         self.corner_mass = cell_mass(m, beta) / 3.0
         self.seg_conductance = [1.0 / (float(gk) / s) for gk in gamma]
         self.bridge_mass = [bridge_mass(k, beta) for k in range(1, m + 1)]
         # Gershgorin: no eigenvalue of the graph's pencils or of their
         # decoupled components exceeds 2 sum|c| / mass over the vertex
         # classes (a corner with only its cell share, a corner at a level-k
-        # bridge, an interior bridge node), so below -upper L - x M is
+        # bridge, an interior bridge node), so below -lambda_max L - x M is
         # positive definite; the first count_below checks that every pivot
         # block comes out positive and clear of singularity there.
         cell = 2.0 * abs(self.cell_conductance)
@@ -380,12 +393,8 @@ class BlockInertiaCounter:
             upper = max(upper, 2.0 * (cell + abs(ck)) / (self.corner_mass + bm / (2 * s)))
             if s > 1:
                 upper = max(upper, 4.0 * abs(ck) / (bm / s))
-        self._setup_x = -1.0 - upper
-
-    @classmethod
-    def from_graph(cls, g) -> "BlockInertiaCounter":
-        """The counter of a level-m graph built by build_graph."""
-        return cls(g.delta[g.m], g.gamma, g.s, g.beta)
+        self.lambda_max = upper
+        self._set_up = False
 
     def _eliminate(self, x: np.ndarray, level: Optional[int] = None):
         """(nu_0, S_0, interior pivots clear, sums) for each threshold in x.
@@ -486,11 +495,16 @@ class BlockInertiaCounter:
         m = len(self.seg_conductance)
         if level is not None and not 1 <= level <= m:
             raise LevelError(f"bracketing level {level} outside 1..{m}")
-        if self._setup_x is not None:
-            counts, ok = self.try_count(np.array([self._setup_x]))
+        # the most a count can reach: n, or the n + 3^(j+1) - 3 vertices of
+        # the level-j decoupled form
+        if level is not None and self.n + 3 ** (level + 1) - 3 > COUNT_MAX:
+            raise LevelError(f"the level-{level} bracketing sums of the level-{m} graph "
+                             f"can exceed what int64 counts hold ({COUNT_MAX})")
+        if not self._set_up:
+            counts, ok = self.try_count(np.array([-1.0 - self.lambda_max]))
             if counts[1, 0] != 0 or not ok[1, 0]:
                 raise ConvergenceError("block elimination set-up pass is not positive definite")
-            self._setup_x = None
+            self._set_up = True
         x = np.array(x, dtype=float).ravel()
         rows = 2 if level is None else 4
         counts = np.zeros((rows, x.size), dtype=np.int64)

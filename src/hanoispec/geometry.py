@@ -245,6 +245,33 @@ def _block_corners(m: int, j: int) -> np.ndarray:
     return 3 * (t * np.arange(3 ** j)[:, None] + i * ((t - 1) // 2)) + i
 
 
+def check_graph_args(m: int, s: int, beta: float):
+    """Raise DomainError unless the level, subdivisions and beta make a graph."""
+    if m < 0:
+        raise DomainError(f"level must be >= 0, got {m}")
+    if s < 1:
+        raise DomainError(f"subdivisions must be >= 1, got {s}")
+    if not (0.0 < beta < 1.0 / 3.0):
+        raise DomainError(
+            f"beta must lie in (0, 1/3) for the line measure to be finite, got {beta!r}"
+        )
+
+
+def vertex_count(m: int, s: int) -> int:
+    """Vertices of the level-m graph: 3^(m+1) corners and s - 1 interior
+    nodes on each of its (3^(m+1) - 3) / 2 bridges."""
+    return 3 ** (m + 1) + (s - 1) * (3 ** (m + 1) - 3) // 2
+
+
+def level_scales(seq: MatchingSequence, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(delta_0..delta_m, gamma_1..gamma_m); the level-0 triangle has
+    delta_0 = 1 and no bridges."""
+    if m == 0:
+        return np.array([1.0]), np.array([])
+    sf = scale_factors(seq, m)
+    return sf.delta, sf.gamma
+
+
 def build_graph(
     seq: MatchingSequence,
     m: int,
@@ -265,28 +292,14 @@ def build_graph(
 
         rank(u)*3**(m-k+1) + (a-1)*3**(m-k) + (b-1)*(3**(m-k) - 1)/2.
     """
-    if m < 0:
-        raise DomainError(f"level must be >= 0, got {m}")
-    if s < 1:
-        raise DomainError(f"subdivisions must be >= 1, got {s}")
-    if not (0.0 < beta < 1.0 / 3.0):
-        raise DomainError(
-            f"beta must lie in (0, 1/3) for the line measure to be finite, got {beta!r}"
-        )
+    check_graph_args(m, s, beta)
     if alpha is not None and not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-
-    if m >= 1:
-        sf = scale_factors(seq, m)
-        delta = sf.delta
-        gamma = sf.gamma
-    else:
-        delta = np.array([1.0])
-        gamma = np.array([])
+    delta, gamma = level_scales(seq, m)
 
     n_corners = 3 ** (m + 1)
     n_bridges = (3 ** (m + 1) - 3) // 2
-    n = n_corners + (s - 1) * n_bridges
+    n = vertex_count(m, s)
 
     mass_cell = np.zeros(n)
     mass_cell[:n_corners] = cell_mass(m, beta) / 3.0
@@ -340,7 +353,7 @@ def build_graph(
 
     return GraphApprox(
         m=m, s=s, beta=beta, alpha=alpha, seq=seq,
-        delta=np.asarray(delta, dtype=float), gamma=np.asarray(gamma, dtype=float),
+        delta=delta, gamma=gamma,
         edge_u=edge_u, edge_v=edge_v, edge_r=edge_r, edge_level=edge_level,
         bridge_paths=paths,
         mass_cell=mass_cell, mass_line=mass_line, line_level=line_level,

@@ -23,7 +23,7 @@ from hanoispec.analysis import (
 )
 from hanoispec.assembly import apply_dirichlet, assemble_decoupled, assemble_neumann
 from hanoispec.cli import main
-from hanoispec.eigensolve import eig_dense, get_counter, lambda_max_bound
+from hanoispec.eigensolve import eig_dense, get_counter
 from hanoispec.geometry import build_graph
 from hanoispec.resistance import cell_diameter_scaling, compatibility_check
 from hanoispec.sequences import constant, explicit, geometric_to_limit, scale_factors
@@ -89,13 +89,10 @@ def test_03_interlacing():
 
 def test_04_bracketing():
     t0 = time.time()
-    g = build_graph(constant(0.5), 4, 2, 0.25)
-    p_n = assemble_neumann(g)
-    bound = lambda_max_bound(p_n)
+    counts = GraphCounts(constant(0.5), 4, 2, 0.25, "dense")
     total_violations = 0
-    counts = GraphCounts(g, "dense")
     for j in (1, 2):
-        grid = np.geomspace(1.0, bound * 0.9, 30)
+        grid = np.geomspace(1.0, counts.lambda_max * 0.9, 30)
         rep = bracketing_check(j, counting_function(counts, grid, level=j))
         total_violations += len(rep.violations)
     elapsed = time.time() - t0

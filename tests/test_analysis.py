@@ -18,7 +18,7 @@ from hanoispec.analysis import (
     run_counting_experiment,
     weyl_ratio,
 )
-from hanoispec import analysis, assembly, eigensolve
+from hanoispec import analysis, assembly, eigensolve, geometry
 from hanoispec.assembly import apply_dirichlet, assemble_decoupled, assemble_neumann
 from hanoispec.eigensolve import (
     EPS_SHIFT,
@@ -33,6 +33,7 @@ from hanoispec.errors import (
     DomainError,
     InsufficientDataError,
     LevelError,
+    PencilSizeError,
 )
 from hanoispec.geometry import build_graph, enumerate_words
 from hanoispec.sequences import (
@@ -40,7 +41,6 @@ from hanoispec.sequences import (
     explicit,
     geometric_to_limit,
     predicted_dimensions,
-    scale_factors,
 )
 
 SEQ = constant(0.5)
@@ -48,32 +48,31 @@ SEQ = constant(0.5)
 
 class TestCountingFunction:
     def test_m0_counts(self):
-        counts = GraphCounts(build_graph(SEQ, 0, 1, 0.25), "dense")
+        counts = GraphCounts(SEQ, 0, 1, 0.25, "dense")
         samples = counting_function(counts, [1.0, 10.0])
         assert [(s.n_neumann, s.n_dirichlet) for s in samples] == [(1, 0), (3, 0)]
 
     def test_exact_eigenvalue_grid_point(self):
-        counts = GraphCounts(build_graph(SEQ, 0, 1, 0.25), "dense")
+        counts = GraphCounts(SEQ, 0, 1, 0.25, "dense")
         samples = counting_function(counts, [9.0])
         assert samples[0].n_neumann == 3  # right-continuous convention
 
     def test_backends_agree(self):
-        g = build_graph(SEQ, 3, 2, 0.25)
         grid = np.geomspace(1.0, 1e4, 25)
-        dense = counting_function(GraphCounts(g, "dense"), grid)
-        inertia = counting_function(GraphCounts(g, "inertia"), grid)
+        dense = counting_function(GraphCounts(SEQ, 3, 2, 0.25, "dense"), grid)
+        inertia = counting_function(GraphCounts(SEQ, 3, 2, 0.25, "inertia"), grid)
         assert [(s.n_neumann, s.n_dirichlet) for s in dense] == [
             (s.n_neumann, s.n_dirichlet) for s in inertia
         ]
 
     def test_interlacing(self):
         for m, s in [(2, 2), (3, 1)]:
-            counts = GraphCounts(build_graph(SEQ, m, s, 0.25), "dense")
+            counts = GraphCounts(SEQ, m, s, 0.25, "dense")
             for smp in counting_function(counts, auto_grid(counts)):
                 assert 0 <= smp.n_neumann - smp.n_dirichlet <= 3
 
     def test_bad_grid(self):
-        counts = GraphCounts(build_graph(SEQ, 0, 1, 0.25), "dense")
+        counts = GraphCounts(SEQ, 0, 1, 0.25, "dense")
         with pytest.raises(DomainError):
             counting_function(counts, [2.0, 1.0])
 
@@ -81,13 +80,45 @@ class TestCountingFunction:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_grid(self, backend, bad):
         # nan once gave N_D = 117 and N_N = 120 under dense, and inf a LinAlgError
-        counts = GraphCounts(build_graph(SEQ, 3, 2, 0.25), backend)
+        counts = GraphCounts(SEQ, 3, 2, 0.25, backend)
         with pytest.raises(DomainError):
             counting_function(counts, [1.0, bad])
 
     def test_unknown_backend(self):
         with pytest.raises(DomainError):
-            GraphCounts(build_graph(SEQ, 1, 1, 0.25), "superlu")
+            GraphCounts(SEQ, 1, 1, 0.25, "superlu")
+
+    @pytest.mark.parametrize("m, s, beta", [(2, 0, 0.25), (2, 2, 0.4), (-1, 2, 0.25)])
+    @pytest.mark.parametrize("backend", ["dense", "inertia"])
+    def test_bad_graph_args(self, m, s, beta, backend):
+        with pytest.raises(DomainError):
+            GraphCounts(SEQ, m, s, beta, backend)
+
+    @pytest.mark.parametrize(
+        "seq", [SEQ, geometric_to_limit(0.6, 0.5), explicit([0.45, 0.53], tail="cycle")],
+        ids=lambda q: q.describe(),
+    )
+    def test_closed_forms_match_the_graph(self, seq):
+        # n and the Gershgorin bound come from the scale factors; the
+        # pencil's row sums add the same terms in another order, so the two
+        # bounds differ by at most an ulp (seen on s = 1 only)
+        for m in range(7):
+            for s in (1, 2, 3):
+                counts = GraphCounts(seq, m, s, 0.25)
+                g = build_graph(seq, m, s, 0.25)
+                bound = lambda_max_bound(assemble_neumann(g))
+                assert counts.n == g.n_vertices
+                assert abs(counts.lambda_max - bound) <= 4.5e-16 * bound, (m, s)
+
+    def test_dense_limit_checked_before_the_graph(self, monkeypatch):
+        # the level-8 graph has 29 523 vertices: no graph or pencil is built
+        # before the dense backend refuses it
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the graph was built above the dense limit")
+
+        monkeypatch.setattr(analysis, "build_graph", forbidden)
+        with pytest.raises(PencilSizeError, match="29523 vertices"):
+            GraphCounts(SEQ, 8, 2, 0.25, "dense")
 
 
 class TestFit:
@@ -143,7 +174,8 @@ class TestWeyl:
 
 
 def bracketed_samples(g, j, grid, backend="dense"):
-    return counting_function(GraphCounts(g, backend), grid, level=j)
+    counts = GraphCounts(g.seq, g.m, g.s, g.beta, backend)
+    return counting_function(counts, grid, level=j)
 
 
 def component_sums(g, j, xs) -> list:
@@ -172,9 +204,8 @@ class TestBracketing:
                     bracketed_samples(g, j, [1.0], backend)
 
     def test_samples_without_sums(self):
-        g = build_graph(SEQ, 2, 2, 0.25)
         with pytest.raises(DomainError):
-            bracketing_check(1, counting_function(GraphCounts(g), [1.0]))
+            bracketing_check(1, counting_function(GraphCounts(SEQ, 2, 2, 0.25), [1.0]))
 
     @pytest.mark.parametrize("backend", ["dense", "inertia"])
     @pytest.mark.parametrize("s", [2, 3])
@@ -238,27 +269,12 @@ def grid_quantiles(n: int, eta: float = 0.2) -> tuple:
     return k_lo, max(k_lo + 1, min(n, math.ceil(eta * n)))
 
 
-def graph_free_ends(seq, m: int, s: int = 2, beta: float = 0.25):
-    """auto_grid's quantile indices, their ends and N_N, from the block
-    counter alone: no level-m graph is built."""
-    sf = scale_factors(seq, m)
-    counter = BlockInertiaCounter(sf.delta[m], sf.gamma, s, beta)
-    upper = -1.0 - counter._setup_x     # its Gershgorin bound, before a count
-    n = 3 ** (m + 1) + (s - 1) * (3 ** (m + 1) - 3) // 2
-
-    def n_neumann(xs):
-        return counter.count_below(np.asarray(xs) * (1.0 + EPS_SHIFT), EPS_SHIFT)[1]
-
-    ks = grid_quantiles(n)
-    return ks, analysis._bisect_quantiles(n_neumann, ks, upper), n_neumann
-
-
 class TestAutoGrid:
     @pytest.mark.parametrize("backend", ["dense", "inertia"])
     def test_too_small_graph(self, backend):
         # the level-0 triangle's 2nd and 3rd eigenvalues coincide
         with pytest.raises(InsufficientDataError):
-            auto_grid(GraphCounts(build_graph(SEQ, 0, 1, 0.25), backend))
+            auto_grid(GraphCounts(SEQ, 0, 1, 0.25, backend))
 
     @pytest.mark.parametrize("m, s", [(1, 1), (2, 3), (3, 2), (4, 2), (5, 2)])
     @pytest.mark.parametrize(
@@ -278,7 +294,7 @@ class TestAutoGrid:
             return count_below(self, x, *args, **kwargs)
 
         monkeypatch.setattr(BlockInertiaCounter, "count_below", spy)
-        grid = auto_grid(GraphCounts(g, "inertia"))
+        grid = auto_grid(GraphCounts(seq, m, s, 0.25, "inertia"))
         assert 0 < max(counted) <= lambda_max_bound(p)
         ev = eig_dense(p).eigenvalues
         for end, k in zip((grid[0], grid[-1]), grid_quantiles(p.n)):
@@ -308,15 +324,16 @@ class TestAutoGrid:
         # eigenvalue near 391; both ends still converge, and the lower one
         # agrees with the level-12 end
         seq = geometric_to_limit(0.6, 0.5)
-        ks, ends, n_neumann = graph_free_ends(seq, m)
-        for end, k in zip(ends, ks):
-            assert n_neumann([end])[0] >= k > n_neumann([end / (1 + 1e-4)])[0]
-        assert ends[0] == pytest.approx(graph_free_ends(seq, 12)[1][0], rel=1e-4)
+        counts = GraphCounts(seq, m, 2, 0.25)
+        grid = auto_grid(counts)
+        for end, k in zip((grid[0], grid[-1]), grid_quantiles(counts.n)):
+            assert counts.count([end])[1, 0] >= k > counts.count([end / (1 + 1e-4)])[1, 0]
+        assert grid[0] == pytest.approx(auto_grid(GraphCounts(seq, 12, 2, 0.25))[0], rel=1e-4)
 
     @pytest.mark.parametrize("backend", ["dense", "inertia"])
     def test_point_cap(self, backend):
         # 1000 points a decade over this window would be more than the cap
-        counts = GraphCounts(build_graph(SEQ, 3, 2, 0.25), backend)
+        counts = GraphCounts(SEQ, 3, 2, 0.25, backend)
         capped = auto_grid(counts, per_decade=1000)
         plain = auto_grid(counts)
         assert len(capped) == analysis.MAX_GRID_POINTS and len(plain) == 28
@@ -406,6 +423,24 @@ class TestExperimentPipeline:
         monkeypatch.setattr(analysis, "build_graph", no_graph)
         with pytest.raises(error):
             run_counting_experiment(SEQ, m, s, 0.25, backend="inertia", bracket_level=j)
+
+    @pytest.mark.parametrize("bracket_level", [None, 2])
+    @pytest.mark.parametrize("backend", ["auto", "inertia"])
+    def test_counting_builds_no_graph(self, monkeypatch, backend, bracket_level):
+        # block elimination counts from the scale factors: no graph, pencil or
+        # pencil bound; the graph is built when read, the same as build_graph's
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a counting experiment built a graph or a pencil")
+
+        for module, name in [(analysis, "build_graph"), (geometry, "build_graph"),
+                             (analysis, "assemble_neumann"), (assembly, "assemble_neumann"),
+                             (eigensolve, "lambda_max_bound")]:
+            monkeypatch.setattr(module, name, forbidden)
+        exp = run_counting_experiment(SEQ, 4, 2, 0.25, backend=backend,
+                                      bracket_level=bracket_level)
+        monkeypatch.undo()
+        assert exp.graph.dump_text() == build_graph(SEQ, 4, 2, 0.25).dump_text()
+        assert exp.graph is exp.graph
 
     @pytest.mark.parametrize("bracket_level", [None, 2])
     @pytest.mark.parametrize("m, s", [(3, 2), (4, 2), (4, 3), (5, 2)])

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hanoispec import analysis
 from hanoispec.cli import (
     config_from_dict,
     config_hash,
@@ -360,6 +361,21 @@ class TestCountingCommand:
                 files[name] = [line for line in lines if h not in line]
             outputs[backend] = (code, files)
         assert outputs["dense"] == outputs["inertia"]
+
+    def test_dense_above_limit_exits_one_unbuilt(self, tmp_path, monkeypatch, capsys):
+        # the closed-form vertex count is checked before any graph is built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the graph was built above the dense limit")
+
+        monkeypatch.setattr(analysis, "build_graph", forbidden)
+        cfg = base_config(tmp_path / "out", level=8, solver={"backend": "dense"})
+        assert main(["counting", "--config", write_config(tmp_path, cfg), "--quiet"]) == 1
+        assert "29523 vertices, above the dense limit 4000" in capsys.readouterr().err
+
+    def test_level_past_int64_exits_two(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out", level=39)
+        assert main(["counting", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
+        assert "int64" in capsys.readouterr().err
 
     def test_insufficient_window_exit_two(self, tmp_path):
         cfg = base_config(tmp_path / "outx", level=1, subdivisions=1)

@@ -35,7 +35,7 @@ from hanoispec.errors import (
 )
 from hanoispec.geometry import build_graph
 from hanoispec.resistance import compatibility_check
-from hanoispec.sequences import constant, explicit, geometric_to_limit, scale_factors
+from hanoispec.sequences import constant, explicit, geometric_to_limit
 from test_resistance import FAMILIES
 
 SEQ = constant(0.5)
@@ -209,7 +209,7 @@ class TestBackendAgreement:
         if m:
             grid += cluster_thresholds(spec_d)
         grid = np.array(grid)
-        nd, nn = BlockInertiaCounter.from_graph(g).count_below(grid * (1 + 1e-9))
+        nd, nn = BlockInertiaCounter(g.seq, g.m, g.s, g.beta).count_below(grid * (1 + 1e-9))
         assert nn.tolist() == [spec_n.count_leq(float(x)) for x in grid]
         assert nd.tolist() == [spec_d.count_leq(float(x)) if m else 0 for x in grid]
 
@@ -293,7 +293,7 @@ class TestBlockCounter:
         for sc in spectra:
             xs += cluster_thresholds(sc)
         xs = np.array(sorted(x for x in xs if x > 0))
-        nd, nn = BlockInertiaCounter.from_graph(g).count_below(xs * (1 + EPS_SHIFT))
+        nd, nn = BlockInertiaCounter(g.seq, g.m, g.s, g.beta).count_below(xs * (1 + EPS_SHIFT))
         for counts, p, sc in zip((nn, nd), pencils, spectra):
             superlu = get_counter(p)
             assert counts.tolist() == [
@@ -321,7 +321,7 @@ class TestBlockCounter:
             xs += cluster_thresholds(sc)
         # the free components' zero modes come out of LAPACK as +-1e-13
         xs = np.array(sorted(x for x in xs if x > 1e-8 * ev[-1]))
-        ctr = BlockInertiaCounter.from_graph(g)
+        ctr = BlockInertiaCounter(g.seq, g.m, g.s, g.beta)
         nd, nn, lower, upper = ctr.count_below(xs * (1 + EPS_SHIFT), level=j)
         assert lower.tolist() == [spectra[0].count_leq(float(x)) for x in xs]
         assert upper.tolist() == [spectra[1].count_leq(float(x)) for x in xs]
@@ -333,7 +333,7 @@ class TestBlockCounter:
     @pytest.mark.parametrize("j", [0, 4])
     def test_bracketing_level_range(self, j):
         with pytest.raises(LevelError):
-            BlockInertiaCounter.from_graph(build_graph(SEQ, 3, 2, 0.25)).count_below([1.0], level=j)
+            BlockInertiaCounter(SEQ, 3, 2, 0.25).count_below([1.0], level=j)
 
     @pytest.mark.parametrize("m, s", [(0, 1), (1, 3), (3, 1), (4, 2)])
     @pytest.mark.parametrize("seq", [SEQ, explicit([0.45, 0.53], tail="cycle")],
@@ -342,8 +342,8 @@ class TestBlockCounter:
         for beta in (0.05, 0.25):
             g = build_graph(seq, m, s, beta)
             bound = lambda_max_bound(assemble_neumann(g))
-            shift = -1.0 - BlockInertiaCounter.from_graph(g)._setup_x
-            assert shift == pytest.approx(bound, rel=1e-14)
+            lambda_max = BlockInertiaCounter(seq, m, s, beta).lambda_max
+            assert lambda_max == pytest.approx(bound, rel=1e-14)
 
     @pytest.mark.parametrize("seq, m", [(geometric_to_limit(0.55, 0.3), 6), (SEQ, 7)])
     def test_large_levels_match_superlu(self, seq, m):
@@ -351,7 +351,7 @@ class TestBlockCounter:
         p_n = assemble_neumann(g)
         p_d = apply_dirichlet(p_n, g, "v0")
         xs = np.geomspace(1.0, lambda_max_bound(p_n), 40) * (1 + EPS_SHIFT)
-        nd, nn = BlockInertiaCounter.from_graph(g).count_below(xs)
+        nd, nn = BlockInertiaCounter(g.seq, g.m, g.s, g.beta).count_below(xs)
         assert nd.tolist() == [get_counter(p_d).count_below(float(x)).count for x in xs]
         assert nn.tolist() == [get_counter(p_n).count_below(float(x)).count for x in xs]
 
@@ -365,10 +365,8 @@ class TestBlockCounter:
         # because a pseudo-inverse of the singular 3x3 would lose digits
         compat = compatibility_check(seq, 6, beta=0.25)
         for m in range(31):
-            delta_m, gamma = (1.0, []) if m == 0 else (
-                scale_factors(seq, m).delta[m], scale_factors(seq, m).gamma)
             for s in (1, 2, 3):
-                ctr = BlockInertiaCounter(delta_m, gamma, s, 0.25)
+                ctr = BlockInertiaCounter(seq, m, s, 0.25)
                 _, S0, _, _ = ctr._eliminate(np.zeros(1))
                 R = pair_resistances(S0[0])
                 assert max(abs(r - 2.0 / 3.0) for r in R) <= 1e-12, (m, s, R)
@@ -378,14 +376,14 @@ class TestBlockCounter:
     def test_threshold_on_neumann_eigenvalue(self):
         # the level-0 triangle has a double eigenvalue at 9: S_0 is singular
         # there, so N_N is nudged up while N_D (no interior) is not
-        ctr = BlockInertiaCounter.from_graph(build_graph(SEQ, 0, 1, 0.25))
+        ctr = BlockInertiaCounter(SEQ, 0, 1, 0.25)
         _, (ok_d, ok_n) = ctr.try_count(np.array([9.0]))
         assert ok_d[0] and not ok_n[0]
         assert ctr.count_below([9.0])[1].tolist() == [count_below(m0_pencil(), 9.0).count]
 
     def test_s0_failure_nudges_only_n_n(self, monkeypatch):
         # N_D keeps the first pass's count when only S_0 is near-singular
-        ctr = BlockInertiaCounter.from_graph(build_graph(SEQ, 1, 2, 0.25))
+        ctr = BlockInertiaCounter(SEQ, 1, 2, 0.25)
         ctr.count_below([1.0])  # the set-up pass runs on the first call
         passes = iter([
             (np.array([[1], [2]]), np.array([[True], [False]])),
@@ -399,7 +397,7 @@ class TestBlockCounter:
         # with s = 2 the pivot of a bridge's interior node is 2 c_k - x mu_k,
         # zero at x = 2 c_k / mu_k, which is no eigenvalue of the pencils
         g = build_graph(SEQ, 1, 2, 0.25)
-        ctr = BlockInertiaCounter.from_graph(g)
+        ctr = BlockInertiaCounter(g.seq, g.m, g.s, g.beta)
         x = 2.0 * ctr.seg_conductance[0] / (ctr.bridge_mass[0] / 2)
         _, (ok_d, ok_n) = ctr.try_count(np.array([x]))
         assert not ok_d[0] and not ok_n[0]
@@ -413,7 +411,7 @@ class TestBlockCounter:
         # x = 2 s c_k / m_b, and so does its interior's first pivot; with
         # s = 2 this x is also an eigenvalue of the free bridge
         g = build_graph(SEQ, 2, 2, 0.25)
-        ctr = BlockInertiaCounter.from_graph(g)
+        ctr = BlockInertiaCounter(g.seq, g.m, g.s, g.beta)
         x = 2 * g.s * ctr.seg_conductance[0] / ctr.bridge_mass[0]
         _, ok = ctr.try_count(np.array([x]), level=1)
         assert not ok[2:].any()
@@ -424,15 +422,39 @@ class TestBlockCounter:
 
     def test_threshold_error_on_hopeless_shift(self):
         with pytest.raises(ThresholdAtEigenvalueError):
-            BlockInertiaCounter.from_graph(build_graph(SEQ, 0, 1, 0.25)).count_below([0.0])
+            BlockInertiaCounter(SEQ, 0, 1, 0.25).count_below([0.0])
 
     def test_setup_pass_must_be_positive_definite(self):
-        # beta < -1/3 gives the V_0 corners negative mass, which makes L - x M
-        # indefinite below the bound; the first count_below runs the set-up pass
-        ctr = BlockInertiaCounter(0.5, [1.0 / 6.0], 1, -0.9)
-        assert ctr.corner_mass < 0
+        # a negative corner mass makes L - x M indefinite below the bound; the
+        # first count_below runs the set-up pass
+        ctr = BlockInertiaCounter(SEQ, 1, 1, 0.25)
+        ctr.corner_mass = -ctr.corner_mass
         with pytest.raises(ConvergenceError):
             ctr.count_below([1.0])
+
+    def test_graph_args_are_checked(self):
+        for m, s, beta in [(-1, 2, 0.25), (2, 0, 0.25), (2, 2, 0.4), (2, 2, 0.0)]:
+            with pytest.raises(DomainError):
+                BlockInertiaCounter(SEQ, m, s, beta)
+
+    def test_counts_stay_in_int64(self):
+        # n = 6.1e18 at m = 38 (s = 2) still fits int64; above the bound
+        # every eigenvalue is counted.  At m = 39 (n = 1.8e19) the counts
+        # once wrapped to -2.1e17 at x = 1e30.
+        ctr = BlockInertiaCounter(SEQ, 38, 2, 0.25)
+        assert ctr.n == 3 ** 39 + (3 ** 39 - 3) // 2 < 2 ** 63
+        nd, nn = ctr.count_below([2.0 * ctr.lambda_max])
+        assert (int(nd[0]), int(nn[0])) == (ctr.n - 3, ctr.n)
+        with pytest.raises(LevelError, match="int64"):
+            BlockInertiaCounter(SEQ, 39, 2, 0.25)
+        # upperSum_j reaches the n + 3^(j+1) - 3 vertices of the level-j
+        # decoupled form: for the s = 3 graph (n = 8.1e18) that is inside
+        # int64 at j = 36 and past it at j = 37
+        ctr = BlockInertiaCounter(SEQ, 38, 3, 0.25)
+        upper = ctr.count_below([2.0 * ctr.lambda_max], level=36)[3]
+        assert int(upper[0]) == ctr.n + 3 ** 37 - 3
+        with pytest.raises(LevelError, match="int64"):
+            ctr.count_below([1.0], level=37)
 
 
 class TestLowest:
