@@ -13,19 +13,23 @@ Two backends:
   pencil eigenvalues strictly below x.  A whole level-m graph (its
   Neumann pencil and the V_0-grounded one) is counted by
   BlockInertiaCounter, which needs only its scale factors and masses
-  and eliminates it one level at a time with small dense blocks, for a batch of thresholds at once; the same
-  pass gives the Dirichlet-Neumann bracketing sums of any level, so the
-  decoupled component pencils are never counted one by one.  It is the
-  default counting engine of analysis at every graph size and the only
-  inertia counter the counting experiments use.  Any other pencil (one
-  passed to count_below) is factored by InertiaCounter with SuperLU
-  under a symmetric column ordering and no row interchanges; diag(U) is
-  then the D of the LDL^T.  A factorization that is exactly singular,
-  that had to interchange rows, or that has a pivot magnitude under
-  1e-12 * max|L| (for the block counter: a pivot block with an
-  eigenvalue that small against its level) means x sits numerically on
-  an eigenvalue; the threshold is then nudged up by 10 * eps_shift
-  relatively and the elimination retried.
+  and eliminates it one level at a time through the D3 symmetry of its
+  blocks (scalar pivots and one 2x2 block per level), for a batch of
+  thresholds at once; the same pass gives the Dirichlet-Neumann
+  bracketing sums of any level, so the decoupled component pencils are
+  never counted one by one.  It is the default counting engine of
+  analysis at every graph size and the only inertia counter the counting
+  experiments use.  Any other pencil (one passed to count_below) is
+  factored by InertiaCounter with SuperLU under a symmetric column
+  ordering and no row interchanges; diag(U) is then the D of the LDL^T.
+
+A threshold x sits numerically on an eigenvalue when InertiaCounter's
+factorization is exactly singular, had to interchange rows, or has a
+pivot magnitude under SMALL_PIVOT_REL * max|L|, or when one of the block
+counter's scalar pivots is within PIVOT_ROUNDING (16 eps) times the
+summed magnitudes of the terms that formed it, which bounds its rounding
+whatever the scale of its level.  The threshold is then nudged up by
+10 * eps_shift relatively and the elimination retried.
 
 The backends are cross-validated against each other in the test suite on
 every pencil family the package produces; InertiaCounter is the
@@ -286,40 +290,9 @@ class InertiaCounter:
 # Block-elimination inertia for whole level-m graphs
 # ---------------------------------------------------------------------------
 
-# A level-(k-1) block is three level-k sub-blocks joined by three bridges.
-# Corner a of sub-block a (0-based letters) is an outer corner of the block;
-# the 6 others are its inner corners, listed so that bridge t joins inner
-# corner t to inner corner t + 3: the bridge opposite letter i joins corner
-# b of sub-block a to corner a of sub-block b, {a, b} = {0, 1, 2} \ {i}.
-_INNER = ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1))    # (sub-block, corner)
-# One level's [K_ii | K_io | w_i], a (6, 10) array, is the sum of two gathers
-# from the columns [S_k (9, row-major) | w_k (3) | -g, r_a, r_b, r_a + g,
-# r_b + g, 0] of the sub-blocks' Schur complement S_k, its row sums w_k and
-# the bridge's end-to-end conductance g and end row sums r_a, r_b.  An inner
-# corner's diagonal is S_k's plus its bridge end's r + g, and its row sum is
-# w_k's plus that end's r.
-_NEG_G, _R_A, _R_B, _DIAG_A, _DIAG_B, _ZERO = range(12, 18)
-
-
-def _inner_gathers() -> tuple[np.ndarray, np.ndarray]:
-    first = np.full((6, 10), _ZERO)
-    second = np.full((6, 10), _ZERO)
-    for p, (a, c) in enumerate(_INNER):
-        for q, (b, d) in enumerate(_INNER):
-            if p == q:
-                first[p, q] = 3 * c + c
-                second[p, q] = _DIAG_A if p < 3 else _DIAG_B
-            elif a == b:
-                first[p, q] = 3 * c + d
-            elif abs(p - q) == 3:
-                first[p, q] = _NEG_G
-        first[p, 6 + a] = 3 * c + a
-        first[p, 9] = 9 + c
-        second[p, 9] = _R_A if p < 3 else _R_B
-    return first.ravel(), second.ravel()
-
-
-_GATHER_1, _GATHER_2 = _inner_gathers()
+# A block-elimination pivot within this many eps of the summed magnitudes of
+# the terms that formed it is not told apart from zero by its rounding.
+PIVOT_ROUNDING = 16.0 * np.finfo(float).eps
 
 
 class BlockInertiaCounter:
@@ -340,9 +313,26 @@ class BlockInertiaCounter:
     In(K) = In(K_11) + In(K / K_11), a level-(k-1) block with its outer
     corners grounded has nu_{k-1} = 3 nu_k + 3 pi_k + n_k negative
     eigenvalues, with nu_m = 0 for a cell.  N_D (V_0 grounded) is nu_0 and
-    N_N is nu_0 + neg(S_0).  All G thresholds of a batch are eliminated
-    together: a bridge as length-G vectors, the inner corners as a
-    (G, 6, 6) stack through eigvalsh (inertia) and solve (Schur complement).
+    N_N is nu_0 + neg(S_0).  All thresholds of a batch are eliminated
+    together, each quantity below as one vector.
+
+    Every block is invariant under the group D3 of its three letters, so
+    S_k = d I + o (J - I) is two numbers: its row sum w = d + 2o and its
+    double standard eigenvalue sigma = d - o, and neg(S_k) = [w < 0] +
+    2 [sigma < 0].  A bridge's symmetric path leaves its end-to-end
+    conductance g and one row sum r at either end.  The 6 inner corners
+    carry D3's regular representation 1 + 1 + 2 x 2: the trivial pivot
+    t = (2w + sigma)/3 + r, the sign pivot sigma + r + 2g, and twice the
+    standard block
+
+        B = [[t + 3g/2, -(sqrt3/2) g], [-(sqrt3/2) g, sigma + r + g/2]],
+
+    counted by its LDL^T pivots B_11 and B_22 - (3/4) g^2 / B_11, the
+    second formed as sigma + r + g t / (2 B_11) so that no multiple of g
+    cancels.  Only the trivial direction and B's first one meet the outer
+    corners, each with coupling sqrt2 o, so S_{k-1} has
+    w' = w - 2o (w + r)/t, which stays exactly zero at x = 0, and
+    sigma' = d - 2 o^2 (B^-1)_11.
 
     The same pass gives the Dirichlet-Neumann bracketing sums of a level
     j, the counts of the level-j decoupled forms.  Grounding V_j leaves
@@ -356,16 +346,12 @@ class BlockInertiaCounter:
     where phi_k counts the free-free level-k bridge, its end masses
     included, by eliminating it end to end (``_free_path``).
 
-    Each Schur complement is carried as its off-diagonal entries and its
-    row sums w' = w_o - K_oi K_ii^-1 w_i, and its diagonal is rebuilt from
-    them.  At x = 0 the row sums stay exactly zero, where the plain
-    K_oo - K_oi K_ii^-1 K_io loses digits at every level.
-
-    A pivot block (a bridge pivot, the inner-corner block, a free
-    bridge's pivot, S_j or S_0) is near-singular when its smallest
-    |eigenvalue| is at most SMALL_PIVOT_REL times the largest |entry| of
-    its level; ``count_below`` then nudges the threshold as
-    InertiaCounter does, for each count only on the blocks it depends on.
+    Every pivot (of a bridge, the inner corners or a free bridge) and
+    w and sigma of S_j and S_0 are near-singular when their magnitude is
+    at most PIVOT_ROUNDING times the summed magnitudes of the terms that
+    formed them; those of w and sigma are carried through the levels.
+    ``count_below`` then nudges the threshold as InertiaCounter does, for
+    each count only on the pivots it depends on.
     """
 
     def __init__(self, seq: MatchingSequence, m: int, s: int, beta: float):
@@ -386,7 +372,7 @@ class BlockInertiaCounter:
         # classes (a corner with only its cell share, a corner at a level-k
         # bridge, an interior bridge node), so below -lambda_max L - x M is
         # positive definite; the first count_below checks that every pivot
-        # block comes out positive and clear of singularity there.
+        # comes out positive and clear of its rounding there.
         cell = 2.0 * abs(self.cell_conductance)
         upper = 2.0 * cell / self.corner_mass
         for ck, bm in zip(self.seg_conductance, self.bridge_mass):
@@ -399,84 +385,76 @@ class BlockInertiaCounter:
     def _eliminate(self, x: np.ndarray, level: Optional[int] = None):
         """(nu_0, S_0, interior pivots clear, sums) for each threshold in x.
 
+        S_0 is (w, sigma, w_mag, sigma_mag): its row sum, its standard
+        eigenvalue and the summed magnitudes of the terms that formed each.
         With a level j, sums holds lowerSum_j, upperSum_j and whether the
-        pivot blocks each depends on are clear; otherwise it is None.
+        pivots each depends on are clear; otherwise it is None.
         """
-        G, s, rel = x.size, self.s, SMALL_PIVOT_REL
+        s = self.s
         # S_m of a cell: off-diagonal -1/delta_m, row sums -x * corner mass
         c = self.cell_conductance
-        w = np.repeat((-self.corner_mass * x)[:, None], 3, axis=1)
-        S = np.repeat((c * (3.0 * np.eye(3) - 1.0)).reshape(1, 9), G, axis=0)
-        S[:, ::4] += w
-        nu = np.zeros(G, dtype=np.int64)
-        ok = np.ones(G, dtype=bool)
+        w = -self.corner_mass * x
+        sigma = 3.0 * c + w
+        w_mag, sigma_mag = np.abs(w), 3.0 * c + np.abs(w)
+        nu = np.zeros(x.size, dtype=np.int64)
+        ok = np.ones(x.size, dtype=bool)
         sums = None
-        src = np.zeros((G, _ZERO + 1))
         m = len(self.seg_conductance)
         for k, ck, bm in zip(range(m, 0, -1), self.seg_conductance[::-1],
                              self.bridge_mass[::-1]):
             if k == level:
                 # the free level-j blocks add neg(S_j); the grounded ones do not
-                neg_s, clear_s = _inertia(S.reshape(G, 3, 3), rel * np.abs(S).max(axis=1))
+                neg_s, clear_s = _schur_inertia(w, sigma, w_mag, sigma_mag)
                 sums = [3 ** k * nu, 3 ** k * (nu + neg_s), ok.copy(), ok & clear_s]
             mu, end = -x * (bm / s), -x * (bm / (2 * s))
-            # the level's largest |entry|: in S_k or on the bridge
-            tol = rel * np.maximum(np.abs(S).max(axis=1), np.maximum(ck, np.abs(2.0 * ck + mu)))
             # bridge: eliminate its interior nodes in path order; g is the
-            # conductance from end a to the next node, r that node's row sum.
-            # A near-zero pivot fails the threshold and is replaced by tol, so
-            # the rest of the batch stays finite.
-            g, ra, r = ck, end, (mu if s > 1 else end)
+            # conductance from end a to the next node, r that node's row sum,
+            # and at the last node the row sum of either end.
+            g, r = ck, (mu if s > 1 else end)
+            r_mag = np.abs(r)
             pi = 0
-            clear = np.ones(G, dtype=bool)
+            clear = np.ones(x.size, dtype=bool)
             for i in range(1, s):
-                d = r + g + ck
-                pi = pi + (d < 0.0)
-                small = np.abs(d) <= tol
-                clear &= ~small
-                d = np.where(small, tol, d)
-                ra = ra + g * r / d
-                r = (mu if i < s - 1 else end) + ck * r / d
-                g = g * ck / d
+                piv = _pivot(r + g + ck, r_mag + np.abs(g) + ck, clear)
+                pi = pi + (piv < 0.0)
+                nxt = mu if i < s - 1 else end
+                r, r_mag = nxt + ck * r / piv, np.abs(nxt) + ck * r_mag / np.abs(piv)
+                g = g * ck / piv
             ok &= clear
             if level is not None and k <= level:
-                phi, clear_p = _free_path(ck, mu, end, s, tol)
+                phi, clear_p = _free_path(ck, mu, end, s)
                 sums[0] = sums[0] + 3 ** k * pi
                 sums[1] = sums[1] + 3 ** k * phi
                 sums[2] &= clear
                 sums[3] &= clear_p
-            src[:, :9] = S
-            src[:, 9:12] = w
-            src[:, _NEG_G] = -g
-            src[:, _R_A] = ra
-            src[:, _R_B] = r
-            src[:, _DIAG_A] = ra + g
-            src[:, _DIAG_B] = r + g
-            T = (src[:, _GATHER_1] + src[:, _GATHER_2]).reshape(G, 6, 10)
-            Kii, rhs = T[:, :, :6], T[:, :, 6:]
-            n_k, clear = _inertia(Kii, tol)
-            ok &= clear
-            if not clear.all():
-                Kii = np.where(clear[:, None, None], Kii, np.eye(6))
-            P = rhs[:, :, :3].transpose(0, 2, 1) @ np.linalg.solve(Kii, rhs)
-            # S_{k-1}: symmetrised off-diagonal part, diagonal from the row sums
-            w = w - P[:, :, 3]
-            S = P[:, :, :3] + P[:, :, :3].transpose(0, 2, 1)
-            S *= -0.5
-            S = S.reshape(G, 9)
-            S[:, ::4] = w - (S.reshape(G, 3, 3).sum(axis=2) - S[:, ::4])
-            nu = 3 * nu + 3 * pi + n_k
-        return nu, S.reshape(G, 3, 3), ok, sums
+            # the inner corners: the trivial and sign pivots and B's two LDL^T pivots
+            d, o = (w + 2.0 * sigma) / 3.0, (w - sigma) / 3.0
+            d_mag = (w_mag + 2.0 * sigma_mag) / 3.0
+            t_mag = (2.0 * w_mag + sigma_mag) / 3.0 + r_mag
+            t = _pivot((2.0 * w + sigma) / 3.0 + r, t_mag, ok)
+            sign = _pivot(sigma + r + 2.0 * g, sigma_mag + r_mag + 2.0 * np.abs(g), ok)
+            p1 = _pivot(t + 1.5 * g, t_mag + 1.5 * np.abs(g), ok)
+            # B_22 - (3/4) g^2 / p1, as sigma + r + g t / (2 p1)
+            f = 0.5 * g / p1
+            p2 = _pivot(sigma + r + f * t, sigma_mag + r_mag + np.abs(f) * t_mag, ok)
+            nu = 3 * nu + 3 * pi + _neg(t, sign) + 2 * _neg(p1, p2)
+            # S_{k-1}, with (B^-1)_11 = B_22 / (p1 p2)
+            binv = (sigma + r + 0.5 * g) / p1 / p2
+            binv_mag = (sigma_mag + r_mag + 0.5 * np.abs(g)) / np.abs(p1) / np.abs(p2)
+            w, w_mag = (w - 2.0 * o * (w + r) / t,
+                        w_mag + 2.0 * np.abs(o) * (w_mag + r_mag) / np.abs(t))
+            sigma, sigma_mag = d - 2.0 * o * o * binv, d_mag + 2.0 * o * o * binv_mag
+        return nu, (w, sigma, w_mag, sigma_mag), ok, sums
 
     def try_count(self, x: np.ndarray, level: Optional[int] = None):
         """One pass at thresholds x: (counts, clear), one row per count.
 
         The rows are N_D and N_N, then lowerSum_j and upperSum_j for a
-        bracketing level j; clear says where each count's pivot blocks
-        were all clear of singularity.
+        bracketing level j; clear says where each count's pivots were all
+        clear of their rounding.
         """
         nu, S0, ok, sums = self._eliminate(x, level)
-        neg, clear = _inertia(S0, SMALL_PIVOT_REL * np.abs(S0).max(axis=(1, 2)))
+        neg, clear = _schur_inertia(*S0)
         counts, oks = [nu, nu + neg], [ok, ok & clear]
         if sums is not None:
             counts += sums[:2]
@@ -488,8 +466,8 @@ class BlockInertiaCounter:
 
         With a bracketing level j, 1 <= j <= m, (lowerSum_j, upperSum_j)
         follow.  As in InertiaCounter.count_below, a threshold whose pass
-        hits a near-singular pivot block is retried at x * (1 + 10 eps_shift),
-        each count only while its own pivot blocks fail: N_D needs the
+        hits a near-singular pivot is retried at x * (1 + 10 eps_shift),
+        each count only while its own pivots fail: N_D needs the
         interior pivots clear, N_N also S_0.
         """
         m = len(self.seg_conductance)
@@ -523,36 +501,52 @@ class BlockInertiaCounter:
             bad = x[np.flatnonzero(todo.any(axis=0))[0]]
             raise ThresholdAtEigenvalueError(
                 f"threshold {bad!r} sits on an eigenvalue: {RETRIES} retries with relative "
-                f"shift {10 * eps_shift:g} all hit a near-singular pivot block"
+                f"shift {10 * eps_shift:g} all hit a near-singular pivot"
             )
         return tuple(counts)
 
 
-def _free_path(ck: float, mu: np.ndarray, end: np.ndarray, s: int, tol: np.ndarray):
+def _pivot(p: np.ndarray, mag: np.ndarray, clear: np.ndarray) -> np.ndarray:
+    """p, with each entry within PIVOT_ROUNDING * mag of zero replaced by that
+    bound so that the rest of the batch stays finite; clear is and-ed in place
+    with where p is clear of it."""
+    tol = PIVOT_ROUNDING * mag
+    small = np.abs(p) <= tol
+    clear &= ~small
+    return np.where(small, tol, p)
+
+
+def _neg(*pivots: np.ndarray) -> np.ndarray:
+    """How many of the pivots are negative, per threshold, as an integer."""
+    return sum(p < 0.0 for p in pivots)
+
+
+def _schur_inertia(w, sigma, w_mag, sigma_mag) -> tuple[np.ndarray, np.ndarray]:
+    """neg(S) = [w < 0] + 2 [sigma < 0] of a D3-symmetric Schur complement,
+    and whether w and sigma both clear their rounding."""
+    clear = (np.abs(w) > PIVOT_ROUNDING * w_mag) & (np.abs(sigma) > PIVOT_ROUNDING * sigma_mag)
+    return _neg(w) + 2 * _neg(sigma), clear
+
+
+def _free_path(ck: float, mu: np.ndarray, end: np.ndarray, s: int):
     """Negative pivots of a free-free bridge eliminated end to end, and
-    whether they all clear tol.
+    whether they all clear their rounding.
 
     This is the Sturm count of a tridiagonal matrix, which stays exact
     next to the bridge's interior Dirichlet eigenvalues.  Those are
     eigenvalues of the free bridge too, and next to them the 2x2 end
     complement left by eliminating the interior first cancels to noise.
     """
-    d = ck + end
-    neg = (d < 0.0).astype(np.int64)
-    clear = np.abs(d) > tol
+    clear = np.ones(mu.shape, dtype=bool)
+    # as in the bridge, r is the row sum of the next node: the last pivot,
+    # which goes to zero with x, keeps its digits
+    r, r_mag, neg = end, np.abs(end), 0
     for i in range(1, s + 1):
-        d = np.where(np.abs(d) > tol, d, tol)
-        d = (2.0 * ck + mu if i < s else ck + end) - ck * ck / d
-        neg += d < 0.0
-        clear &= np.abs(d) > tol
-    return neg, clear
-
-
-def _inertia(A: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Negative eigenvalues of each symmetric matrix in the stack, and
-    whether its smallest |eigenvalue| clears tol."""
-    lam = np.linalg.eigvalsh(A)
-    return (lam < 0.0).sum(axis=1), np.abs(lam).min(axis=1) > tol
+        d = _pivot(r + ck, r_mag + ck, clear)
+        neg = neg + (d < 0.0)
+        nxt = mu if i < s else end
+        r, r_mag = nxt + ck * r / d, np.abs(nxt) + ck * r_mag / np.abs(d)
+    return neg + (_pivot(r, r_mag, clear) < 0.0), clear
 
 
 _counter_cache: "weakref.WeakKeyDictionary[Pencil, InertiaCounter]" = (

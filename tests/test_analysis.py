@@ -330,6 +330,16 @@ class TestAutoGrid:
             assert counts.count([end])[1, 0] >= k > counts.count([end / (1 + 1e-4)])[1, 0]
         assert grid[0] == pytest.approx(auto_grid(GraphCounts(seq, 12, 2, 0.25))[0], rel=1e-4)
 
+    @pytest.mark.parametrize("m, slope", [(24, 0.6563269723138304), (30, 0.664330465664856)])
+    def test_geometric_family_counts_at_depth(self, m, slope):
+        # the auto grid reaches x ~ 1e18 (m = 24) and 1e23 (m = 30), where a
+        # level's entries are up to 1e13 times its smallest clear pivots
+        exp = run_counting_experiment(geometric_to_limit(0.6, 0.5), m, 2, 0.25)
+        nd = [sm.n_dirichlet for sm in exp.samples]
+        nn = [sm.n_neumann for sm in exp.samples]
+        assert np.all(np.diff(nd) >= 0) and np.all(np.diff(nn) >= 0) and np.all(np.less_equal(nd, nn))
+        assert exp.fit.slope == pytest.approx(slope, rel=1e-9)
+
     @pytest.mark.parametrize("backend", ["dense", "inertia"])
     def test_point_cap(self, backend):
         # 1000 points a decade over this window would be more than the cap

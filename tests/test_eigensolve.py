@@ -258,13 +258,6 @@ class TestBackendAgreement:
                 ).count
 
 
-def pair_resistances(S) -> tuple:
-    """The three pair resistances of the 3-node network with conductances -S_ij."""
-    c = -S
-    return tuple(1.0 / (c[i, j] + c[i, k] * c[j, k] / (c[i, k] + c[j, k]))
-                 for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)))
-
-
 @st.composite
 def whole_graphs(draw):
     return build_graph(draw(FAMILIES), draw(st.integers(0, 4)), draw(st.integers(1, 3)),
@@ -360,18 +353,52 @@ class TestBlockCounter:
         ids=lambda q: q.describe(),
     )
     def test_trace_on_v0_is_the_unit_triangle(self, seq):
-        # at x = 0, S_0 is the trace of the resistance form on V_0, so every
-        # V_0 pair resistance is 2/3; they are read off S_0's conductances,
-        # because a pseudo-inverse of the singular 3x3 would lose digits
+        # at x = 0, S_0 is the trace of the resistance form on V_0: its row
+        # sum w_0 stays exactly zero and every V_0 pair resistance is
+        # 2 / sigma_0 = 2/3
         compat = compatibility_check(seq, 6, beta=0.25)
         for m in range(31):
             for s in (1, 2, 3):
                 ctr = BlockInertiaCounter(seq, m, s, 0.25)
-                _, S0, _, _ = ctr._eliminate(np.zeros(1))
-                R = pair_resistances(S0[0])
-                assert max(abs(r - 2.0 / 3.0) for r in R) <= 1e-12, (m, s, R)
+                _, (w0, sigma0, _, _), _, _ = ctr._eliminate(np.zeros(1))
+                assert w0[0] == 0.0, (m, s)
+                R = 2.0 / sigma0[0]
+                assert abs(R - 2.0 / 3.0) <= 1e-12, (m, s, R)
                 if m <= 6:  # the grounded SuperLU solves are off by up to 7.7e-12
-                    assert R == pytest.approx(compat.resistances[m], abs=compat.tolerance)
+                    assert compat.resistances[m] == pytest.approx([R] * 3, abs=compat.tolerance)
+
+    def test_deep_pivots_are_tested_against_their_own_rounding(self):
+        # around x = 3.0913e18 at m = 24 a level's entries reach 3e13 while
+        # B's small pivot sits near 9, far above its ~1e-2 rounding; every
+        # threshold of a dense grid there counts, monotone in x
+        ctr = BlockInertiaCounter(geometric_to_limit(0.6, 0.5), 24, 2, 0.25)
+        nd, nn = ctr.count_below(np.linspace(1 - 1e-3, 1 + 1e-3, 2001) * 3.0913e18)
+        assert np.all(np.diff(nd) >= 0) and np.all(np.diff(nn) >= 0) and np.all(nd <= nn)
+
+    @pytest.mark.parametrize("m, x, count", [
+        (24, 3.0913e18, 282441493899),
+        (31, 9.207471489519229e21, 40194165462849),
+        (34, 4.57336082195115e22, 118654692035292),
+        (35, 1.5116010856590714e26, 50031623551648725),
+    ])
+    def test_deep_counts_match_high_precision(self, m, x, count):
+        # the counts of a 60-digit mpmath elimination with the full 3x3 S_k,
+        # 6x6 inner-corner blocks and a general Schur complement of each
+        # bridge.  At m = 31 and 34 a float64 eigvalsh of the 6x6 blocks
+        # clears a 1e-12 test and still miscounts; at m = 35 the form
+        # B_22 - (3/4) g^2 / B_11 cancels two multiples of g ~ 4e18 to rounding
+        ctr = BlockInertiaCounter(geometric_to_limit(0.6, 0.5), m, 2, 0.25)
+        nd, nn = ctr.count_below([x])
+        assert (int(nd[0]), int(nn[0])) == (count, count)
+
+    def test_free_paths_count_their_zero_modes_at_depth(self):
+        # at x = 0.01, below every nonzero eigenvalue of the level-20
+        # decoupled form, each free cell and free path has its zero mode
+        # below x; a free path's last pivot, ~ -x times its mass, sits next
+        # to conductances of 1e6 and is formed from row sums to keep it
+        ctr = BlockInertiaCounter(SEQ, 20, 2, 0.25)
+        upper = ctr.count_below([0.01], level=20)[3]
+        assert int(upper[0]) == 3 ** 20 + (3 ** 21 - 3) // 2
 
     def test_threshold_on_neumann_eigenvalue(self):
         # the level-0 triangle has a double eigenvalue at 9: S_0 is singular
@@ -405,6 +432,19 @@ class TestBlockCounter:
         nd, nn = ctr.count_below([x])
         assert (nd[0], nn[0]) == (eig_dense(apply_dirichlet(p_n, g, "v0")).count_leq(x),
                                   eig_dense(p_n).count_leq(x))
+
+    def test_pivots_are_flagged_within_a_few_roundings(self):
+        # 4 eps off a zero of the interior pivot 2 c_k - x mu_k (m = 1) and
+        # of sigma_0 (m = 0, x = 9) the pivot is rounding and is flagged;
+        # 1e-12 off it is clear and counted
+        eps = np.finfo(float).eps
+        near, off = [1 + 4 * eps, 1 - 4 * eps], [1 + 1e-12, 1 - 1e-12]
+        ctr = BlockInertiaCounter(SEQ, 1, 2, 0.25)
+        x0 = 2.0 * ctr.seg_conductance[0] / (ctr.bridge_mass[0] / 2)
+        _, ok = ctr.try_count(x0 * np.array(near + off))
+        assert ok.tolist() == [[False, False, True, True]] * 2
+        _, ok = BlockInertiaCounter(SEQ, 0, 1, 0.25).try_count(9.0 * np.array(near + off))
+        assert ok.tolist() == [[True] * 4, [False, False, True, True]]
 
     def test_free_bridge_pivot_failure_nudges_the_sums(self):
         # a free bridge's end pivot c_k - x m_b / (2s) vanishes at
