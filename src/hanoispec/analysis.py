@@ -51,7 +51,6 @@ from .eigensolve import (
     BlockInertiaCounter,
     Spectrum,
     eig_dense,
-    eig_dense_cached,
 )
 from .errors import (
     ConvergenceError,
@@ -127,10 +126,10 @@ class GraphCounts:
             g = build_graph(seq, m, s, beta)
             p_n = assemble_neumann(g)
             try:
-                spec_d = eig_dense_cached(apply_dirichlet(p_n, g, "v0"), dense_limit)
+                spec_d = eig_dense(apply_dirichlet(p_n, g, "v0"), dense_limit)
             except EmptyPencilError:    # the level-0 triangle is all V_0
-                spec_d = Spectrum(np.empty(0), None, 0.0)
-            self._spectra = (spec_d, eig_dense_cached(p_n, dense_limit))
+                spec_d = Spectrum(np.empty(0), None)
+            self._spectra = (spec_d, eig_dense(p_n, dense_limit))
 
     def count(self, xs, level: Optional[int] = None) -> np.ndarray:
         """Rows N_D and N_N, #{lambda <= x} at each threshold x; with a

@@ -239,6 +239,7 @@ class TestBracketing:
         monkeypatch.setattr(analysis, "assemble_decoupled", forbidden, raising=False)
         monkeypatch.setattr(InertiaCounter, "__init__", forbidden)
         monkeypatch.setattr(eigensolve, "eig_dense", counting_dense)
+        monkeypatch.setattr(analysis, "eig_dense", counting_dense)
         exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend=backend, bracket_level=2)
         assert exp.bracketing.ok and exp.graph.n_vertices <= eigensolve.DENSE_LIMIT
         assert sorted(solved) == (["dirichlet_v0", "neumann"] if backend == "dense" else [])

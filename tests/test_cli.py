@@ -17,6 +17,7 @@ from hanoispec.cli import (
     main,
 )
 from hanoispec.errors import ConfigError
+from test_eigensolve import drop_a_copy, fail_lapack
 
 
 def base_config(outdir, **overrides):
@@ -295,6 +296,22 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfgfile, "--quiet"]) == 0
         lines = (tmp_path / "out" / "eigenvalues.csv").read_text().splitlines()
         assert len([l for l in lines if l.endswith(",neumann")]) == 4
+
+    def test_lapack_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        fail_lapack(monkeypatch)
+        cfgfile = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["spectrum", "--config", cfgfile, "--quiet"]) == 2
+        assert "dense eigensolve failed" in capsys.readouterr().err
+
+    def test_skipped_copy_above_dense_limit_exits_2(self, tmp_path, monkeypatch, capsys):
+        # k_lowest on the README graph (363 rows) with a dense limit below it:
+        # shift-invert values that the inertia counts reject have no fallback
+        drop_a_copy(monkeypatch)
+        cfg = base_config(tmp_path / "out", level=4)
+        cfg["solver"] = {"dense_limit": 100, "k_lowest": 12}
+        cfgfile = write_config(tmp_path, cfg)
+        assert main(["spectrum", "--config", cfgfile, "--quiet"]) == 2
+        assert "inertia counts" in capsys.readouterr().err
 
 
 class TestCountingCommand:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
@@ -53,6 +54,32 @@ def m0_pencil():
     return assemble_neumann(build_graph(SEQ, 0, 1, 0.25))
 
 
+def readme_pencil(boundary):
+    # the README example's level-4, s = 2 graph: 363 rows, 360 grounded
+    g = build_graph(SEQ, 4, 2, 0.25)
+    p = assemble_neumann(g)
+    return apply_dirichlet(p, g, "v0") if boundary == "dirichlet_v0" else p
+
+
+def drop_a_copy(monkeypatch):
+    """Make eigsh leave out one copy of the lowest repeated eigenvalue and
+    return the next eigenvalue in its place, as shift-invert iteration can."""
+    eigsh = spla.eigsh
+
+    def dropping(A, k, **kwargs):
+        w = np.sort(eigsh(A, k=k + 1, **kwargs))
+        return np.delete(w, np.flatnonzero(np.diff(w) <= 1e-8 * w[1:])[0])
+
+    monkeypatch.setattr(spla, "eigsh", dropping)
+
+
+def fail_lapack(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("the algorithm failed to converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+
+
 class TestDense:
     def test_m0(self):
         spec = eig_dense(m0_pencil())
@@ -72,6 +99,11 @@ class TestDense:
         with pytest.raises(PencilSizeError) as exc:
             eig_dense(assemble_neumann(g), dense_limit=50)
         assert "count_below" in str(exc.value)
+
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
+        fail_lapack(monkeypatch)
+        with pytest.raises(ConvergenceError, match="dense eigensolve failed"):
+            eig_dense(m0_pencil())
 
     def test_size_limit_holds_for_cached_spectrum(self):
         p = assemble_neumann(build_graph(SEQ, 3, 2, 0.25))
@@ -305,7 +337,7 @@ class TestBlockCounter:
         g, j = graph_and_level
         spectra = [
             Spectrum(np.sort(np.concatenate([eig_dense(c).eigenvalues
-                                             for c in assemble_decoupled(g, j, kind)])), None, 0.0)
+                                             for c in assemble_decoupled(g, j, kind)])), None)
             for kind in ("dirichlet_split", "neumann_split")
         ]
         ev = np.unique(np.concatenate([sc.eigenvalues for sc in spectra]))
@@ -534,6 +566,34 @@ class TestLowest:
         low = eig_lowest(p, 12)
         assert calls == [12]
         np.testing.assert_allclose(low.eigenvalues, ref, rtol=1e-7, atol=1e-7 * ref[-1])
+
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet_v0"])
+    def test_keeps_every_copy_of_a_repeated_eigenvalue(self, boundary):
+        # at k = 101 shift-invert iteration converges on every value it
+        # returns on these pencils but leaves out a copy of a repeated one;
+        # the inertia counts see that and the dense solver answers
+        p = readme_pencil(boundary)
+        ref = eig_dense(p).eigenvalues
+        low = eig_lowest(p, 101)
+        np.testing.assert_allclose(low.eigenvalues, ref[:101], rtol=0, atol=1e-9 * ref[101])
+        want = Spectrum(ref[:101], None).multiplicities()
+        got = low.multiplicities()
+        assert [c for _, c in got] == [c for _, c in want]
+        np.testing.assert_allclose([v for v, _ in got], [v for v, _ in want],
+                                   rtol=0, atol=1e-9 * ref[101])
+
+    def test_skipped_copy_falls_back_to_dense(self, monkeypatch):
+        p = readme_pencil("neumann")
+        ref = eig_dense(p).eigenvalues[:12]
+        drop_a_copy(monkeypatch)
+        np.testing.assert_allclose(eig_lowest(p, 12).eigenvalues, ref,
+                                   rtol=0, atol=1e-9 * ref[-1])
+
+    def test_skipped_copy_above_dense_limit_raises(self, monkeypatch):
+        p = readme_pencil("dirichlet_v0")
+        drop_a_copy(monkeypatch)
+        with pytest.raises(ConvergenceError, match="inertia counts"):
+            eig_lowest(p, 12, dense_limit=p.n - 1)
 
     def test_scaling_law(self):
         p = assemble_neumann(build_graph(SEQ, 2, 2, 0.25))
