@@ -14,16 +14,17 @@ Two backends:
   negative pivots of an LDL^T-type elimination of L - x M count the
   pencil eigenvalues strictly below x.  A whole level-m graph (its
   Neumann pencil and the V_0-grounded one) is counted by
-  BlockInertiaCounter, which needs only its scale factors and masses
-  and eliminates it one level at a time through the D3 symmetry of its
-  blocks (scalar pivots and one 2x2 block per level), for a batch of
-  thresholds at once; the same pass gives the Dirichlet-Neumann
-  bracketing sums of any level, so the decoupled component pencils are
-  never counted one by one.  It is the default counting engine of
-  analysis at every graph size and the only inertia counter the counting
-  experiments use.  Any other pencil (one passed to count_below) is
-  factored by InertiaCounter with SuperLU under a symmetric column
-  ordering and no row interchanges; diag(U) is then the D of the LDL^T.
+  BlockInertiaCounter, which needs only its scale factors and masses.
+  For a batch of thresholds at once, it eliminates every level's bridges
+  in one pass of a tridiagonal recurrence, then the blocks one level at a
+  time through their D3 symmetry (scalar pivots and one 2x2 block per
+  level); the Dirichlet-Neumann bracketing sums of any level are read off
+  after that, so the decoupled component pencils are never counted one
+  by one.  It is the default counting engine of analysis at every graph
+  size and the only inertia counter the counting experiments use.  Any
+  other pencil (one passed to count_below) is factored by InertiaCounter
+  with SuperLU under a symmetric column ordering and no row interchanges;
+  diag(U) is then the D of the LDL^T.
 
 A threshold x sits numerically on an eigenvalue when InertiaCounter's
 factorization is exactly singular, had to interchange rows, or has a
@@ -101,14 +102,9 @@ class Spectrum:
         if len(ev) == 0:
             return []
         scale = max(abs(float(ev[0])), abs(float(ev[-1])), 1e-300)
-        groups = []
-        start = 0
-        for i in range(1, len(ev) + 1):
-            if i == len(ev) or (ev[i] - ev[i - 1]
-                                > MULTIPLICITY_REL_GAP * max(abs(ev[i - 1]), scale * 1e-6)):
-                groups.append((float(np.mean(ev[start:i])), i - start))
-                start = i
-        return groups
+        gap = np.diff(ev) > MULTIPLICITY_REL_GAP * np.maximum(np.abs(ev[:-1]), scale * 1e-6)
+        ends = np.concatenate(([0], np.flatnonzero(gap) + 1, [len(ev)])).tolist()
+        return [(float(np.mean(ev[a:b])), b - a) for a, b in zip(ends[:-1], ends[1:])]
 
 
 @dataclass(frozen=True)
@@ -302,15 +298,17 @@ class BlockInertiaCounter:
     Every level-k block of the graph is the same weighted graph, so the
     pencil is counted one level at a time.  A level-(k-1) block is three
     level-k blocks, each reduced to the Schur complement S_k onto its three
-    outer corners, joined by three level-k bridges.  Each bridge interior
-    is eliminated by a tridiagonal recurrence (pi_k negative pivots), then
-    the 6 inner corners of the block (n_k negative eigenvalues), which
-    leaves S_{k-1}.  By Haynsworth's inertia additivity,
-    In(K) = In(K_11) + In(K / K_11), a level-(k-1) block with its outer
-    corners grounded has nu_{k-1} = 3 nu_k + 3 pi_k + n_k negative
-    eigenvalues, with nu_m = 0 for a cell.  N_D (V_0 grounded) is nu_0 and
-    N_N is nu_0 + neg(S_0).  All thresholds of a batch are eliminated
-    together, each quantity below as one vector.
+    outer corners, joined by three level-k bridges.  A first pass
+    eliminates the interior of every level's bridge at once by one
+    tridiagonal recurrence (``_path``; pi_k negative pivots).  A second
+    pass runs over the levels m..1 and eliminates each block's 6 inner
+    corners (n_k negative eigenvalues), which leaves S_{k-1}.  By
+    Haynsworth's inertia additivity, In(K) = In(K_11) + In(K / K_11), a
+    level-(k-1) block with its outer corners grounded has
+    nu_{k-1} = 3 nu_k + 3 pi_k + n_k negative eigenvalues, with nu_m = 0
+    for a cell.  N_D (V_0 grounded) is nu_0 and N_N is nu_0 + neg(S_0).
+    All thresholds of a batch are eliminated together, each quantity
+    below as one vector (one row per level for the bridges).
 
     Every block is invariant under the group D3 of its three letters, so
     S_k = d I + o (J - I) is two numbers: its row sum w = d + 2o and its
@@ -330,7 +328,7 @@ class BlockInertiaCounter:
     w' = w - 2o (w + r)/t, which stays exactly zero at x = 0, and
     sigma' = d - 2 o^2 (B^-1)_11.
 
-    The same pass gives the Dirichlet-Neumann bracketing sums of a level
+    The same passes give the Dirichlet-Neumann bracketing sums of a level
     j, the counts of the level-j decoupled forms.  Grounding V_j leaves
     3^j level-j blocks with grounded outer corners and the interior of
     each of the 3^k bridges of every level k <= j; cutting those bridges
@@ -339,8 +337,9 @@ class BlockInertiaCounter:
         lowerSum_j = 3^j nu_j + sum_{k<=j} 3^k pi_k
         upperSum_j = 3^j (nu_j + neg(S_j)) + sum_{k<=j} 3^k phi_k
 
-    where phi_k counts the free-free level-k bridge, its end masses
-    included, by eliminating it end to end (``_free_path``).
+    The level pass only keeps nu_j and S_j; the sums are read off after
+    it, with phi_k, the count of the free-free level-k bridge with its end
+    masses, from one more ``_path`` that eliminates those bridges end to end.
 
     Every pivot (of a bridge, the inner corners or a free bridge) and
     w and sigma of S_j and S_0 are near-singular when their magnitude is
@@ -361,8 +360,8 @@ class BlockInertiaCounter:
         delta, gamma = level_scales(seq, m)
         self.cell_conductance = 1.0 / float(delta[m])
         self.corner_mass = cell_mass(m, beta) / 3.0
-        self.seg_conductance = [1.0 / (float(gk) / s) for gk in gamma]
-        self.bridge_mass = [bridge_mass(k, beta) for k in range(1, m + 1)]
+        self.seg_conductance = 1.0 / (gamma / s)
+        self.bridge_mass = np.array([bridge_mass(k, beta) for k in range(1, m + 1)])
         # Gershgorin: no eigenvalue of the graph's pencils or of their
         # decoupled components exceeds 2 sum|c| / mass over the vertex
         # classes (a corner with only its cell share, a corner at a level-k
@@ -370,12 +369,11 @@ class BlockInertiaCounter:
         # positive definite; the first count_below checks that every pivot
         # comes out positive and clear of its rounding there.
         cell = 2.0 * abs(self.cell_conductance)
-        upper = 2.0 * cell / self.corner_mass
-        for ck, bm in zip(self.seg_conductance, self.bridge_mass):
-            upper = max(upper, 2.0 * (cell + abs(ck)) / (self.corner_mass + bm / (2 * s)))
-            if s > 1:
-                upper = max(upper, 4.0 * abs(ck) / (bm / s))
-        self.lambda_max = upper
+        ck, bm = np.abs(self.seg_conductance), self.bridge_mass
+        bounds = [[2.0 * cell / self.corner_mass],
+                  2.0 * (cell + ck) / (self.corner_mass + bm / (2 * s)),
+                  4.0 * ck / (bm / s) if s > 1 else []]
+        self.lambda_max = float(np.max(np.concatenate(bounds)))
         self._set_up = False
 
     def _eliminate(self, x: np.ndarray, level: Optional[int] = None):
@@ -387,60 +385,61 @@ class BlockInertiaCounter:
         pivots each depends on are clear; otherwise it is None.
         """
         s = self.s
-        # S_m of a cell: off-diagonal -1/delta_m, row sums -x * corner mass
+        # first pass: every level's bridge interior at once, row k - 1 for
+        # level k, leaving pi_k and the end-to-end g and end row sum r
+        ck, bm = self.seg_conductance[:, None], self.bridge_mass[:, None]
+        mu, end = -x * (bm / s), -x * (bm / (2 * s))
+        bridge_clear = np.ones(mu.shape, dtype=bool)
+        if s > 1:
+            pi, g, r, r_mag = _path(ck, [mu] * (s - 1) + [end], ck, bridge_clear)
+        else:
+            # no interior; g as floats keeps the level pass on scalar arithmetic
+            pi, g, r, r_mag = np.zeros(ck.shape, np.int64), ck.ravel().tolist(), end, np.abs(end)
+        # second pass, levels m..1: S_m of a cell has off-diagonal -1/delta_m
+        # and row sums -x * corner mass
         c = self.cell_conductance
         w = -self.corner_mass * x
         sigma = 3.0 * c + w
         w_mag, sigma_mag = np.abs(w), 3.0 * c + np.abs(w)
         nu = np.zeros(x.size, dtype=np.int64)
         ok = np.ones(x.size, dtype=bool)
-        sums = None
-        m = len(self.seg_conductance)
-        for k, ck, bm in zip(range(m, 0, -1), self.seg_conductance[::-1],
-                             self.bridge_mass[::-1]):
+        for k in range(ck.size, 0, -1):
             if k == level:
-                # the free level-j blocks add neg(S_j); the grounded ones do not
-                neg_s, clear_s = _schur_inertia(w, sigma, w_mag, sigma_mag)
-                sums = [3 ** k * nu, 3 ** k * (nu + neg_s), ok.copy(), ok & clear_s]
-            mu, end = -x * (bm / s), -x * (bm / (2 * s))
-            # bridge: eliminate its interior nodes in path order; g is the
-            # conductance from end a to the next node, r that node's row sum,
-            # and at the last node the row sum of either end.
-            g, r = ck, (mu if s > 1 else end)
-            r_mag = np.abs(r)
-            pi = 0
-            clear = np.ones(x.size, dtype=bool)
-            for i in range(1, s):
-                piv = _pivot(r + g + ck, r_mag + np.abs(g) + ck, clear)
-                pi = pi + (piv < 0.0)
-                nxt = mu if i < s - 1 else end
-                r, r_mag = nxt + ck * r / piv, np.abs(nxt) + ck * r_mag / np.abs(piv)
-                g = g * ck / piv
-            ok &= clear
-            if level is not None and k <= level:
-                phi, clear_p = _free_path(ck, mu, end, s)
-                sums[0] = sums[0] + 3 ** k * pi
-                sums[1] = sums[1] + 3 ** k * phi
-                sums[2] &= clear
-                sums[3] &= clear_p
+                at_level = nu, (w, sigma, w_mag, sigma_mag), ok & bridge_clear[k:].all(axis=0)
+            gk, rk, rk_mag = g[k - 1], r[k - 1], r_mag[k - 1]
             # the inner corners: the trivial and sign pivots and B's two LDL^T pivots
             d, o = (w + 2.0 * sigma) / 3.0, (w - sigma) / 3.0
             d_mag = (w_mag + 2.0 * sigma_mag) / 3.0
-            t_mag = (2.0 * w_mag + sigma_mag) / 3.0 + r_mag
-            t = _pivot((2.0 * w + sigma) / 3.0 + r, t_mag, ok)
-            sign = _pivot(sigma + r + 2.0 * g, sigma_mag + r_mag + 2.0 * np.abs(g), ok)
-            p1 = _pivot(t + 1.5 * g, t_mag + 1.5 * np.abs(g), ok)
+            t_mag = (2.0 * w_mag + sigma_mag) / 3.0 + rk_mag
+            t = _pivot((2.0 * w + sigma) / 3.0 + rk, t_mag, ok)
+            sign = _pivot(sigma + rk + 2.0 * gk, sigma_mag + rk_mag + 2.0 * np.abs(gk), ok)
+            p1 = _pivot(t + 1.5 * gk, t_mag + 1.5 * np.abs(gk), ok)
             # B_22 - (3/4) g^2 / p1, as sigma + r + g t / (2 p1)
-            f = 0.5 * g / p1
-            p2 = _pivot(sigma + r + f * t, sigma_mag + r_mag + np.abs(f) * t_mag, ok)
-            nu = 3 * nu + 3 * pi + _neg(t, sign) + 2 * _neg(p1, p2)
+            f = 0.5 * gk / p1
+            p2 = _pivot(sigma + rk + f * t, sigma_mag + rk_mag + np.abs(f) * t_mag, ok)
+            nu = 3 * (nu + pi[k - 1]) + _neg(t, sign) + 2 * _neg(p1, p2)
             # S_{k-1}, with (B^-1)_11 = B_22 / (p1 p2)
-            binv = (sigma + r + 0.5 * g) / p1 / p2
-            binv_mag = (sigma_mag + r_mag + 0.5 * np.abs(g)) / np.abs(p1) / np.abs(p2)
-            w, w_mag = (w - 2.0 * o * (w + r) / t,
-                        w_mag + 2.0 * np.abs(o) * (w_mag + r_mag) / np.abs(t))
+            binv = (sigma + rk + 0.5 * gk) / p1 / p2
+            binv_mag = (sigma_mag + rk_mag + 0.5 * np.abs(gk)) / np.abs(p1) / np.abs(p2)
+            w, w_mag = (w - 2.0 * o * (w + rk) / t,
+                        w_mag + 2.0 * np.abs(o) * (w_mag + rk_mag) / np.abs(t))
             sigma, sigma_mag = d - 2.0 * o * o * binv, d_mag + 2.0 * o * o * binv_mag
-        return nu, (w, sigma, w_mag, sigma_mag), ok, sums
+        S0, ok_0 = (w, sigma, w_mag, sigma_mag), ok & bridge_clear.all(axis=0)
+        if level is None:
+            return nu, S0, ok_0, None
+        # the sums of level j: its blocks grounded (nu_j) or free (+ neg(S_j)),
+        # and each level-k bridge, k <= j, grounded (pi_k) or free-free (phi_k)
+        nu_j, S_j, ok_j = at_level
+        neg_s, clear_s = _schur_inertia(*S_j)
+        ck, mu, end = ck[:level], mu[:level], end[:level]
+        free_clear = np.ones(mu.shape, dtype=bool)
+        phi, _, r, r_mag = _path(ck, [end] + [mu] * (s - 1) + [end], 0.0, free_clear)
+        phi = phi + (_pivot(r, r_mag, free_clear) < 0.0)
+        copies = 3 ** np.arange(1, level + 1)[:, None]  # 3^k bridges of level k
+        sums = (3 ** level * nu_j + (copies * pi[:level]).sum(axis=0),
+                3 ** level * (nu_j + neg_s) + (copies * phi).sum(axis=0),
+                ok_j & bridge_clear[:level].all(axis=0), ok_j & clear_s & free_clear.all(axis=0))
+        return nu, S0, ok_0, sums
 
     def try_count(self, x: np.ndarray, level: Optional[int] = None):
         """One pass at thresholds x: (counts, clear), one row per count.
@@ -466,7 +465,7 @@ class BlockInertiaCounter:
         each count only while its own pivots fail: N_D needs the
         interior pivots clear, N_N also S_0.
         """
-        m = len(self.seg_conductance)
+        m = self.seg_conductance.size
         if level is not None and not 1 <= level <= m:
             raise LevelError(f"bracketing level {level} outside 1..{m}")
         # the most a count can reach: n, or the n + 3^(j+1) - 3 vertices of
@@ -524,25 +523,25 @@ def _schur_inertia(w, sigma, w_mag, sigma_mag) -> tuple[np.ndarray, np.ndarray]:
     return _neg(w) + 2 * _neg(sigma), clear
 
 
-def _free_path(ck: float, mu: np.ndarray, end: np.ndarray, s: int):
-    """Negative pivots of a free-free bridge eliminated end to end, and
-    whether they all clear their rounding.
+def _path(ck, row_sums: list, g, clear: np.ndarray):
+    """Eliminate in order all but the last node of a path of conductances
+    ck, whose nodes have the row sums row_sums in L - x M; g is the first
+    node's conductance to an end outside the path (0.0 for none).
 
-    This is the Sturm count of a tridiagonal matrix, which stays exact
-    next to the bridge's interior Dirichlet eigenvalues.  Those are
-    eigenvalues of the free bridge too, and next to them the 2x2 end
-    complement left by eliminating the interior first cancels to noise.
+    Returns the negative pivots, that end's conductance g to the last node,
+    and the last node's row sum r and the summed magnitudes that formed it;
+    kept as a row sum, r keeps its digits as it goes to zero with x.  This
+    Sturm count stays exact next to the path's own eigenvalues, where a
+    complement onto its ends cancels to noise.  clear is and-ed in place
+    with where every pivot clears its rounding.
     """
-    clear = np.ones(mu.shape, dtype=bool)
-    # as in the bridge, r is the row sum of the next node: the last pivot,
-    # which goes to zero with x, keeps its digits
-    r, r_mag, neg = end, np.abs(end), 0
-    for i in range(1, s + 1):
-        d = _pivot(r + ck, r_mag + ck, clear)
-        neg = neg + (d < 0.0)
-        nxt = mu if i < s else end
-        r, r_mag = nxt + ck * r / d, np.abs(nxt) + ck * r_mag / np.abs(d)
-    return neg + (_pivot(r, r_mag, clear) < 0.0), clear
+    r, r_mag, neg = row_sums[0], np.abs(row_sums[0]), 0
+    for nxt in row_sums[1:]:
+        piv = _pivot(r + g + ck, r_mag + np.abs(g) + ck, clear)
+        neg = neg + (piv < 0.0)
+        r, r_mag = nxt + ck * r / piv, np.abs(nxt) + ck * r_mag / np.abs(piv)
+        g = g * ck / piv
+    return neg, g, r, r_mag
 
 
 # get_counter and eig_dense_cached keep identity-keyed caches that no library

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from hanoispec import eigensolve
+from hanoispec.analysis import free_path_pencil
 from hanoispec.assembly import (
     Boundary,
     Pencil,
@@ -132,6 +133,27 @@ class TestDense:
         groups = spec.multiplicities()
         assert [m for _, m in groups] == [1, 2]
 
+    def test_multiplicities_match_the_loop(self):
+        # the per-eigenvalue loop that the vectorised grouping replaced
+        def loop(ev):
+            if len(ev) == 0:
+                return []
+            scale = max(abs(float(ev[0])), abs(float(ev[-1])), 1e-300)
+            groups, start = [], 0
+            for i in range(1, len(ev) + 1):
+                if i == len(ev) or (ev[i] - ev[i - 1]
+                                    > eigensolve.MULTIPLICITY_REL_GAP
+                                    * max(abs(ev[i - 1]), scale * 1e-6)):
+                    groups.append((float(np.mean(ev[start:i])), i - start))
+                    start = i
+            return groups
+
+        spectra = [eig_dense(readme_pencil(b)).eigenvalues for b in ("neumann", "dirichlet_v0")]
+        spectra += [np.array([]), np.array([2.0]), np.full(4, 3.0),
+                    np.array([-1e-17, 0.0, 1e-17, 1.0, 1.0 + 1e-9, 1.0 + 1e-7, 5.0])]
+        for ev in spectra:
+            assert Spectrum(ev, None).multiplicities() == loop(ev)
+
 
 class TestInertia:
     def test_m0_counts(self):
@@ -249,8 +271,6 @@ class TestBackendAgreement:
         # the free path has closed-form eigenvalues 4 s^2 sin^2(k pi / 2s);
         # querying exactly there must either factor cleanly or retry, and the
         # returned count must match the dense spectrum at the threshold used
-        from hanoispec.analysis import free_path_pencil
-
         s = 8
         p = free_path_pencil(s)
         spec = eig_dense(p)
@@ -367,8 +387,16 @@ class TestBlockCounter:
         for beta in (0.05, 0.25):
             g = build_graph(seq, m, s, beta)
             bound = lambda_max_bound(assemble_neumann(g))
-            lambda_max = BlockInertiaCounter(seq, m, s, beta).lambda_max
-            assert lambda_max == pytest.approx(bound, rel=1e-14)
+            ctr = BlockInertiaCounter(seq, m, s, beta)
+            assert ctr.lambda_max == pytest.approx(bound, rel=1e-14)
+            # and bit for bit the per-level loop that the array form replaced
+            cell = 2.0 * abs(ctr.cell_conductance)
+            upper = 2.0 * cell / ctr.corner_mass
+            for ck, bm in zip(ctr.seg_conductance.tolist(), ctr.bridge_mass.tolist()):
+                upper = max(upper, 2.0 * (cell + abs(ck)) / (ctr.corner_mass + bm / (2 * s)))
+                if s > 1:
+                    upper = max(upper, 4.0 * abs(ck) / (bm / s))
+            assert ctr.lambda_max == upper
 
     @pytest.mark.parametrize("seq, m", [(geometric_to_limit(0.55, 0.3), 6), (SEQ, 7)])
     def test_large_levels_match_superlu(self, seq, m):
@@ -527,6 +555,58 @@ class TestBlockCounter:
         assert int(upper[0]) == ctr.n + 3 ** 37 - 3
         with pytest.raises(LevelError, match="int64"):
             ctr.count_below([1.0], level=37)
+
+
+class TestPath:
+    """The bridge recurrence against the dense 1-D reference pencil: a path
+    of s segments, total resistance GAMMA and total mass MASS."""
+
+    GAMMA, MASS = 0.37, 0.021
+
+    @staticmethod
+    def between(ev):
+        # off the midpoints: by the path's symmetry, the midpoint of two
+        # eigenvalues can be an exact zero of a pivot
+        return 0.6 * ev[:-1] + 0.4 * ev[1:]
+
+    def rows(self, s, x):
+        # the conductance of a segment and the row sums of an interior node and an end
+        return s / self.GAMMA, -x * (self.MASS / s), -x * (self.MASS / (2 * s))
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 5, 16])
+    def test_free_free_path_counts_as_the_dense_pencil(self, s):
+        # thresholds between consecutive eigenvalues and past the top one
+        ev = eig_dense(free_path_pencil(s, self.GAMMA, self.MASS)).eigenvalues
+        x = np.append(self.between(ev), 1.5 * ev[-1])
+        ck, mu, end = self.rows(s, x)
+        clear = np.ones(x.size, dtype=bool)
+        neg, _, r, r_mag = eigensolve._path(ck, [end] + [mu] * (s - 1) + [end], 0.0, clear)
+        neg = neg + (eigensolve._pivot(r, r_mag, clear) < 0.0)
+        assert clear.all()
+        assert neg.tolist() == np.searchsorted(ev, x).tolist() == list(range(1, s + 2))
+
+    @pytest.mark.parametrize("s", [2, 3, 5, 16])
+    def test_kept_ends_match_the_dense_schur_complement(self, s):
+        # pi counts the pencil with both end rows and columns deleted; g and
+        # r are its 2x2 Schur complement onto the ends, [[r + g, -g], [-g, r + g]]
+        p = free_path_pencil(s, self.GAMMA, self.MASS)
+        L, mass, inner, ends = p.L.toarray(), p.mass, slice(1, s), [0, s]
+        dirichlet = scipy.linalg.eigh(L[inner, inner], np.diag(mass[inner]), eigvals_only=True)
+        # thresholds away from the interior eigenvalues: between them,
+        # below the first and past the last
+        x = np.concatenate([[0.5 * dirichlet[0]], self.between(dirichlet),
+                            [1.5 * dirichlet[-1]]])
+        ck, mu, end = self.rows(s, x)
+        clear = np.ones(x.size, dtype=bool)
+        pi, g, r, _ = eigensolve._path(ck, [mu] * (s - 1) + [end], ck, clear)
+        assert clear.all()
+        assert pi.tolist() == np.searchsorted(dirichlet, x).tolist() == list(range(s))
+        for i, xi in enumerate(x):
+            A = L - xi * np.diag(mass)
+            S = A[np.ix_(ends, ends)] - A[ends, inner] @ np.linalg.solve(A[inner, inner],
+                                                                          A[inner, ends])
+            assert g[i] == pytest.approx(-S[0, 1], rel=1e-12)
+            assert r[i] == pytest.approx(S[0, 0] + S[0, 1], rel=1e-12)
 
 
 class TestLowest:
