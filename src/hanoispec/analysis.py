@@ -128,7 +128,7 @@ class GraphCounts:
             try:
                 spec_d = eig_dense(apply_dirichlet(p_n, g, "v0"), dense_limit)
             except EmptyPencilError:    # the level-0 triangle is all V_0
-                spec_d = Spectrum(np.empty(0), None)
+                spec_d = Spectrum(np.empty(0))
             self._spectra = (spec_d, eig_dense(p_n, dense_limit))
 
     def count(self, xs, level: Optional[int] = None) -> np.ndarray:

@@ -64,19 +64,6 @@ class Pencil:
         """Same stiffness with mass multiplied by c (eigenvalues scale by 1/c)."""
         return Pencil(self.L, c * self.mass, self.boundary, self.vertex_map)
 
-    def dump_coordinate(self) -> tuple[str, str]:
-        """(matrix, mass) texts: symmetric ``row col value`` triplets in row
-        order plus one mass value per line, for cross-checks with external
-        tools."""
-        coo = self.L.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        lines = [
-            f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}"
-            for i in order
-        ]
-        mass_lines = [f"{v:.17g}" for v in self.mass]
-        return "\n".join(lines) + "\n", "\n".join(mass_lines) + "\n"
-
 
 def _laplacian_from_edges(u: np.ndarray, v: np.ndarray, r: np.ndarray, n: int) -> sp.csr_matrix:
     """Conductance Laplacian of the edges (u[e], v[e]) with resistances r[e].

@@ -118,7 +118,6 @@ class RunConfig:
     beta: float = _ranged(lambda v: 0.0 < v < 1.0 / 3.0,
                           "lie in (0, 1/3) for a finite line measure")
     subdivisions: int = _ranged(lambda v: v >= 1, "be >= 1", 1)
-    alpha: Optional[float] = _ranged(lambda v: 0.0 < v < 1.0, "lie in (0, 1)", None)
     solver: SolverConfig = SolverConfig()
     grid: GridConfig = GridConfig()
     fit: FitConfig = FitConfig()
@@ -332,7 +331,7 @@ def cmd_validate(cfg: RunConfig, quiet: bool = False) -> int:
         _say(quiet, f"FAIL sequence-conditions: {report.verdict}")
         return EXIT_VIOLATION
 
-    g = geometry.build_graph(cfg.sequence, cfg.level, cfg.subdivisions, cfg.beta, cfg.alpha)
+    g = geometry.build_graph(cfg.sequence, cfg.level, cfg.subdivisions, cfg.beta)
     m, s = cfg.level, cfg.subdivisions
     nv_expect = 3 ** (m + 1) + (s - 1) * (3 ** (m + 1) - 3) // 2
     ne_expect = 3 ** (m + 1) + s * (3 ** (m + 1) - 3) // 2
@@ -362,19 +361,21 @@ def cmd_validate(cfg: RunConfig, quiet: bool = False) -> int:
 
 def cmd_spectrum(cfg: RunConfig, quiet: bool = False) -> int:
     h = config_hash(cfg)
-    g = geometry.build_graph(cfg.sequence, cfg.level, cfg.subdivisions, cfg.beta, cfg.alpha)
+    k = cfg.solver.k_lowest
+    # the closed-form vertex count is checked before any graph is built
+    n = geometry.vertex_count(cfg.level, cfg.subdivisions)
+    if n > cfg.solver.dense_limit and k is None:
+        raise PencilSizeError(
+            f"pencil of size {n} exceeds dense_limit {cfg.solver.dense_limit}; "
+            "request solver.k_lowest or use the counting command"
+        )
+    g = geometry.build_graph(cfg.sequence, cfg.level, cfg.subdivisions, cfg.beta)
     p_n = assemble_neumann(g)
     pencils = [("neumann", p_n)]
     try:
         pencils.append(("dirichlet_v0", apply_dirichlet(p_n, g, "v0")))
     except EmptyPencilError:
         pass
-    k = cfg.solver.k_lowest
-    if p_n.n > cfg.solver.dense_limit and k is None:
-        raise PencilSizeError(
-            f"pencil of size {p_n.n} exceeds dense_limit {cfg.solver.dense_limit}; "
-            "request solver.k_lowest or use the counting command"
-        )
     rows = []
     mult_rows = []
     for label, p in pencils:

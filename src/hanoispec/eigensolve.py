@@ -41,7 +41,6 @@ independent oracle of the block counter.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,7 +81,6 @@ class Spectrum:
     """Sorted eigenvalues of a pencil."""
 
     eigenvalues: np.ndarray
-    boundary: object
 
     @property
     def n(self) -> int:
@@ -141,7 +139,7 @@ def eig_dense(p: Pencil, dense_limit: int = DENSE_LIMIT) -> Spectrum:
         w = scipy.linalg.eigh(0.5 * (A + A.T), eigvals_only=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolve failed: {exc}") from None
-    return Spectrum(w, p.boundary)
+    return Spectrum(w)
 
 
 def eig_lowest(p: Pencil, k: int, dense_limit: int = DENSE_LIMIT) -> Spectrum:
@@ -161,11 +159,11 @@ def eig_lowest(p: Pencil, k: int, dense_limit: int = DENSE_LIMIT) -> Spectrum:
             failure = f"shift-invert iteration failed to converge: {exc}"
         else:
             if _counts_confirm(p, w, k, bound):
-                return Spectrum(w, p.boundary)
+                return Spectrum(w)
             failure = "shift-invert values disagree with the inertia counts of the pencil"
         if p.n > dense_limit:
             raise ConvergenceError(failure)
-    return Spectrum(eig_dense(p, max(dense_limit, p.n)).eigenvalues[:k], p.boundary)
+    return Spectrum(eig_dense(p, max(dense_limit, p.n)).eigenvalues[:k])
 
 
 def _counts_confirm(p: Pencil, w: np.ndarray, k: int, bound: float) -> bool:
@@ -544,32 +542,15 @@ def _path(ck, row_sums: list, g, clear: np.ndarray):
     return neg, g, r, r_mag
 
 
-# get_counter and eig_dense_cached keep identity-keyed caches that no library
-# caller hits; they stay only because perfbench's tracer looks both up by name,
+# get_counter and eig_dense_cached are plain aliases of InertiaCounter and
+# eig_dense; they stay only because perfbench's tracer looks both names up,
 # until the benchmark refresh of ROADMAP item 4.
-_counter_cache: "weakref.WeakKeyDictionary[Pencil, InertiaCounter]" = (
-    weakref.WeakKeyDictionary()
-)
-_spectrum_cache: "weakref.WeakKeyDictionary[Pencil, Spectrum]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def get_counter(p: Pencil) -> InertiaCounter:
-    counter = _counter_cache.get(p)
-    if counter is None:
-        counter = InertiaCounter(p)
-        _counter_cache[p] = counter
-    return counter
+    return InertiaCounter(p)
 
 
 def eig_dense_cached(p: Pencil, dense_limit: int = DENSE_LIMIT) -> Spectrum:
-    """eig_dense with one cached spectrum per pencil (by identity), limit checked first."""
-    spec = _spectrum_cache.get(p) if p.n <= dense_limit else None
-    if spec is None:
-        spec = eig_dense(p, dense_limit)
-        _spectrum_cache[p] = spec
-    return spec
+    return eig_dense(p, dense_limit)
 
 
 def count_below(p: Pencil, x: float) -> InertiaResult:

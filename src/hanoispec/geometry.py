@@ -29,19 +29,13 @@ of every bridge, bridges ordered by level, then address w, then edge
 index i, each path walked from its end in block w*a to its end in block
 w*b.  ``edge_u``, ``edge_v``, ``edge_r`` and ``edge_level`` hold the
 edges in that order and ``bridge_paths`` the vertex path of every bridge.
-The per-object records ``tags``, ``edges`` and ``line_paths`` are built
-from these arrays on access, for dumps and tests.
-
-Euclidean coordinates (corner maps with contraction (1-alpha)/2) are
-optional and used only for dumps; the analysis is purely combinatorial.
+The graph is purely combinatorial: no planar embedding enters it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -49,9 +43,6 @@ from .errors import AddressError, DomainError, LevelError
 from .sequences import MatchingSequence, scale_factors
 
 ALPHABET = "123"
-
-# Unit equilateral triangle used when Euclidean coordinates are requested.
-_P0 = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
 
 # The letters a < b other than the edge index i = 1, 2, 3, less one.
 _A = np.array([1, 0, 0])
@@ -80,63 +71,17 @@ def _check_word(word: str):
             raise AddressError(f"word {word!r} uses letter {ch!r} outside {{1,2,3}}")
 
 
-@dataclass(frozen=True)
-class CornerTag:
-    """Corner i of the m-cell addressed by ``word``."""
-    word: str
-    corner: int
-
-
-@dataclass(frozen=True)
-class LineTag:
-    """Interior node ``pos`` (1..s-1) of the level-``level`` bridge e_edge^word."""
-    level: int
-    word: str
-    edge: int
-    pos: int
-
-
-@dataclass(frozen=True)
-class EdgeRec:
-    u: int
-    v: int
-    resistance: float
-    kind: str       # "cell" or "line"
-    level: int      # m for cell edges, bridge level k for line segments
-
-
-@dataclass(frozen=True)
-class LinePath:
-    """One logical bridge: its level, address, and the vertex path a -> b."""
-    level: int
-    word: str
-    edge: int
-    nodes: tuple            # endpoint corner id, interior ids..., endpoint corner id
-    resistance: float       # total gamma_k of the bridge
-    mass: float             # total lumped mass of the bridge
-
-
-def _bridge_addresses(m: int):
-    """(level k, word w, edge i) of every bridge, in bridge order."""
-    for k in range(1, m + 1):
-        for w in enumerate_words(k - 1):
-            for i in (1, 2, 3):
-                yield k, w, i
-
-
 @dataclass(eq=False)
 class GraphApprox:
     """The level-m weighted graph with lumped vertex masses.
 
     Edges are held in the module's edge order: the first ``n_cell_edges``
-    are the cell sides, the rest the bridge segments.  ``tags``, ``edges``
-    and ``line_paths`` are derived from the arrays on each access.
+    are the cell sides, the rest the bridge segments.
     """
 
     m: int
     s: int
     beta: float
-    alpha: Optional[float]
     seq: MatchingSequence
     delta: np.ndarray               # delta_0..delta_m
     gamma: np.ndarray               # gamma_1..gamma_m (empty for m = 0)
@@ -148,7 +93,6 @@ class GraphApprox:
     mass_cell: np.ndarray           # cell-measure share per vertex
     mass_line: np.ndarray           # line-measure share per vertex
     line_level: np.ndarray          # level of the unique bridge at a corner (0 = none)
-    coords: Optional[np.ndarray]
 
     @property
     def n_vertices(self) -> int:
@@ -166,34 +110,6 @@ class GraphApprox:
     def masses(self) -> np.ndarray:
         return self.mass_cell + self.mass_line
 
-    @property
-    def tags(self) -> list:
-        """One CornerTag or LineTag per vertex, indexed by vertex id."""
-        tags = [CornerTag(w, i) for w in enumerate_words(self.m) for i in (1, 2, 3)]
-        for k, w, i in _bridge_addresses(self.m):
-            tags.extend(LineTag(k, w, i, pos) for pos in range(1, self.s))
-        return tags
-
-    @property
-    def edges(self) -> list:
-        """One EdgeRec per edge, in edge order."""
-        nc = self.n_cell_edges
-        kinds = ["cell"] * nc + ["line"] * (self.n_edges - nc)
-        return [
-            EdgeRec(*rec) for rec in zip(self.edge_u.tolist(), self.edge_v.tolist(),
-                                         self.edge_r.tolist(), kinds,
-                                         self.edge_level.tolist())
-        ]
-
-    @property
-    def line_paths(self) -> list:
-        """One LinePath per bridge, in bridge order."""
-        gamma = self.gamma.tolist()
-        return [
-            LinePath(k, w, i, tuple(nodes), gamma[k - 1], bridge_mass(k, self.beta))
-            for (k, w, i), nodes in zip(_bridge_addresses(self.m), self.bridge_paths.tolist())
-        ]
-
     def corner_id(self, word: str, corner: int) -> int:
         """Vertex id of corner ``corner`` of the m-cell ``word``."""
         _check_word(word)
@@ -204,24 +120,6 @@ class GraphApprox:
         if corner not in (1, 2, 3):
             raise AddressError(f"corner index must be 1, 2 or 3, got {corner}")
         return 3 * word_rank(word) + corner - 1
-
-    def dump_text(self) -> str:
-        """Deterministic line-oriented dump: one V record per vertex, one E per edge."""
-        out = []
-        for vid, tag in enumerate(self.tags):
-            mass = self.mass_cell[vid] + self.mass_line[vid]
-            if isinstance(tag, CornerTag):
-                word = tag.word or "-"
-                fields = ["V", str(vid), "corner", word, str(tag.corner), f"{mass:.17g}"]
-            else:
-                word = tag.word or "-"
-                fields = ["V", str(vid), "line", word, f"{tag.edge}@{tag.pos}", f"{mass:.17g}"]
-            if self.coords is not None:
-                fields += [f"{self.coords[vid, 0]:.17g}", f"{self.coords[vid, 1]:.17g}"]
-            out.append(" ".join(fields))
-        for e in self.edges:
-            out.append(f"E {e.u} {e.v} {e.resistance:.17g} {e.kind} {e.level}")
-        return "\n".join(out) + "\n"
 
 
 def cell_mass(m: int, beta: float) -> float:
@@ -277,7 +175,6 @@ def build_graph(
     m: int,
     s: int,
     beta: float,
-    alpha: Optional[float] = None,
 ) -> GraphApprox:
     """Construct the level-m graph with s-fold subdivided bridges.
 
@@ -293,8 +190,6 @@ def build_graph(
         rank(u)*3**(m-k+1) + (a-1)*3**(m-k) + (b-1)*(3**(m-k) - 1)/2.
     """
     check_graph_args(m, s, beta)
-    if alpha is not None and not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     delta, gamma = level_scales(seq, m)
 
     n_corners = 3 ** (m + 1)
@@ -336,28 +231,12 @@ def build_graph(
     edge_level = np.concatenate([np.full(n_corners, m, dtype=np.int64),
                                  np.repeat(bridge_level, s)])
 
-    coords = None
-    if alpha is not None:
-        coords = np.zeros((n, 2))
-        c = (1.0 - alpha) / 2.0
-        # apply the corner maps of each word from its last letter to its first
-        pts = np.broadcast_to(_P0, (3 ** m, 3, 2))
-        for p in range(m):
-            q = _P0[(np.arange(3 ** m) // 3 ** p) % 3][:, None, :]
-            pts = c * (pts - q) + q
-        coords[:n_corners] = pts.reshape(n_corners, 2)
-        pa, pb = coords[paths[:, 0]], coords[paths[:, s]]
-        for j in range(1, s):
-            t = j / s
-            coords[paths[:, j]] = (1.0 - t) * pa + t * pb
-
     return GraphApprox(
-        m=m, s=s, beta=beta, alpha=alpha, seq=seq,
+        m=m, s=s, beta=beta, seq=seq,
         delta=delta, gamma=gamma,
         edge_u=edge_u, edge_v=edge_v, edge_r=edge_r, edge_level=edge_level,
         bridge_paths=paths,
         mass_cell=mass_cell, mass_line=mass_line, line_level=line_level,
-        coords=coords,
     )
 
 

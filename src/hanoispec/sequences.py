@@ -205,14 +205,6 @@ class ScaleFactors:
     partial_products: Optional[np.ndarray]
     kappa1: Optional[float]
     kappa2: Optional[float]
-    r_ref: Optional[float]
-
-    @property
-    def r_star_estimate(self) -> Optional[float]:
-        """Last partial product, the finite-prefix estimate of the tail product."""
-        if self.partial_products is None or len(self.partial_products) == 0:
-            return None
-        return float(self.partial_products[-1])
 
 
 def scale_factors(seq: MatchingSequence, m: int) -> ScaleFactors:
@@ -226,13 +218,13 @@ def scale_factors(seq: MatchingSequence, m: int) -> ScaleFactors:
         p = seq.pair(k)
         delta[k] = delta[k - 1] * p.r
         gamma[k - 1] = delta[k - 1] * p.rho
-    r_ref = seq.limit_r
-    if r_ref is not None:
-        a = delta[1:] / r_ref ** np.arange(1, m + 1)
+    r = seq.limit_r
+    if r is not None:
+        a = delta[1:] / r ** np.arange(1, m + 1)
         kappa1 = float(a.min())
         kappa2 = float(a.max())
-        return ScaleFactors(m, delta, gamma, a, kappa1, kappa2, r_ref)
-    return ScaleFactors(m, delta, gamma, None, None, None, None)
+        return ScaleFactors(m, delta, gamma, a, kappa1, kappa2)
+    return ScaleFactors(m, delta, gamma, None, None, None)
 
 
 # ---------------------------------------------------------------------------

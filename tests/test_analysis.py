@@ -394,17 +394,19 @@ class TestRegroupingIdentity:
         # of identical terms
         g = build_graph(SEQ, 3, 1, 0.25)
         rng = np.random.default_rng(5)
-        cell_edges = [e for e in g.edges if e.kind == "cell"]
-        tags = g.tags
+        nc = g.n_cell_edges
+        cell_edges = list(zip(g.edge_u[:nc].tolist(), g.edge_v[:nc].tolist()))
+        words = enumerate_words(g.m)
         for _ in range(10):
             u = rng.normal(size=g.n_vertices)
-            q_full = sum((u[e.u] - u[e.v]) ** 2 for e in cell_edges)
+            q_full = sum((u[a] - u[b]) ** 2 for a, b in cell_edges)
             q_groups = 0.0
             for letter in "123":
+                # a cell side's first vertex is a corner of the cell of rank a // 3
                 q_groups += sum(
-                    (u[e.u] - u[e.v]) ** 2
-                    for e in cell_edges
-                    if tags[e.u].word.startswith(letter)
+                    (u[a] - u[b]) ** 2
+                    for a, b in cell_edges
+                    if words[a // 3].startswith(letter)
                 )
             assert q_groups == pytest.approx(q_full, rel=1e-12)
 
@@ -450,7 +452,10 @@ class TestExperimentPipeline:
         exp = run_counting_experiment(SEQ, 4, 2, 0.25, backend=backend,
                                       bracket_level=bracket_level)
         monkeypatch.undo()
-        assert exp.graph.dump_text() == build_graph(SEQ, 4, 2, 0.25).dump_text()
+        want = build_graph(SEQ, 4, 2, 0.25)
+        for name in ("edge_u", "edge_v", "edge_r", "edge_level", "bridge_paths",
+                     "mass_cell", "mass_line", "line_level"):
+            assert getattr(exp.graph, name).tobytes() == getattr(want, name).tobytes(), name
         assert exp.graph is exp.graph
 
     @pytest.mark.parametrize("bracket_level", [None, 2])

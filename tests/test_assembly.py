@@ -73,14 +73,6 @@ class TestNeumann:
         p = assemble_neumann(graph(2, 1))
         assert np.allclose(p.L.dot(np.ones(p.n)), 0.0, atol=1e-12)
 
-    def test_coordinate_dump(self):
-        p = assemble_neumann(graph(0, 1))
-        mat, mass = p.dump_coordinate()
-        assert mat.splitlines()[:3] == ["0 0 2", "0 1 -1", "0 2 -1"]
-        assert len(mass.splitlines()) == 3
-        again_mat, again_mass = p.dump_coordinate()
-        assert (mat, mass) == (again_mat, again_mass)
-
     def test_m1_golden_spectrum(self):
         # frozen from the dense oracle at first build; multiplicity pattern
         # (1,2,2,1,2,1) reflects the threefold symmetry

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hanoispec import analysis
+from hanoispec import analysis, geometry
 from hanoispec.cli import (
     config_from_dict,
     config_hash,
@@ -38,7 +38,7 @@ def base_config(outdir, **overrides):
 # every settable value; every output file carries this hash, so it must not
 # move unless a settable value is added or removed
 GOLDEN_HASHES = [
-    ("2a8cf3d220103b11", {  # the README example
+    ("a538328d0852b155", {  # the README example
         "sequence": {"kind": "constant", "r": 0.5},
         "level": 4, "subdivisions": 2, "beta": 0.25,
         "solver": {"backend": "auto", "dense_limit": 4000, "eps_shift": 1e-9},
@@ -46,30 +46,30 @@ GOLDEN_HASHES = [
         "fit": {"n_min": 10, "eta": 0.2, "slope_tol": 0.08},
         "outputs": {"directory": "out", "formats": ["csv", "json", "svg"]},
     }),
-    ("57be120dc8b31808", {
+    ("a4c8f980bace473f", {
         "sequence": {"kind": "constant", "r": 0.5}, "level": 2, "beta": 0.25,
     }),
-    ("2900d512db8f07c1", {
+    ("9094565ac70bfc7d", {
         "sequence": {"kind": "explicit", "values": [0.45, 0.53], "tail": "cycle"},
         "level": 3, "subdivisions": 2, "beta": 0.2,
     }),
-    ("1c653f1b1290147d", {
+    ("1cfc6e151f05a50d", {
         "sequence": {"kind": "explicit", "values": [0.5, 0.4, 0.55]},
         "level": 3, "beta": 0.3,
     }),
-    ("ec65351cf0526190", {
+    ("56f4f63793f319c3", {
         "sequence": {"kind": "geometric_to_limit", "r_limit": 0.55, "q": 0.3},
-        "level": 4, "subdivisions": 3, "beta": 0.28, "alpha": 0.4,
+        "level": 4, "subdivisions": 3, "beta": 0.28,
         "solver": {"backend": "inertia"},
     }),
-    ("ae4e78051c64edc2", {
+    ("d2524a40c14fa7c2", {
         "sequence": {"kind": "constant", "r": 0.42},
         "level": 3, "subdivisions": 2, "beta": 0.25,
         "solver": {"backend": "dense", "dense_limit": 10, "k_lowest": 4},
         "grid": {"mode": "explicit", "values": [5, 20.0, 80.0, 320.0]},
         "outputs": {"directory": "elsewhere", "formats": ["csv"]},
     }),
-    ("2e9784bc9b630fff", {
+    ("ff62759838d7e7f4", {
         "sequence": {"kind": "constant", "r": 0.5},
         "level": 3, "subdivisions": 2, "beta": 0.25,
         "solver": {"backend": "inertia", "eps_shift": 1e-10},
@@ -98,6 +98,8 @@ MALFORMED = [
                  id="outputs.formats"),
     # no command ever read outputs.seed; it only moved the config hash
     pytest.param({"outputs": {"seed": 7}}, "outputs.seed", id="outputs.seed"),
+    # alpha placed the graph in the plane for a text dump that no command wrote
+    pytest.param({"alpha": 0.4}, "alpha", id="alpha"),
     # bracketing needs 1 <= bracketing_level < level and s >= 2; these once ran
     # the whole count before exiting 2
     pytest.param({"level": 3, "bracketing_level": 3}, "bracketing_level",
@@ -288,6 +290,16 @@ class TestSpectrumCommand:
         cfgfile = write_config(tmp_path, cfg)
         assert main(["spectrum", "--config", cfgfile, "--quiet"]) == 1
         assert "counting" in capsys.readouterr().err
+
+    def test_size_error_before_the_graph(self, tmp_path, monkeypatch, capsys):
+        # the closed-form vertex count is checked before any graph is built
+        def no_graph(*args, **kwargs):
+            raise AssertionError("the graph was built above the dense limit")
+
+        monkeypatch.setattr(geometry, "build_graph", no_graph)
+        cfg = base_config(tmp_path / "out", level=11)
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--quiet"]) == 1
+        assert "pencil of size 797160 exceeds dense_limit 4000" in capsys.readouterr().err
 
     def test_k_lowest_path(self, tmp_path):
         cfg = base_config(tmp_path / "out", level=3)

@@ -152,7 +152,7 @@ class TestDense:
         spectra += [np.array([]), np.array([2.0]), np.full(4, 3.0),
                     np.array([-1e-17, 0.0, 1e-17, 1.0, 1.0 + 1e-9, 1.0 + 1e-7, 5.0])]
         for ev in spectra:
-            assert Spectrum(ev, None).multiplicities() == loop(ev)
+            assert Spectrum(ev).multiplicities() == loop(ev)
 
 
 class TestInertia:
@@ -357,7 +357,7 @@ class TestBlockCounter:
         g, j = graph_and_level
         spectra = [
             Spectrum(np.sort(np.concatenate([eig_dense(c).eigenvalues
-                                             for c in assemble_decoupled(g, j, kind)])), None)
+                                             for c in assemble_decoupled(g, j, kind)])))
             for kind in ("dirichlet_split", "neumann_split")
         ]
         ev = np.unique(np.concatenate([sc.eigenvalues for sc in spectra]))
@@ -656,7 +656,7 @@ class TestLowest:
         ref = eig_dense(p).eigenvalues
         low = eig_lowest(p, 101)
         np.testing.assert_allclose(low.eigenvalues, ref[:101], rtol=0, atol=1e-9 * ref[101])
-        want = Spectrum(ref[:101], None).multiplicities()
+        want = Spectrum(ref[:101]).multiplicities()
         got = low.multiplicities()
         assert [c for _, c in got] == [c for _, c in want]
         np.testing.assert_allclose([v for v, _ in got], [v for v, _ in want],

@@ -1,6 +1,6 @@
 """Graph construction: counts, masses, addressing, determinism."""
 
-import math
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,10 +11,6 @@ from scipy.sparse.csgraph import connected_components
 from hanoispec.assembly import Boundary, Pencil, _components, assemble_decoupled, assemble_neumann
 from hanoispec.errors import AddressError, DomainError, LevelError
 from hanoispec.geometry import (
-    CornerTag,
-    EdgeRec,
-    LinePath,
-    LineTag,
     block_corner_ids,
     bridge_mass,
     build_graph,
@@ -69,7 +65,7 @@ class TestCounts:
         g = build_graph(SEQ, 0, 1, 0.25)
         assert g.n_vertices == 3
         assert g.n_edges == 3
-        assert all(e.resistance == 1.0 for e in g.edges)
+        assert np.all(g.edge_r == 1.0)
         assert np.allclose(g.masses, 1.0 / 3.0)
 
     @pytest.mark.parametrize("m,s", [(0, 1), (1, 1), (2, 2), (3, 1), (4, 2)])
@@ -83,28 +79,24 @@ class TestCounts:
 class TestResistancesAndMasses:
     def test_m1_s1_example(self):
         g = build_graph(SEQ, 1, 1, 0.25)
-        cell = [e for e in g.edges if e.kind == "cell"]
-        line = [e for e in g.edges if e.kind == "line"]
+        cell, line = g.edge_r[:g.n_cell_edges], g.edge_r[g.n_cell_edges:]
         assert len(cell) == 9 and len(line) == 3
-        assert all(e.resistance == pytest.approx(0.5) for e in cell)
-        assert all(e.resistance == pytest.approx(1.0 / 6.0, rel=1e-14) for e in line)
+        np.testing.assert_allclose(cell, 0.5)
+        np.testing.assert_allclose(line, 1.0 / 6.0, rtol=1e-14)
         # each cell mass (1/3 + 1/4)/2 = 7/24, each bridge mass 1/24
         for w in enumerate_words(1):
             ids = [g.corner_id(w, i) for i in (1, 2, 3)]
             assert g.mass_cell[ids].sum() == pytest.approx(7.0 / 24.0, rel=1e-14)
-        for lp in g.line_paths:
-            assert lp.mass == pytest.approx(1.0 / 24.0, rel=1e-14)
+        np.testing.assert_allclose(g.mass_line[g.bridge_paths].sum(axis=1), 1.0 / 24.0,
+                                   rtol=1e-14)
         assert g.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_every_level_resistance(self):
         g = build_graph(SEQ, 3, 2, 0.25)
-        for e in g.edges:
-            if e.kind == "cell":
-                assert e.resistance == pytest.approx(float(g.delta[3]), rel=1e-14)
-            else:
-                assert e.resistance == pytest.approx(
-                    float(g.gamma[e.level - 1]) / g.s, rel=1e-14
-                )
+        nc = g.n_cell_edges
+        np.testing.assert_allclose(g.edge_r[:nc], float(g.delta[3]), rtol=1e-14)
+        np.testing.assert_allclose(g.edge_r[nc:], g.gamma[g.edge_level[nc:] - 1] / g.s,
+                                   rtol=1e-14)
 
     @pytest.mark.parametrize("beta", [0.05, 0.25, 0.33])
     @pytest.mark.parametrize("m,s", [(2, 1), (3, 2), (4, 1)])
@@ -123,6 +115,9 @@ class TestResistancesAndMasses:
         # cells plus interior bridges of block w must carry (3^-j + beta^j)/2
         beta = 0.25
         g = build_graph(SEQ, 4, 2, beta)
+        # a bridge's level is that of its segments; its cells are its ends' cells
+        levels = g.edge_level[g.n_cell_edges::g.s]
+        end_cells = g.bridge_paths[:, [0, -1]] // 3
         for j in (1, 2, 3):
             for w in enumerate_words(j)[:4]:
                 total = 0.0
@@ -130,9 +125,10 @@ class TestResistancesAndMasses:
                     if cw.startswith(w):
                         ids = [g.corner_id(cw, i) for i in (1, 2, 3)]
                         total += float(g.mass_cell[ids].sum())
-                for lp in g.line_paths:
-                    if lp.level > j and lp.word.startswith(w):
-                        total += lp.mass
+                # the bridges inside block w are those with both ends in its cells
+                lo = word_rank(w) * 3 ** (4 - j)
+                inside = ((lo <= end_cells) & (end_cells < lo + 3 ** (4 - j))).all(axis=1)
+                total += sum(bridge_mass(k, beta) for k in levels[inside].tolist())
                 assert total == pytest.approx(0.5 * (3.0 ** -j + beta ** j), rel=1e-12)
 
     @pytest.mark.parametrize("beta", [0.05, 0.25, 0.33])
@@ -226,44 +222,50 @@ E 11 3 0.083333333333333315 line 1
 """
 
 
+def _dump(tags, masses, edges) -> str:
+    """One V line per vertex (id, address, mass), one E line per edge
+    (ends, resistance, kind, level)."""
+    out = [f"V {v} {tag} {mass:.17g}" for v, (tag, mass) in enumerate(zip(tags, masses))]
+    out += ["E {} {} {:.17g} {} {}".format(*e) for e in edges]
+    return "\n".join(out) + "\n"
+
+
+def _graph_dump(g) -> str:
+    """The dump of a graph's arrays, its vertices named by the id convention:
+    corners by cell rank, then s - 1 interior nodes per bridge in bridge order."""
+    tags = [f"corner {w or '-'} {i}" for w in enumerate_words(g.m) for i in (1, 2, 3)]
+    tags += [f"line {w or '-'} {i}@{pos}" for k in range(1, g.m + 1)
+             for w in enumerate_words(k - 1) for i in (1, 2, 3) for pos in range(1, g.s)]
+    kinds = ["cell"] * g.n_cell_edges + ["line"] * (g.n_edges - g.n_cell_edges)
+    edges = zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_r.tolist(), kinds,
+                g.edge_level.tolist())
+    return _dump(tags, g.masses.tolist(), edges)
+
+
 class TestDeterminism:
     def test_golden_dump(self):
-        g = build_graph(SEQ, 1, 2, 0.25)
-        assert g.dump_text() == GOLDEN_M1_S2
+        assert _graph_dump(build_graph(SEQ, 1, 2, 0.25)) == GOLDEN_M1_S2
+        assert _loop_dump(_loop_build(SEQ, 1, 2, 0.25)) == GOLDEN_M1_S2
 
     def test_rebuild_identical(self):
-        a = build_graph(SEQ, 3, 2, 0.25).dump_text()
-        b = build_graph(SEQ, 3, 2, 0.25).dump_text()
-        assert a == b
-
-    def test_coords_present_with_alpha(self):
-        g = build_graph(SEQ, 1, 2, 0.25, alpha=0.5)
-        assert g.coords is not None
-        # V_0 corners sit at the outer triangle corners
-        np.testing.assert_allclose(g.coords[g.corner_id("1", 1)], [0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(g.coords[g.corner_id("2", 2)], [1.0, 0.0], atol=1e-15)
-        # interior line nodes sit between their endpoints
-        lp = g.line_paths[0]
-        mid = 0.5 * (g.coords[lp.nodes[0]] + g.coords[lp.nodes[-1]])
-        np.testing.assert_allclose(g.coords[lp.nodes[1]], mid, atol=1e-14)
-
-    def test_dump_includes_coordinates(self):
-        g = build_graph(SEQ, 1, 1, 0.25, alpha=0.5)
-        lines = g.dump_text().splitlines()
-        first = lines[0].split()
-        assert first[:5] == ["V", "0", "corner", "1", "1"]
-        assert len(first) == 8  # mass plus x and y columns
-        assert float(first[6]) == 0.0 and float(first[7]) == 0.0
+        a = build_graph(SEQ, 3, 2, 0.25)
+        b = build_graph(SEQ, 3, 2, 0.25)
+        for name in ("edge_u", "edge_v", "edge_r", "edge_level", "bridge_paths",
+                     "mass_cell", "mass_line", "line_level"):
+            _same(getattr(a, name), getattr(b, name))
 
 
 # ---------------------------------------------------------------------------
 # Reference: the per-object loop construction that the arrays replaced
 # ---------------------------------------------------------------------------
 
-_P0 = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
+_Corner = namedtuple("_Corner", "word corner")
+_Line = namedtuple("_Line", "level word edge pos")
+_Edge = namedtuple("_Edge", "u v resistance kind level")
+_Path = namedtuple("_Path", "level word edge nodes resistance mass")
 
 
-def _loop_build(seq, m, s, beta, alpha=None):
+def _loop_build(seq, m, s, beta):
     """The level-m graph built one object per vertex, edge and bridge, each
     bridge end found by ranking its cell word."""
     if m >= 1:
@@ -285,11 +287,11 @@ def _loop_build(seq, m, s, beta, alpha=None):
     for rank, w in enumerate(words):
         base = 3 * rank
         for i in (1, 2, 3):
-            tags[base + i - 1] = CornerTag(w, i)
+            tags[base + i - 1] = _Corner(w, i)
             mass_cell[base + i - 1] = corner_share
-        edges.append(EdgeRec(base, base + 1, delta_m, "cell", m))
-        edges.append(EdgeRec(base, base + 2, delta_m, "cell", m))
-        edges.append(EdgeRec(base + 1, base + 2, delta_m, "cell", m))
+        edges.append(_Edge(base, base + 1, delta_m, "cell", m))
+        edges.append(_Edge(base, base + 2, delta_m, "cell", m))
+        edges.append(_Edge(base + 1, base + 2, delta_m, "cell", m))
 
     next_id = n_corners
     for k in range(1, m + 1):
@@ -303,7 +305,7 @@ def _loop_build(seq, m, s, beta, alpha=None):
                 vb = 3 * word_rank(u + str(b) + str(a) * (m - k)) + (a - 1)
                 path = [va]
                 for pos in range(1, s):
-                    tags[next_id] = LineTag(k, u, i, pos)
+                    tags[next_id] = _Line(k, u, i, pos)
                     mass_line[next_id] = bm / s
                     path.append(next_id)
                     next_id += 1
@@ -313,46 +315,19 @@ def _loop_build(seq, m, s, beta, alpha=None):
                 line_level[va] = k
                 line_level[vb] = k
                 for p in range(s):
-                    edges.append(EdgeRec(path[p], path[p + 1], seg_r, "line", k))
-                line_paths.append(LinePath(k, u, i, tuple(path), gk, bm))
-
-    coords = None
-    if alpha is not None:
-        coords = np.zeros((n, 2))
-        c = (1.0 - alpha) / 2.0
-        for rank, w in enumerate(words):
-            pts = _P0.copy()
-            for ch in reversed(w):
-                p = _P0[int(ch) - 1]
-                pts = c * (pts - p) + p
-            coords[3 * rank : 3 * rank + 3] = pts
-        for lp in line_paths:
-            pa = coords[lp.nodes[0]]
-            pb = coords[lp.nodes[-1]]
-            for j, vid in enumerate(lp.nodes[1:-1], start=1):
-                t = j / s
-                coords[vid] = (1.0 - t) * pa + t * pb
+                    edges.append(_Edge(path[p], path[p + 1], seg_r, "line", k))
+                line_paths.append(_Path(k, u, i, tuple(path), gk, bm))
 
     return SimpleNamespace(tags=tags, edges=edges, line_paths=line_paths,
                            mass_cell=mass_cell, mass_line=mass_line,
-                           line_level=line_level, coords=coords)
+                           line_level=line_level)
 
 
 def _loop_dump(ref) -> str:
-    out = []
-    for vid, tag in enumerate(ref.tags):
-        mass = ref.mass_cell[vid] + ref.mass_line[vid]
-        word = tag.word or "-"
-        if isinstance(tag, CornerTag):
-            fields = ["V", str(vid), "corner", word, str(tag.corner), f"{mass:.17g}"]
-        else:
-            fields = ["V", str(vid), "line", word, f"{tag.edge}@{tag.pos}", f"{mass:.17g}"]
-        if ref.coords is not None:
-            fields += [f"{ref.coords[vid, 0]:.17g}", f"{ref.coords[vid, 1]:.17g}"]
-        out.append(" ".join(fields))
-    for e in ref.edges:
-        out.append(f"E {e.u} {e.v} {e.resistance:.17g} {e.kind} {e.level}")
-    return "\n".join(out) + "\n"
+    """The dump of the loop builder's records."""
+    tags = [f"corner {t.word or '-'} {t.corner}" if isinstance(t, _Corner)
+            else f"line {t.word or '-'} {t.edge}@{t.pos}" for t in ref.tags]
+    return _dump(tags, (ref.mass_cell + ref.mass_line).tolist(), ref.edges)
 
 
 def _loop_laplacian(edge_iter, n):
@@ -414,9 +389,8 @@ class TestLoopOracle:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_bit_identical(self, family, m, s):
         seq = FAMILIES[family]
-        alpha = 0.4 if s == 2 else None
-        g = build_graph(seq, m, s, 0.25, alpha)
-        ref = _loop_build(seq, m, s, 0.25, alpha)
+        g = build_graph(seq, m, s, 0.25)
+        ref = _loop_build(seq, m, s, 0.25)
 
         _same(g.edge_u, [e.u for e in ref.edges])
         _same(g.edge_v, [e.v for e in ref.edges])
@@ -428,14 +402,6 @@ class TestLoopOracle:
                                        dtype=np.int64).reshape(-1, s + 1))
         for name in ("mass_cell", "mass_line", "line_level"):
             _same(getattr(g, name), getattr(ref, name))
-        if alpha is None:
-            assert g.coords is None
-        else:
-            _same(g.coords, ref.coords)
-        assert g.tags == ref.tags
-        assert g.edges == ref.edges
-        assert g.line_paths == ref.line_paths
-        assert g.dump_text() == _loop_dump(ref)
 
         n = len(ref.tags)
         L = assemble_neumann(g).L

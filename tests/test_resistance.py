@@ -243,8 +243,8 @@ class TestHarmonicExtension:
         for v in cell_corner_ids(g, target):
             block.add(v)
             fixed[v] = 1.0
-        for lp in g.line_paths:
-            ends = {lp.nodes[0], lp.nodes[-1]}
+        for path in g.bridge_paths.tolist():
+            ends = {path[0], path[-1]}
             if ends & block:
                 for v in ends:
                     fixed[v] = 1.0
