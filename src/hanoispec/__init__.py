@@ -14,7 +14,6 @@ from .sequences import (
 )
 from .geometry import GraphApprox, build_graph, cell_corner_ids, enumerate_words
 from .assembly import (
-    Boundary,
     Pencil,
     apply_dirichlet,
     assemble_decoupled,

@@ -39,7 +39,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assembly import (
-    Boundary,
     Pencil,
     _laplacian_from_edges,
     apply_dirichlet,
@@ -49,13 +48,11 @@ from .eigensolve import (
     DENSE_LIMIT,
     EPS_SHIFT,
     BlockInertiaCounter,
-    Spectrum,
     eig_dense,
 )
 from .errors import (
     ConvergenceError,
     DomainError,
-    EmptyPencilError,
     InsufficientDataError,
     LevelError,
     PencilSizeError,
@@ -125,11 +122,8 @@ class GraphCounts:
                 )
             g = build_graph(seq, m, s, beta)
             p_n = assemble_neumann(g)
-            try:
-                spec_d = eig_dense(apply_dirichlet(p_n, g, "v0"), dense_limit)
-            except EmptyPencilError:    # the level-0 triangle is all V_0
-                spec_d = Spectrum(np.empty(0))
-            self._spectra = (spec_d, eig_dense(p_n, dense_limit))
+            self._spectra = (eig_dense(apply_dirichlet(p_n, g, "v0"), dense_limit),
+                             eig_dense(p_n, dense_limit))
 
     def count(self, xs, level: Optional[int] = None) -> np.ndarray:
         """Rows N_D and N_N, #{lambda <= x} at each threshold x; with a
@@ -387,7 +381,7 @@ def free_path_pencil(s: int, resistance: float = 1.0, mass: float = 1.0) -> Penc
     L = _laplacian_from_edges(i, i + 1, np.full(s, resistance / s), n)
     m = np.full(n, mass / s)
     m[0] = m[-1] = mass / (2 * s)
-    return Pencil(L, m, Boundary("neumann", component="path"), np.arange(n))
+    return Pencil(L, m, np.arange(n))
 
 
 @dataclass(frozen=True)

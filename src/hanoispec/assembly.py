@@ -5,7 +5,8 @@ L = sum over edges of (1/resistance) (e_u - e_v)(e_u - e_v)^T and the
 mass matrix is the diagonal of lumped vertex masses, so the generalized
 eigenproblem L u = lambda M u discretizes the quadratic form paired with
 the measure.  Dirichlet conditions are imposed by deleting rows and
-columns, which is the exact form restriction.
+columns, which is the exact form restriction; grounding every vertex
+restricts the form to the empty set and leaves a pencil with no rows.
 
 ``assemble_decoupled`` produces the two bracketing families used by the
 counting-function sandwich, both by cutting the graph and splitting it
@@ -19,32 +20,15 @@ the component pencils are its independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import AssemblyError, EmptyPencilError, LevelError
+from .errors import AssemblyError, LevelError
 from .geometry import GraphApprox, vertex_set_v
-
-
-@dataclass(frozen=True)
-class Boundary:
-    """Boundary-condition tag carried by a pencil."""
-    kind: str                       # neumann | dirichlet_v0 | dirichlet_vm |
-                                    # neumann_split | dirichlet_split
-    level: Optional[int] = None     # constraint/decouple level where applicable
-    component: Optional[str] = None # component label for decoupled pencils
-
-    def describe(self) -> str:
-        out = self.kind
-        if self.level is not None:
-            out += f"(j={self.level})"
-        if self.component is not None:
-            out += f"[{self.component}]"
-        return out
 
 
 @dataclass(eq=False)
@@ -53,7 +37,6 @@ class Pencil:
 
     L: sp.csr_matrix
     mass: np.ndarray
-    boundary: Boundary
     vertex_map: np.ndarray          # pencil index -> graph vertex id
 
     @property
@@ -62,7 +45,7 @@ class Pencil:
 
     def scaled(self, c: float) -> "Pencil":
         """Same stiffness with mass multiplied by c (eigenvalues scale by 1/c)."""
-        return Pencil(self.L, c * self.mass, self.boundary, self.vertex_map)
+        return Pencil(self.L, c * self.mass, self.vertex_map)
 
 
 def _laplacian_from_edges(u: np.ndarray, v: np.ndarray, r: np.ndarray, n: int) -> sp.csr_matrix:
@@ -94,17 +77,13 @@ def assemble_neumann(g: GraphApprox) -> Pencil:
     mass = g.masses
     if np.any(mass <= 0.0):
         raise AssemblyError("every vertex must carry positive mass")
-    return Pencil(L, mass, Boundary("neumann"), np.arange(n))
+    return Pencil(L, mass, np.arange(n))
 
 
-def _restrict(p: Pencil, keep: np.ndarray, boundary: Boundary) -> Pencil:
-    if keep.size == 0:
-        raise EmptyPencilError(
-            f"boundary condition {boundary.describe()} constrains every vertex"
-        )
+def _restrict(p: Pencil, keep: np.ndarray) -> Pencil:
     L = p.L[keep][:, keep].tocsr()
     L.sort_indices()
-    return Pencil(L, p.mass[keep], boundary, p.vertex_map[keep])
+    return Pencil(L, p.mass[keep], p.vertex_map[keep])
 
 
 def apply_dirichlet(p: Pencil, g: GraphApprox, where: str, level: Optional[int] = None) -> Pencil:
@@ -112,41 +91,36 @@ def apply_dirichlet(p: Pencil, g: GraphApprox, where: str, level: Optional[int] 
 
     Rows and columns of constrained vertices are deleted.  The result may
     decouple into several components; that is intended for the bracketing
-    construction.
+    construction.  Constraining every vertex (V_0 of the level-0 triangle)
+    gives a pencil with no rows.
     """
     if where == "v0":
         constrained = vertex_set_v(g, 0)
-        boundary = Boundary("dirichlet_v0")
     elif where == "vm":
         if level is None:
             raise LevelError("where='vm' needs a level")
         constrained = np.concatenate([vertex_set_v(g, level), vertex_set_v(g, 0)])
-        boundary = Boundary("dirichlet_vm", level=level)
     else:
         raise LevelError(f"unknown constraint set {where!r}")
     keep = np.flatnonzero(~np.isin(p.vertex_map, constrained))
-    return _restrict(p, keep, boundary)
+    return _restrict(p, keep)
 
 
-def _components(p: Pencil, boundary: Boundary) -> list[Pencil]:
-    """One pencil per connected component of p, labelled ``component:{c}``.
+def _components(p: Pencil) -> list[Pencil]:
+    """One pencil per connected component of p ([] for a pencil with no rows).
 
-    Components are numbered by their lowest pencil index and keep the
+    Components are ordered by their lowest pencil index and keep the
     index order of p.
     """
     ncomp, labels = connected_components(p.L, directed=False)
-    return [
-        _restrict(p, np.flatnonzero(labels == c), replace(boundary, component=f"component:{c}"))
-        for c in range(ncomp)
-    ]
+    return [_restrict(p, np.flatnonzero(labels == c)) for c in range(ncomp)]
 
 
 def assemble_decoupled(g: GraphApprox, j: int, kind: str) -> list[Pencil]:
     """Component pencils of the level-j decoupled forms.
 
     Both forms cut the graph and split it into connected components, one
-    pencil per component, labelled ``component:{c}`` in the order of
-    their lowest vertex.
+    pencil per component, in the order of their lowest vertex.
 
     ``kind="neumann_split"``: every bridge of level <= j is cut off the
     two block corners it joins.  Its two ends become new vertices that
@@ -180,14 +154,9 @@ def assemble_decoupled(g: GraphApprox, j: int, kind: str) -> list[Pencil]:
         mass = np.concatenate([g.mass_cell + np.where(cut, 0.0, g.mass_line),
                                g.mass_line[ends]])
         vertex_map = np.concatenate([np.arange(n), ends])
-        boundary = Boundary("neumann_split", j)
-        return _components(Pencil(L, mass, boundary, vertex_map), boundary)
+        return _components(Pencil(L, mass, vertex_map))
 
     if kind == "dirichlet_split":
-        try:
-            grounded = apply_dirichlet(assemble_neumann(g), g, "vm", level=j)
-        except EmptyPencilError:
-            return []
-        return _components(grounded, Boundary("dirichlet_split", j))
+        return _components(apply_dirichlet(assemble_neumann(g), g, "vm", level=j))
 
     raise LevelError(f"unknown decoupling kind {kind!r}")

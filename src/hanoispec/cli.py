@@ -38,7 +38,6 @@ from .eigensolve import DENSE_LIMIT, EPS_SHIFT, eig_dense, eig_lowest
 from .errors import (
     ConfigError,
     DomainError,
-    EmptyPencilError,
     HanoiError,
     PencilSizeError,
     UnsupportedFamilyError,
@@ -301,20 +300,7 @@ def _prediction_payload(seq) -> dict:
         pred = sequences.predicted_dimensions(seq)
     except UnsupportedFamilyError:
         return {"kind": "diagnostics_only"}
-    if pred.kind == "limit":
-        return {
-            "kind": "limit",
-            "d_s": pred.d_s,
-            "dim_h": pred.dim_h,
-            "relation_check": pred.relation_check,
-        }
-    return {
-        "kind": "band",
-        "d_s_lower": pred.d_s_lower,
-        "d_s_upper": pred.d_s_upper,
-        "dim_lower": pred.dim_lower,
-        "dim_upper": pred.dim_upper,
-    }
+    return {key: v for key, v in asdict(pred).items() if v is not None}
 
 
 def cmd_validate(cfg: RunConfig, quiet: bool = False) -> int:
@@ -371,14 +357,12 @@ def cmd_spectrum(cfg: RunConfig, quiet: bool = False) -> int:
         )
     g = geometry.build_graph(cfg.sequence, cfg.level, cfg.subdivisions, cfg.beta)
     p_n = assemble_neumann(g)
-    pencils = [("neumann", p_n)]
-    try:
-        pencils.append(("dirichlet_v0", apply_dirichlet(p_n, g, "v0")))
-    except EmptyPencilError:
-        pass
     rows = []
     mult_rows = []
-    for label, p in pencils:
+    # a pencil with no rows (V_0 grounded at level 0) writes none; eig_lowest needs k >= 1
+    for label, p in [("neumann", p_n), ("dirichlet_v0", apply_dirichlet(p_n, g, "v0"))]:
+        if p.n == 0:
+            continue
         if k is not None:
             spec = eig_lowest(p, min(k, p.n), dense_limit=cfg.solver.dense_limit)
         else:
@@ -433,17 +417,7 @@ def cmd_counting(cfg: RunConfig, quiet: bool = False) -> int:
         "subdivisions": cfg.subdivisions,
         "beta": cfg.beta,
         "prediction": _prediction_payload(cfg.sequence),
-        "fit": {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "stderr": fit.stderr,
-            "window": list(fit.window),
-            "n_points": fit.n_points,
-            "predicted": (list(fit.predicted) if isinstance(fit.predicted, tuple)
-                          else fit.predicted),
-            "deviation": fit.deviation,
-            "tolerance": fit.tolerance,
-        },
+        "fit": {key: v for key, v in asdict(fit).items() if key != "passed"},
         "weyl_envelope": {"c1": exp.c1, "c2": exp.c2},
         "bracketing": (
             None if exp.bracketing is None else {

@@ -117,7 +117,7 @@ class InertiaResult:
 def lambda_max_bound(p: Pencil) -> float:
     """Gershgorin-style upper bound max_i (sum_j |L_ij|) / M_i."""
     rowsums = np.asarray(abs(p.L).sum(axis=1)).ravel()
-    return float(np.max(rowsums / p.mass))
+    return float(np.max(rowsums / p.mass, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +133,8 @@ def eig_dense(p: Pencil, dense_limit: int = DENSE_LIMIT) -> Spectrum:
         )
     if np.any(p.mass <= 0.0):
         raise AssemblyError("pencil mass must be strictly positive")
+    if p.n == 0:    # not every scipy this package supports is known to take a 0x0 eigh
+        return Spectrum(np.empty(0))
     d = 1.0 / np.sqrt(p.mass)
     A = p.L.toarray() * d[None, :] * d[:, None]
     try:
@@ -216,7 +218,7 @@ class InertiaCounter:
             raise AssemblyError("stiffness matrix misses diagonal entries")
         self.indptr, self.indices, self.base = A.indptr, A.indices, A.data
         self.mass = pencil.mass.astype(np.float64)
-        self.pivot_tol = SMALL_PIVOT_REL * float(np.max(np.abs(pencil.L.data)))
+        self.pivot_tol = SMALL_PIVOT_REL * float(np.max(np.abs(pencil.L.data), initial=0.0))
         # Below -lambda_max_bound the pencil has no eigenvalue and L - x M is
         # strictly diagonally dominant, so this factorization cannot fail; it
         # checks the backend and gives the fill, which is the same at every x.
@@ -257,7 +259,7 @@ class InertiaCounter:
         if lu is None:
             return 0, False
         d = lu.U.diagonal()
-        if np.min(np.abs(d)) <= self.pivot_tol:
+        if np.min(np.abs(d), initial=np.inf) <= self.pivot_tol:
             return 0, False
         return int(np.count_nonzero(d < 0.0)), True
 
@@ -298,7 +300,8 @@ class BlockInertiaCounter:
     level-k blocks, each reduced to the Schur complement S_k onto its three
     outer corners, joined by three level-k bridges.  A first pass
     eliminates the interior of every level's bridge at once by one
-    tridiagonal recurrence (``_path``; pi_k negative pivots).  A second
+    tridiagonal recurrence (``_path``; pi_k negative pivots, 0 when s = 1
+    leaves a bridge no interior node).  A second
     pass runs over the levels m..1 and eliminates each block's 6 inner
     corners (n_k negative eigenvalues), which leaves S_{k-1}.  By
     Haynsworth's inertia additivity, In(K) = In(K_11) + In(K / K_11), a
@@ -384,15 +387,12 @@ class BlockInertiaCounter:
         """
         s = self.s
         # first pass: every level's bridge interior at once, row k - 1 for
-        # level k, leaving pi_k and the end-to-end g and end row sum r
+        # level k, leaving pi_k and the end-to-end g and end row sum r (at
+        # s = 1 no node: pi_k = 0, g = ck and r the end's row sum)
         ck, bm = self.seg_conductance[:, None], self.bridge_mass[:, None]
         mu, end = -x * (bm / s), -x * (bm / (2 * s))
         bridge_clear = np.ones(mu.shape, dtype=bool)
-        if s > 1:
-            pi, g, r, r_mag = _path(ck, [mu] * (s - 1) + [end], ck, bridge_clear)
-        else:
-            # no interior; g as floats keeps the level pass on scalar arithmetic
-            pi, g, r, r_mag = np.zeros(ck.shape, np.int64), ck.ravel().tolist(), end, np.abs(end)
+        pi, g, r, r_mag = _path(ck, [mu] * (s - 1) + [end], ck, bridge_clear)
         # second pass, levels m..1: S_m of a cell has off-diagonal -1/delta_m
         # and row sums -x * corner mass
         c = self.cell_conductance
@@ -526,14 +526,17 @@ def _path(ck, row_sums: list, g, clear: np.ndarray):
     ck, whose nodes have the row sums row_sums in L - x M; g is the first
     node's conductance to an end outside the path (0.0 for none).
 
-    Returns the negative pivots, that end's conductance g to the last node,
-    and the last node's row sum r and the summed magnitudes that formed it;
+    Returns the negative pivots (an int64 array of the broadcast shape, 0
+    for a path of one node, which eliminates nothing), that end's
+    conductance g to the last node, and the last node's row sum r and the
+    summed magnitudes that formed it;
     kept as a row sum, r keeps its digits as it goes to zero with x.  This
     Sturm count stays exact next to the path's own eigenvalues, where a
     complement onto its ends cancels to noise.  clear is and-ed in place
     with where every pivot clears its rounding.
     """
-    r, r_mag, neg = row_sums[0], np.abs(row_sums[0]), 0
+    r, r_mag = row_sums[0], np.abs(row_sums[0])
+    neg = np.zeros(np.broadcast(r, g, ck).shape, dtype=np.int64)
     for nxt in row_sums[1:]:
         piv = _pivot(r + g + ck, r_mag + np.abs(g) + ck, clear)
         neg = neg + (piv < 0.0)

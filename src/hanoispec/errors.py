@@ -25,12 +25,8 @@ class AssemblyError(HanoiError, ValueError):
     """The graph cannot be turned into a valid pencil (e.g. degenerate resistance)."""
 
 
-class EmptyPencilError(HanoiError, ValueError):
-    """A boundary condition constrained every vertex."""
-
-
 class PencilSizeError(HanoiError, ValueError):
-    """The pencil is too large for the requested dense operation."""
+    """The pencil or graph is too large for the requested operation or the host."""
 
 
 class ConvergenceError(HanoiError, RuntimeError):

@@ -35,11 +35,12 @@ The graph is purely combinatorial: no planar embedding enters it.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AddressError, DomainError, LevelError
+from .errors import AddressError, DomainError, LevelError, PencilSizeError
 from .sequences import MatchingSequence, scale_factors
 
 ALPHABET = "123"
@@ -47,6 +48,12 @@ ALPHABET = "123"
 # The letters a < b other than the edge index i = 1, 2, 3, less one.
 _A = np.array([1, 0, 0])
 _B = np.array([2, 2, 1])
+
+# Bytes build_graph allocates at its peak per vertex and per edge, a
+# measurement: tracemalloc's peak over a build is 38.7 to 46.6 bytes times
+# (vertices + edges) for constant(0.5) at levels 7, 9 and 10, s = 1, 2, 3
+# and 8, on numpy 2.4; the most at s = 1 (116 bytes a vertex; 101 at s = 2).
+_BYTES_PER_VERTEX_OR_EDGE = 48
 
 
 def enumerate_words(m: int) -> list[str]:
@@ -188,13 +195,23 @@ def build_graph(
     and the rank of u*a*b^(m-k) is
 
         rank(u)*3**(m-k+1) + (a-1)*3**(m-k) + (b-1)*(3**(m-k) - 1)/2.
+
+    A graph whose arrays need more bytes than the host's physical memory
+    raises PencilSizeError before anything is allocated.
     """
     check_graph_args(m, s, beta)
-    delta, gamma = level_scales(seq, m)
-
     n_corners = 3 ** (m + 1)
     n_bridges = (3 ** (m + 1) - 3) // 2
     n = vertex_count(m, s)
+    need = _BYTES_PER_VERTEX_OR_EDGE * (n + n_corners + s * n_bridges)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise PencilSizeError(
+            f"the level-{m} graph has {n} vertices and needs about {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory; "
+            "count it with the counting command, which builds no graph"
+        )
+    delta, gamma = level_scales(seq, m)
 
     mass_cell = np.zeros(n)
     mass_cell[:n_corners] = cell_mass(m, beta) / 3.0

@@ -267,7 +267,7 @@ def cell_diameter_scaling(
     slope_raw = float(np.polyfit(js, logs, 1)[0]) if j_max >= 1 else float("nan")
     limit = seq.limit_r
     if limit is not None and j_max >= 1:
-        sf = scale_factors(seq, max(j_max, 1))
+        sf = scale_factors(seq, j_max)
         drift = np.concatenate(([1.0], sf.partial_products[:j_max]))
         slope = float(np.polyfit(js, logs - np.log(drift), 1)[0])
         predicted = resistance_dimension(limit)

@@ -232,7 +232,7 @@ class TestBracketing:
         dense = eigensolve.eig_dense
 
         def counting_dense(p, *args, **kwargs):
-            solved.append(p.boundary.kind)
+            solved.append(p.n)
             return dense(p, *args, **kwargs)
 
         monkeypatch.setattr(assembly, "assemble_decoupled", forbidden)
@@ -242,7 +242,8 @@ class TestBracketing:
         monkeypatch.setattr(analysis, "eig_dense", counting_dense)
         exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend=backend, bracket_level=2)
         assert exp.bracketing.ok and exp.graph.n_vertices <= eigensolve.DENSE_LIMIT
-        assert sorted(solved) == (["dirichlet_v0", "neumann"] if backend == "dense" else [])
+        n = exp.graph.n_vertices  # the Neumann pencil, then V_0 grounded
+        assert sorted(solved) == ([n - 3, n] if backend == "dense" else [])
 
     def test_bracketed_run_eliminates_its_grid_once(self, monkeypatch):
         # the grid's N_D, N_N and both sums come from one pass of one counter

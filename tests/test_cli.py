@@ -261,6 +261,12 @@ class TestValidateCommand:
         assert main(["validate", "--config", cfgfile, "--quiet"]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_graph_past_physical_memory_exits_one(self, tmp_path, capsys):
+        # level 20 has 1.6e10 vertices: build_graph refuses it before it allocates
+        cfgfile = write_config(tmp_path, base_config(tmp_path / "out", level=20))
+        assert main(["validate", "--config", cfgfile, "--quiet"]) == 1
+        assert "of physical memory" in capsys.readouterr().err
+
 
 class TestSpectrumCommand:
     def test_m0_golden_eigenvalues(self, tmp_path):
@@ -276,6 +282,20 @@ class TestSpectrumCommand:
         assert vals[0] == pytest.approx(0.0, abs=1e-9)
         assert vals[1] == pytest.approx(9.0, rel=1e-9)
         assert vals[2] == pytest.approx(9.0, rel=1e-9)
+
+    def test_m0_k_lowest_writes_the_full_table(self, tmp_path):
+        # the V_0-grounded level-0 triangle has no rows: with or without
+        # k_lowest, the 3 Neumann rows and no dirichlet_v0 row
+        tables = []
+        for k in (None, 3):
+            cfg = base_config(tmp_path / f"out{k}", level=0, subdivisions=1)
+            if k is not None:
+                cfg["solver"] = {"k_lowest": k}
+            cfgfile = write_config(tmp_path, cfg, name=f"run{k}.json")
+            assert main(["spectrum", "--config", cfgfile, "--quiet"]) == 0
+            tables.append((tmp_path / f"out{k}" / "eigenvalues.csv").read_text().splitlines())
+        assert tables[0][1:] == tables[1][1:]
+        assert [line.split(",")[2] for line in tables[1][2:]] == ["neumann"] * 3
 
     def test_multiplicity_table(self, tmp_path):
         cfg = base_config(tmp_path / "out", level=1, subdivisions=1)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from hanoispec import eigensolve
 from hanoispec.analysis import free_path_pencil
 from hanoispec.assembly import (
-    Boundary,
     Pencil,
     apply_dirichlet,
     assemble_decoupled,
@@ -20,6 +19,7 @@ from hanoispec.eigensolve import (
     EPS_SHIFT,
     BlockInertiaCounter,
     InertiaCounter,
+    InertiaResult,
     Spectrum,
     count_below,
     eig_dense,
@@ -48,7 +48,7 @@ def path_pencil():
     L = sp.csr_matrix(
         np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
     )
-    return Pencil(L, np.array([0.25, 0.5, 0.25]), Boundary("neumann"), np.arange(3))
+    return Pencil(L, np.array([0.25, 0.5, 0.25]), np.arange(3))
 
 
 def m0_pencil():
@@ -153,6 +153,28 @@ class TestDense:
                     np.array([-1e-17, 0.0, 1e-17, 1.0, 1.0 + 1e-9, 1.0 + 1e-7, 5.0])]
         for ev in spectra:
             assert Spectrum(ev).multiplicities() == loop(ev)
+
+
+class TestEmptyPencil:
+    """The V_0-grounded level-0 triangle: a pencil with no rows counts 0."""
+
+    @pytest.fixture
+    def empty(self):
+        g = build_graph(SEQ, 0, 2, 0.25)
+        p = apply_dirichlet(assemble_neumann(g), g, "v0")
+        assert p.n == 0
+        return p
+
+    def test_dense_spectrum_is_empty(self, empty):
+        spec = eig_dense(empty)
+        assert spec.n == 0 and spec.multiplicities() == []
+        assert spec.count_leq(1e3) == 0
+        assert spec.count_leq(np.array([-1.0, 0.0, 1e3])).tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("x", [-1.0, 0.0, 1e3])
+    def test_inertia_counts_zero(self, empty, x):
+        assert count_below(empty, x) == InertiaResult(x, 0, True)
+        assert InertiaCounter(empty).fill_nonzeros == 0
 
 
 class TestInertia:
@@ -300,7 +322,7 @@ class TestBackendAgreement:
             L = sp.coo_matrix((vals + vals, (rows + cols, cols + rows)), shape=(n, n))
             L = (sp.diags(np.asarray(L.sum(axis=1)).ravel()) - L).tocsr()
             mass = np.exp(rng.uniform(-3, 1, size=n))
-            p = Pencil(L, mass, Boundary("neumann"), np.arange(n))
+            p = Pencil(L, mass, np.arange(n))
             spec = eig_dense(p)
             ctr = get_counter(p)
             hi = float(spec.eigenvalues[-1]) * 1.2
@@ -585,22 +607,28 @@ class TestPath:
         assert clear.all()
         assert neg.tolist() == np.searchsorted(ev, x).tolist() == list(range(1, s + 2))
 
-    @pytest.mark.parametrize("s", [2, 3, 5, 16])
+    @pytest.mark.parametrize("s", [1, 2, 3, 5, 16])
     def test_kept_ends_match_the_dense_schur_complement(self, s):
         # pi counts the pencil with both end rows and columns deleted; g and
-        # r are its 2x2 Schur complement onto the ends, [[r + g, -g], [-g, r + g]]
+        # r are its 2x2 Schur complement onto the ends, [[r + g, -g], [-g, r + g]];
+        # s = 1 has no interior node: pi = 0, g = ck and r the end row sum
         p = free_path_pencil(s, self.GAMMA, self.MASS)
         L, mass, inner, ends = p.L.toarray(), p.mass, slice(1, s), [0, s]
         dirichlet = scipy.linalg.eigh(L[inner, inner], np.diag(mass[inner]), eigvals_only=True)
         # thresholds away from the interior eigenvalues: between them,
-        # below the first and past the last
-        x = np.concatenate([[0.5 * dirichlet[0]], self.between(dirichlet),
-                            [1.5 * dirichlet[-1]]])
+        # below the first and past the last (one threshold when there is none)
+        x = (np.concatenate([[0.5 * dirichlet[0]], self.between(dirichlet),
+                             [1.5 * dirichlet[-1]]])
+             if s > 1 else np.array([1.0 / (self.GAMMA * self.MASS)]))
         ck, mu, end = self.rows(s, x)
         clear = np.ones(x.size, dtype=bool)
         pi, g, r, _ = eigensolve._path(ck, [mu] * (s - 1) + [end], ck, clear)
         assert clear.all()
+        assert pi.dtype == np.int64
         assert pi.tolist() == np.searchsorted(dirichlet, x).tolist() == list(range(s))
+        if s == 1:
+            assert g == ck and r.tolist() == end.tolist()
+        g = np.broadcast_to(g, x.shape)
         for i, xi in enumerate(x):
             A = L - xi * np.diag(mass)
             S = A[np.ix_(ends, ends)] - A[ends, inner] @ np.linalg.solve(A[inner, inner],

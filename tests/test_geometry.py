@@ -8,8 +8,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from hanoispec.assembly import Boundary, Pencil, _components, assemble_decoupled, assemble_neumann
-from hanoispec.errors import AddressError, DomainError, LevelError
+from hanoispec import geometry
+from hanoispec.assembly import Pencil, _components, assemble_decoupled, assemble_neumann
+from hanoispec.errors import AddressError, DomainError, LevelError, PencilSizeError
 from hanoispec.geometry import (
     block_corner_ids,
     bridge_mass,
@@ -67,6 +68,28 @@ class TestCounts:
         assert g.n_edges == 3
         assert np.all(g.edge_r == 1.0)
         assert np.allclose(g.masses, 1.0 / 3.0)
+
+    def test_past_physical_memory_raises_unallocated(self, monkeypatch):
+        # level 20 (1.6e10 vertices) would take about 1.6 TiB: the closed-form
+        # counts are checked against the host's memory before any array exists
+        def no_array(*args, **kwargs):
+            raise AssertionError("build_graph allocated an array")
+
+        monkeypatch.setattr(np, "zeros", no_array)
+        monkeypatch.setattr(np, "empty", no_array)
+        with pytest.raises(PencilSizeError, match="15690529803 vertices"):
+            build_graph(SEQ, 20, 2, 0.25)
+
+    @pytest.mark.parametrize("spare,fits", [(0, True), (-1, False)])
+    def test_memory_bound_is_48_bytes_per_vertex_and_edge(self, monkeypatch, spare, fits):
+        # level 2, s = 2: 39 vertices and 51 edges take 48 * 90 bytes
+        pages = {"SC_PHYS_PAGES": 48 * 90 + spare, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(geometry.os, "sysconf", pages.__getitem__)
+        if fits:
+            assert build_graph(SEQ, 2, 2, 0.25).n_vertices == 39
+        else:
+            with pytest.raises(PencilSizeError):
+                build_graph(SEQ, 2, 2, 0.25)
 
     @pytest.mark.parametrize("m,s", [(0, 1), (1, 1), (2, 2), (3, 1), (4, 2)])
     def test_connected(self, m, s):
@@ -358,8 +381,7 @@ def _loop_neumann_split(ref, j):
     mass = np.concatenate([ref.mass_cell + np.where(cut, 0.0, ref.mass_line),
                            ref.mass_line[ends]])
     vertex_map = np.concatenate([np.arange(n), ends])
-    boundary = Boundary("neumann_split", j)
-    return _components(Pencil(L, mass, boundary, vertex_map), boundary)
+    return _components(Pencil(L, mass, vertex_map))
 
 
 def _same(a, b):
@@ -412,7 +434,6 @@ class TestLoopOracle:
         expect = _loop_neumann_split(ref, j)
         assert len(comps) == len(expect)
         for c, e in zip(comps, expect):
-            assert c.boundary == e.boundary
             _same_matrix(c.L, e.L)
             _same(c.mass, e.mass)
             _same(c.vertex_map, e.vertex_map)

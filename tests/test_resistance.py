@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from hanoispec.assembly import Boundary, Pencil, assemble_decoupled, assemble_neumann
+from hanoispec.assembly import Pencil, assemble_decoupled, assemble_neumann
 from hanoispec.errors import ConnectivityError, DomainError, LevelError, PencilSizeError
 from hanoispec.geometry import build_graph, cell_corner_ids, enumerate_words
 from hanoispec.resistance import (
@@ -33,7 +33,7 @@ def pinv_resistances(p: Pencil, ids) -> np.ndarray:
 
 def two_disjoint_edges() -> Pencil:
     L = sp.csr_matrix(np.kron(np.eye(2), [[1.0, -1.0], [-1.0, 1.0]]))
-    return Pencil(L, np.full(4, 0.25), Boundary("neumann"), np.arange(4))
+    return Pencil(L, np.full(4, 0.25), np.arange(4))
 
 
 @pytest.fixture
