@@ -24,7 +24,6 @@ from .eigensolve import (
     Spectrum,
     count_below,
     eig_dense,
-    eig_lowest,
 )
 from .resistance import (
     cell_diameter_scaling,
@@ -40,6 +39,7 @@ from .analysis import (
     WindowPolicy,
     bracketing_check,
     counting_function,
+    eigenvalue_brackets,
     fit_exponent,
     one_dim_reference,
     run_counting_experiment,

@@ -14,7 +14,8 @@ only the scale factors and builds no graph, or LAPACK spectra (dense,
 the reference).  auto_grid and counting_function take it and never see
 a pencil or a backend name; auto_grid finds its ends by a log-space
 multisection on the counts under either backend, so the two backends
-give the same grid.
+give the same grid.  The same multisection on the block counter gives the
+spectrum without the graph (eigenvalue_brackets, eigenvalue_groups).
 
 The bracketing check sandwiches the counting functions between the
 component sums of the level-j decoupled forms: grounding V_j can only
@@ -179,8 +180,8 @@ def auto_grid(counts: GraphCounts, eta: float = 0.2, per_decade: int = 60) -> np
     n = counts.n
     k_lo = min(10, n - 1)
     k_hi = max(k_lo + 1, min(n, math.ceil(eta * n)))
-    x_lo, x_hi = _bisect_quantiles(lambda xs: counts.count(xs)[1], (k_lo, k_hi),
-                                   counts.lambda_max)
+    _, (x_lo, x_hi) = _bisect_quantiles(lambda xs: (counts.count(xs)[1], True), (k_lo, k_hi),
+                                        counts.lambda_max)
     if x_hi <= x_lo * (1.0 + 1e-9):
         raise InsufficientDataError(
             f"degenerate grid window [{x_lo:g}, {x_hi:g}]; the graph is too small"
@@ -190,37 +191,84 @@ def auto_grid(counts: GraphCounts, eta: float = 0.2, per_decade: int = 60) -> np
     return np.geomspace(x_lo, x_hi, n_points)
 
 
-def _bisect_quantiles(count, ks, upper: float) -> list[float]:
-    """Smallest x with N(x) >= k for each k, by multisection to 1e-4 relative width.
+def _bisect_quantiles(count, ks, upper: float, rtol: float = 1e-4,
+                      max_passes: int = MAX_PASSES) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets (lo, hi) of the smallest x with N(x) >= k for each k, by
+    log-space multisection to rtol relative width.
 
-    ``count`` maps an array of thresholds to N at each.  Each pass counts
-    the SECTIONS - 1 log-uniform points of every open bracket (lo, hi),
-    with lo raised to hi * SECTIONS**-SECTIONS while it is 0, in one call,
-    then moves each k's ends to the largest counted x with N(x) < k and the
-    smallest with N(x) >= k; N is exact and monotone, so every counted
-    point narrows every bracket it falls in.  A bracket still wider than
-    1e-4 after MAX_PASSES passes raises ConvergenceError.
+    ``count`` maps sorted thresholds to N and whether each count is clear.
+    Each pass counts the SECTIONS - 1 log-uniform points of every open
+    bracket, with lo raised to hi * SECTIONS**-SECTIONS while it is 0, in
+    one call, then moves each k's ends to the largest clear x with N(x) < k
+    and the smallest with N(x) >= k.  N is exact and monotone, so every
+    clear point narrows every bracket it falls in; counts that are not
+    clear are dropped, not nudged.  A bracket that a pass leaves unchanged
+    stops at its width, and one still open after max_passes passes or with
+    no clear count below it (lo = 0) raises ConvergenceError.
     """
     ks = np.asarray(ks)
-    # above the Gershgorin bound N = n, and auto_grid asks for no k above n
-    lo, hi = np.zeros(len(ks)), np.full(len(ks), upper * 1.0001)
-    for passes in range(MAX_PASSES + 1):
-        open_ = hi >= lo * (1.0 + 1e-4)
-        if not open_.any():
-            return hi.tolist()
-        if passes == MAX_PASSES:
+    # above the Gershgorin bound N = n, and no caller asks for a k above n
+    lo, hi = np.zeros(ks.size), np.full(ks.size, upper * 1.0001)
+    stopped = np.zeros(ks.size, dtype=bool)
+    for passes in range(max_passes + 1):
+        open_ = (hi >= lo * (1.0 + rtol)) & ~stopped
+        if passes == max_passes or not open_.any():
             break
         h = hi[open_]
         l = np.maximum(lo[open_], h * SECTIONS ** -SECTIONS)
         xs = np.unique(np.geomspace(l, h, SECTIONS + 1, axis=1)[:, 1:-1])
-        below = np.asarray(count(xs))[None, :] < ks[:, None]
-        lo = np.maximum(lo, np.where(below, xs, 0.0).max(axis=1))
-        hi = np.minimum(hi, np.where(below, np.inf, xs).min(axis=1))
-    i = int(np.argmax(open_))
-    raise ConvergenceError(
-        f"multisection for the {ks[i]}-th eigenvalue stopped at [{lo[i]:g}, {hi[i]:g}] "
-        f"after {MAX_PASSES} passes, starting from the bound {upper:g}"
-    )
+        n, clear = count(xs)
+        keep = np.broadcast_to(clear, xs.shape)
+        xs, n = xs[keep], np.asarray(n)[keep]
+        # the last x with N(x) < k and the first with N(x) >= k, by suffix
+        # minima and prefix maxima of N in any order; 0 and inf stand for none
+        last_below = np.searchsorted(np.minimum.accumulate(n[::-1])[::-1], ks)
+        first_at = np.searchsorted(np.maximum.accumulate(n), ks)
+        xs = np.concatenate(([0.0], xs, [np.inf]))
+        lo_was, hi_was = lo, hi
+        lo, hi = np.maximum(lo, xs[last_below]), np.minimum(hi, xs[first_at + 1])
+        stopped |= open_ & (lo == lo_was) & (hi == hi_was)
+    failed = open_ | (lo == 0.0)
+    if failed.any():
+        i = int(np.argmax(failed))
+        raise ConvergenceError(f"multisection for the {ks[i]}-th eigenvalue stopped at "
+                               f"[{lo[i]:g}, {hi[i]:g}] after {passes} passes, starting "
+                               f"from the bound {upper:g}")
+    return lo, hi
+
+
+def eigenvalue_brackets(seq: MatchingSequence, m: int, s: int, beta: float,
+                        k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Brackets [(lo, hi)] with lambda_i in [lo_i, hi_i] of the k lowest
+    eigenvalues (all, for k past the rows) of the level-m graph's Neumann
+    pencil, then of its V_0-grounded one, from multisection on the block
+    counter's N_N and N_D to 1e-13 relative width; no graph is built.  The
+    Neumann lambda_1 is exactly 0, because the graph is connected.
+    """
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    counter = BlockInertiaCounter(seq, m, s, beta)
+    counter._set_up_pass()
+    out = []
+    for row, first, n in ((1, 2, counter.n), (0, 1, counter.n - 3)):    # N_N, then N_D
+        # MAX_PASSES passes reach below lambda_1 from the bound, as many narrow
+        ends = _bisect_quantiles(lambda xs: [a[row] for a in counter.try_count(xs)],
+                                 np.arange(first, min(k, n) + 1), counter.lambda_max,
+                                 rtol=1e-13, max_passes=2 * MAX_PASSES)
+        # crossed ends (counts that disagree near a cluster) bound it; the
+        # Neumann lambda_1 comes first as 0
+        out.append(tuple(np.pad(f(ends, axis=0), (first - 1, 0)) for f in (np.min, np.max)))
+    return out
+
+
+def eigenvalue_groups(lo: np.ndarray, hi: np.ndarray) -> list[tuple[float, int]]:
+    """(mean midpoint, multiplicity) of each distinct eigenvalue of sorted
+    brackets: a new one starts where a bracket lies strictly above the one
+    before (brackets that only touch share one count, which rounding near a
+    cluster can flip)."""
+    ends = np.concatenate(([0], np.flatnonzero(lo[1:] > hi[:-1]) + 1, [lo.size])).tolist()
+    mid = 0.5 * (lo + hi)
+    return [(float(np.mean(mid[a:b])), b - a) for a, b in zip(ends[:-1], ends[1:]) if b > a]
 
 
 # ---------------------------------------------------------------------------

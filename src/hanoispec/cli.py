@@ -33,8 +33,8 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from . import analysis, geometry, resistance as res_mod, sequences
-from .assembly import apply_dirichlet, assemble_neumann
-from .eigensolve import DENSE_LIMIT, EPS_SHIFT, eig_dense, eig_lowest
+from .assembly import assemble_neumann
+from .eigensolve import DENSE_LIMIT, EPS_SHIFT
 from .errors import (
     ConfigError,
     DomainError,
@@ -346,38 +346,33 @@ def cmd_validate(cfg: RunConfig, quiet: bool = False) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, quiet: bool = False) -> int:
+    # eigenvalues are the midpoints of brackets from block-elimination counts,
+    # and overlapping brackets one eigenvalue; no graph or eigensolver runs
     h = config_hash(cfg)
     k = cfg.solver.k_lowest
-    # the closed-form vertex count is checked before any graph is built
     n = geometry.vertex_count(cfg.level, cfg.subdivisions)
     if n > cfg.solver.dense_limit and k is None:
         raise PencilSizeError(
             f"pencil of size {n} exceeds dense_limit {cfg.solver.dense_limit}; "
             "request solver.k_lowest or use the counting command"
         )
-    g = geometry.build_graph(cfg.sequence, cfg.level, cfg.subdivisions, cfg.beta)
-    p_n = assemble_neumann(g)
-    rows = []
-    mult_rows = []
-    # a pencil with no rows (V_0 grounded at level 0) writes none; eig_lowest needs k >= 1
-    for label, p in [("neumann", p_n), ("dirichlet_v0", apply_dirichlet(p_n, g, "v0"))]:
-        if p.n == 0:
-            continue
-        if k is not None:
-            spec = eig_lowest(p, min(k, p.n), dense_limit=cfg.solver.dense_limit)
-        else:
-            spec = eig_dense(p, dense_limit=cfg.solver.dense_limit)
-        for i, lam in enumerate(spec.eigenvalues, start=1):
+    brackets = analysis.eigenvalue_brackets(cfg.sequence, cfg.level, cfg.subdivisions,
+                                            cfg.beta, k or n)
+    rows, mult_rows, widest = [], [], 0.0
+    for label, (lo, hi) in zip(("neumann", "dirichlet_v0"), brackets):
+        for i, lam in enumerate(0.5 * (lo + hi), start=1):
             rows.append((i, float(lam), label))
-        for value, mult in spec.multiplicities():
+        for value, mult in analysis.eigenvalue_groups(lo, hi):
             mult_rows.append((label, value, mult))
+        widest = max(widest, float(np.max((hi - lo) / np.maximum(hi, 1e-300), initial=0.0)))
     outdir = cfg.outputs.directory
     write_csv(os.path.join(outdir, "eigenvalues.csv"), ["k", "lambda", "boundary"], rows, h)
     write_csv(
         os.path.join(outdir, "multiplicity.csv"),
         ["boundary", "lambda", "multiplicity"], mult_rows, h,
     )
-    _say(quiet, f"wrote eigenvalues.csv and multiplicity.csv to {outdir}")
+    _say(quiet, f"wrote eigenvalues.csv and multiplicity.csv to {outdir}; "
+                f"widest bracket {widest:.2g} of its eigenvalue")
     return EXIT_OK
 
 

@@ -6,15 +6,14 @@ Two backends:
   M^{-1/2} L M^{-1/2} and call LAPACK for its eigenvalues alone.  This is
   the oracle path; it is capped by a size limit, and the counting
   experiments of analysis reach it only when the dense backend is asked
-  for by name.  eig_lowest's shift-invert iteration can converge on every
-  value and still skip a copy of a repeated eigenvalue, which no residual
-  sees, so its values stand only when two inertia counts agree with them.
+  for by name.
 
-* inertia: for counting only, by Sylvester's law of inertia: the
-  negative pivots of an LDL^T-type elimination of L - x M count the
-  pencil eigenvalues strictly below x.  A whole level-m graph (its
-  Neumann pencil and the V_0-grounded one) is counted by
-  BlockInertiaCounter, which needs only its scale factors and masses.
+* inertia: counting by Sylvester's law of inertia: the negative pivots
+  of an LDL^T-type elimination of L - x M count the pencil eigenvalues
+  strictly below x, and multisection on the counts brackets eigenvalues
+  (analysis.eigenvalue_brackets, the spectrum command's engine).  A whole
+  level-m graph (its Neumann pencil and the V_0-grounded one) is counted
+  by BlockInertiaCounter, which needs only its scale factors and masses.
   For a batch of thresholds at once, it eliminates every level's bridges
   in one pass of a tridiagonal recurrence, then the blocks one level at a
   time through their D3 symmetry (scalar pivots and one 2x2 block per
@@ -53,7 +52,6 @@ from .assembly import Pencil
 from .errors import (
     AssemblyError,
     ConvergenceError,
-    DomainError,
     LevelError,
     PencilSizeError,
     ThresholdAtEigenvalueError,
@@ -68,8 +66,6 @@ SMALL_PIVOT_REL = 1e-12
 RETRIES = 3
 # Counts are int64: a graph with more vertices than this is not counted.
 COUNT_MAX = int(np.iinfo(np.int64).max)
-# Spectrum.multiplicities joins neighbours closer than this, relative.
-MULTIPLICITY_REL_GAP = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +89,6 @@ class Spectrum:
         """
         counts = np.searchsorted(self.eigenvalues, np.multiply(x, 1.0 + eps_shift), side="left")
         return counts if np.ndim(x) else int(counts)
-
-    def multiplicities(self) -> list[tuple[float, int]]:
-        """Cluster eigenvalues whose relative gap is below MULTIPLICITY_REL_GAP."""
-        ev = self.eigenvalues
-        if len(ev) == 0:
-            return []
-        scale = max(abs(float(ev[0])), abs(float(ev[-1])), 1e-300)
-        gap = np.diff(ev) > MULTIPLICITY_REL_GAP * np.maximum(np.abs(ev[:-1]), scale * 1e-6)
-        ends = np.concatenate(([0], np.flatnonzero(gap) + 1, [len(ev)])).tolist()
-        return [(float(np.mean(ev[a:b])), b - a) for a, b in zip(ends[:-1], ends[1:])]
 
 
 @dataclass(frozen=True)
@@ -142,48 +128,6 @@ def eig_dense(p: Pencil, dense_limit: int = DENSE_LIMIT) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolve failed: {exc}") from None
     return Spectrum(w)
-
-
-def eig_lowest(p: Pencil, k: int, dense_limit: int = DENSE_LIMIT) -> Spectrum:
-    """The k smallest eigenvalues, by shift-invert iteration that inertia
-    counts confirm, else dense (ConvergenceError above dense_limit)."""
-    if not (1 <= k <= p.n):
-        raise DomainError(f"k must lie in 1..{p.n}, got {k}")
-    # ARPACK needs k well below n and is not worth starting on small pencils
-    if p.n > 300 and k <= p.n - 2 and k <= p.n // 3:
-        bound = lambda_max_bound(p)
-        try:
-            w = np.sort(spla.eigsh(p.L.tocsc(), k=k, M=sp.diags(p.mass).tocsc(),
-                                   sigma=-1e-6 * bound, which="LM",
-                                   v0=np.full(p.n, 1.0 / np.sqrt(p.n)),
-                                   maxiter=5000, return_eigenvectors=False))
-        except spla.ArpackNoConvergence as exc:
-            failure = f"shift-invert iteration failed to converge: {exc}"
-        else:
-            if _counts_confirm(p, w, k, bound):
-                return Spectrum(w)
-            failure = "shift-invert values disagree with the inertia counts of the pencil"
-        if p.n > dense_limit:
-            raise ConvergenceError(failure)
-    return Spectrum(eig_dense(p, max(dense_limit, p.n)).eigenvalues[:k])
-
-
-def _counts_confirm(p: Pencil, w: np.ndarray, k: int, bound: float) -> bool:
-    """Whether inertia counts of p agree that the sorted w are its k lowest:
-    below a split between the copies of the top value (those within
-    MULTIPLICITY_REL_GAP) and the next lower value, or just below w[0], p has
-    as many eigenvalues as w, which a skipped copy breaks; just above the top
-    value it has at least k.  The gap is at least 1e-12 of the Gershgorin
-    bound, so a split below a zero eigenvalue stays clear of its rounding."""
-    gap = MULTIPLICITY_REL_GAP * max(abs(float(w[-1])), 1e-4 * bound)
-    lower = w[w < w[-1] - gap]
-    split = 0.5 * (lower[-1] + w[lower.size]) if lower.size else w[0] - gap
-    counter = InertiaCounter(p)
-    try:
-        return (counter.count_below(split).count == lower.size
-                and counter.count_below(w[-1] + gap).count >= k)
-    except ThresholdAtEigenvalueError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +311,8 @@ class BlockInertiaCounter:
         # decoupled components exceeds 2 sum|c| / mass over the vertex
         # classes (a corner with only its cell share, a corner at a level-k
         # bridge, an interior bridge node), so below -lambda_max L - x M is
-        # positive definite; the first count_below checks that every pivot
-        # comes out positive and clear of its rounding there.
+        # positive definite; the set-up pass checks that every pivot comes
+        # out positive and clear of its rounding there.
         cell = 2.0 * abs(self.cell_conductance)
         ck, bm = np.abs(self.seg_conductance), self.bridge_mass
         bounds = [[2.0 * cell / self.corner_mass],
@@ -439,6 +383,14 @@ class BlockInertiaCounter:
                 ok_j & bridge_clear[:level].all(axis=0), ok_j & clear_s & free_clear.all(axis=0))
         return nu, S0, ok_0, sums
 
+    def _set_up_pass(self):
+        """Count once below -lambda_max, where every pivot must be positive and clear."""
+        if not self._set_up:
+            counts, ok = self.try_count(np.array([-1.0 - self.lambda_max]))
+            if counts[1, 0] != 0 or not ok[1, 0]:
+                raise ConvergenceError("block elimination set-up pass is not positive definite")
+            self._set_up = True
+
     def try_count(self, x: np.ndarray, level: Optional[int] = None):
         """One pass at thresholds x: (counts, clear), one row per count.
 
@@ -471,11 +423,7 @@ class BlockInertiaCounter:
         if level is not None and self.n + 3 ** (level + 1) - 3 > COUNT_MAX:
             raise LevelError(f"the level-{level} bracketing sums of the level-{m} graph "
                              f"can exceed what int64 counts hold ({COUNT_MAX})")
-        if not self._set_up:
-            counts, ok = self.try_count(np.array([-1.0 - self.lambda_max]))
-            if counts[1, 0] != 0 or not ok[1, 0]:
-                raise ConvergenceError("block elimination set-up pass is not positive definite")
-            self._set_up = True
+        self._set_up_pass()
         x = np.array(x, dtype=float).ravel()
         rows = 2 if level is None else 4
         counts = np.zeros((rows, x.size), dtype=np.int64)

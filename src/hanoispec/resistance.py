@@ -25,7 +25,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import Pencil, assemble_neumann
 from .errors import ConnectivityError, DomainError, LevelError, PencilSizeError
-from .geometry import block_corner_ids, build_graph, enumerate_words
+from .geometry import _check_memory, block_corner_ids, build_graph, enumerate_words
 from .sequences import MatchingSequence, resistance_dimension, scale_factors
 
 # The largest deviation from 2/3 that compatibility_check accepts.
@@ -166,6 +166,7 @@ def compatibility_check(
     """
     if m_max < 0:
         raise DomainError(f"m_max must be >= 0, got {m_max}")
+    _check_memory(m_max, 1)     # the deepest graph, before the first is factored
     triples = []
     max_dev = 0.0
     for m in range(m_max + 1):

@@ -12,6 +12,8 @@ from hanoispec.analysis import (
     auto_grid,
     bracketing_check,
     counting_function,
+    eigenvalue_brackets,
+    eigenvalue_groups,
     fit_exponent,
     free_path_pencil,
     one_dim_reference,
@@ -311,14 +313,31 @@ class TestAutoGrid:
         steps = [upper * 2.0 ** -90, upper * 2.0 ** -85]
 
         def step_count(steps):
-            return lambda xs: [sum(x >= t for t in steps) for x in xs]
+            return lambda xs: ([sum(x >= t for t in steps) for x in xs], True)
 
-        ends = analysis._bisect_quantiles(step_count(steps), (1, 2), upper)
+        _, ends = analysis._bisect_quantiles(step_count(steps), (1, 2), upper)
         assert all(t <= e < t * (1 + 1e-4) for e, t in zip(ends, steps))
         reach = upper * analysis.SECTIONS ** (-(analysis.SECTIONS - 1) * analysis.MAX_PASSES)
         with pytest.raises(ConvergenceError, match=rf"the {k}-th eigenvalue .* after "
                            rf"{analysis.MAX_PASSES} passes"):
             analysis._bisect_quantiles(step_count([reach / 4, reach / 2]), (k,), upper)
+
+    def test_unclear_counts_stop_a_bracket(self):
+        # counts within 1e-6 of the step are not clear: the bracket stops
+        # around that band, far wider than rtol, and its ends say how wide
+        step = 3.0
+
+        def count(xs):
+            return xs >= step, np.abs(xs - step) > 1e-6 * step
+
+        lo, hi = analysis._bisect_quantiles(count, (1,), 1e3, rtol=1e-13, max_passes=40)
+        assert step * (1 - 2e-6) <= lo[0] < step * (1 - 1e-6)
+        assert step * (1 + 1e-6) < hi[0] <= step * (1 + 2e-6)
+
+    def test_no_clear_count_raises(self):
+        # with nothing clear no bracket can narrow, and none has a lower end
+        with pytest.raises(ConvergenceError, match=r"the 1-th eigenvalue stopped at \[0, "):
+            analysis._bisect_quantiles(lambda xs: (xs >= 1.0, False), (1,), 1e3, rtol=1e-13)
 
     @pytest.mark.parametrize("m", [19, 20])
     def test_ends_at_depth(self, m):
@@ -350,6 +369,114 @@ class TestAutoGrid:
         plain = auto_grid(counts)
         assert len(capped) == analysis.MAX_GRID_POINTS and len(plain) == 28
         assert (capped[0], capped[-1]) == (plain[0], plain[-1])
+
+
+SPECTRUM_FAMILIES = [SEQ, geometric_to_limit(0.6, 0.5), explicit([0.45, 0.53], tail="cycle")]
+# levels 0-5 at s = 1, 2, 3, and level 6 at s = 1, where the dense oracle
+# takes about a second a pencil
+SPECTRUM_LEVELS = [(m, s) for m in range(6) for s in (1, 2, 3)] + [(6, 1)]
+family_ids = pytest.mark.parametrize("seq", SPECTRUM_FAMILIES, ids=lambda q: q.describe())
+
+
+@pytest.fixture(scope="module")
+def spectra():
+    """(pencils, dense eigenvalues, count brackets) of the Neumann and the
+    V_0-grounded pencil of a graph, each computed once per module."""
+    cache = {}
+
+    def get(seq, m, s):
+        key = (seq.describe(), m, s)
+        if key not in cache:
+            g = build_graph(seq, m, s, 0.25)
+            p_n = assemble_neumann(g)
+            pencils = (p_n, apply_dirichlet(p_n, g, "v0"))
+            cache[key] = (pencils, [eig_dense(p, p.n).eigenvalues for p in pencils],
+                          eigenvalue_brackets(seq, m, s, 0.25, g.n_vertices))
+        return cache[key]
+
+    return get
+
+
+def split_points(groups) -> set:
+    """The running multiplicity totals at which one group ends and the next starts."""
+    return set(np.cumsum([mult for _, mult in groups])[:-1].tolist())
+
+
+class TestEigenvalueBrackets:
+    @pytest.mark.parametrize("m, s", SPECTRUM_LEVELS)
+    @family_ids
+    def test_matches_dense(self, spectra, seq, m, s):
+        pencils, dense, brackets = spectra(seq, m, s)
+        for p, ev, (lo, hi) in zip(pencils, dense, brackets):
+            assert lo.size == hi.size == p.n and np.all(lo <= hi)
+            np.testing.assert_allclose(0.5 * (lo + hi), ev, rtol=0,
+                                       atol=1e-12 * np.max(ev, initial=0.0))
+        # the graph is connected: the Neumann lambda_1 is 0, written exactly
+        assert brackets[0][0][0] == brackets[0][1][0] == 0.0
+
+    @pytest.mark.parametrize("m, s", SPECTRUM_LEVELS)
+    @family_ids
+    def test_groups_split_at_every_wide_dense_gap(self, spectra, seq, m, s):
+        # where LAPACK's eigenvalues are more than 1e-8 apart the counts
+        # split too; a dense cluster the counts resolve is split further
+        _, dense, brackets = spectra(seq, m, s)
+        for ev, (lo, hi) in zip(dense, brackets):
+            wide = set((np.flatnonzero(np.diff(ev) > 1e-8 * np.abs(ev[1:])) + 1).tolist())
+            assert wide <= split_points(eigenvalue_groups(lo, hi))
+
+    @pytest.mark.parametrize("m, s", [(m, s) for m, s in SPECTRUM_LEVELS if m <= 4])
+    @family_ids
+    def test_superlu_counts_between_groups(self, spectra, seq, m, s):
+        # SuperLU on the assembled pencil, midway between two groups more
+        # than 1e-6 apart, counts every eigenvalue of the groups below; its
+        # nudge of 1e-8 (where a diagonal entry of L - x M is 0) stays
+        # between them, where closer groups would not hold it
+        pencils, _, brackets = spectra(seq, m, s)
+        for p, (lo, hi) in zip(pencils, brackets):
+            groups = eigenvalue_groups(lo, hi)
+            counter = InertiaCounter(p)
+            totals = np.cumsum([mult for _, mult in groups])
+            for (a, _), (b, _), below in zip(groups, groups[1:], totals):
+                if b - a > 1e-6 * b:
+                    assert counter.count_below(0.5 * (a + b)).count == below
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @family_ids
+    def test_narrow_splits_hold_at_50_digits(self, monkeypatch, seq, s):
+        # every split of two eigenvalues less than 1e-9 apart, between
+        # brackets as narrow as 1e-13, is the count of the same elimination
+        # run in 50-digit arithmetic at a point between them
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(eigensolve, "PIVOT_ROUNDING", 1e-45)
+        counter = BlockInertiaCounter(seq, 4, s, 0.25)
+        xs, want, row = [], [], []
+        for r, (lo, hi) in zip((1, 0), eigenvalue_brackets(seq, 4, s, 0.25, counter.n)):
+            mid = 0.5 * (lo + hi)
+            for i in np.flatnonzero(lo[1:] > hi[:-1]):
+                if mid[i + 1] - mid[i] < 1e-9 * mid[i + 1]:
+                    xs.append(mpmath.mpf(hi[i]) / 2 + mpmath.mpf(lo[i + 1]) / 2)
+                    want.append(i + 1)
+                    row.append(r)
+        assert xs
+        with mpmath.workdps(50):
+            xs = np.array([mpmath.mpf(x) for x in xs], dtype=object)
+            nu, (w, sigma, _, _), clear, _ = counter._eliminate(xs)
+            neg = [int(a < 0) + 2 * int(b < 0) for a, b in zip(w, sigma)]
+        assert clear.all()
+        assert [int(n) + (d if r else 0) for n, d, r in zip(nu, neg, row)] == want
+
+    def test_k_lowest_is_the_full_run_cut(self):
+        # the README example's level-4 graph: the 101 lowest agree with the
+        # full run's first 101 to within both brackets
+        full = eigenvalue_brackets(SEQ, 4, 2, 0.25, 363)
+        low = eigenvalue_brackets(SEQ, 4, 2, 0.25, 101)
+        for (lo, hi), (lo_k, hi_k) in zip(full, low):
+            assert lo_k.size == 101
+            assert np.all(np.maximum(lo[:101], lo_k) <= np.minimum(hi[:101], hi_k))
+
+    def test_k_below_one(self):
+        with pytest.raises(DomainError):
+            eigenvalue_brackets(SEQ, 2, 2, 0.25, 0)
 
 
 class TestOneDimReference:
@@ -483,9 +610,9 @@ class TestExperimentPipeline:
             return [c.count_below(x * (1.0 + EPS_SHIFT), EPS_SHIFT).count for c in superlu]
 
         grid = [smp.x for smp in exp.samples]
-        ends = analysis._bisect_quantiles(lambda xs: [count(x)[1] for x in xs],
-                                          grid_quantiles(p_n.n), lambda_max_bound(p_n))
-        assert [grid[0], grid[-1]] == ends
+        _, ends = analysis._bisect_quantiles(lambda xs: ([count(x)[1] for x in xs], True),
+                                             grid_quantiles(p_n.n), lambda_max_bound(p_n))
+        assert [grid[0], grid[-1]] == ends.tolist()
         samples = [CountingSample(x, *count(x)) for x in grid]
         if bracket_level is not None:
             sums = component_sums(exp.graph, bracket_level, grid)

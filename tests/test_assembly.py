@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from hanoispec.analysis import eigenvalue_brackets, eigenvalue_groups
 from hanoispec.assembly import (
     apply_dirichlet,
     assemble_decoupled,
@@ -75,14 +76,16 @@ class TestNeumann:
 
     def test_m1_golden_spectrum(self):
         # frozen from the dense oracle at first build; multiplicity pattern
-        # (1,2,2,1,2,1) reflects the threefold symmetry
+        # (1,2,2,1,2,1) reflects the threefold symmetry, and the counts'
+        # brackets give it
         p = assemble_neumann(graph(1, 1))
         spec = eig_dense(p)
         golden = [0.0, 21.729757306613436, 21.729757306613436,
                   54.69231226490625, 54.69231226490625, 58.0840336134454,
                   134.13255227721984, 134.13255227721984, 152.4705882352941]
         np.testing.assert_allclose(spec.eigenvalues, golden, rtol=1e-9, atol=1e-9)
-        assert [m for _, m in spec.multiplicities()] == [1, 2, 2, 1, 2, 1]
+        lo, hi = eigenvalue_brackets(SEQ, 1, 1, 0.25, p.n)[0]
+        assert [m for _, m in eigenvalue_groups(lo, hi)] == [1, 2, 2, 1, 2, 1]
 
 
 class TestDirichlet:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from hanoispec import analysis, geometry
 from hanoispec.cli import (
     config_from_dict,
@@ -16,8 +18,9 @@ from hanoispec.cli import (
     load_config,
     main,
 )
+from hanoispec.eigensolve import BlockInertiaCounter
 from hanoispec.errors import ConfigError
-from test_eigensolve import drop_a_copy, fail_lapack
+from test_eigensolve import fail_lapack
 
 
 def base_config(outdir, **overrides):
@@ -329,21 +332,33 @@ class TestSpectrumCommand:
         lines = (tmp_path / "out" / "eigenvalues.csv").read_text().splitlines()
         assert len([l for l in lines if l.endswith(",neumann")]) == 4
 
-    def test_lapack_failure_exits_2(self, tmp_path, monkeypatch, capsys):
-        fail_lapack(monkeypatch)
+    def test_no_clear_count_exits_2(self, tmp_path, monkeypatch, capsys):
+        # no count above 0 is clear, so no bracket can narrow or find its
+        # lower end; the set-up pass below -lambda_max still passes
+        try_count = BlockInertiaCounter.try_count
+
+        def unclear(self, x, level=None):
+            counts, clear = try_count(self, x, level)
+            return counts, clear & (np.asarray(x) < 0.0)
+
+        monkeypatch.setattr(BlockInertiaCounter, "try_count", unclear)
         cfgfile = write_config(tmp_path, base_config(tmp_path / "out"))
         assert main(["spectrum", "--config", cfgfile, "--quiet"]) == 2
-        assert "dense eigensolve failed" in capsys.readouterr().err
+        assert "eigenvalue stopped at [0, " in capsys.readouterr().err
 
-    def test_skipped_copy_above_dense_limit_exits_2(self, tmp_path, monkeypatch, capsys):
-        # k_lowest on the README graph (363 rows) with a dense limit below it:
-        # shift-invert values that the inertia counts reject have no fallback
-        drop_a_copy(monkeypatch)
-        cfg = base_config(tmp_path / "out", level=4)
-        cfg["solver"] = {"dense_limit": 100, "k_lowest": 12}
-        cfgfile = write_config(tmp_path, cfg)
-        assert main(["spectrum", "--config", cfgfile, "--quiet"]) == 2
-        assert "inertia counts" in capsys.readouterr().err
+    def test_level_20_k_lowest_builds_no_graph(self, tmp_path, monkeypatch):
+        # 1.6e10 vertices: the 101 lowest of each pencil come from the counts
+        def no_graph(*args, **kwargs):
+            raise AssertionError("the spectrum command built a graph")
+
+        monkeypatch.setattr(geometry, "build_graph", no_graph)
+        monkeypatch.setattr(analysis, "build_graph", no_graph)
+        cfg = base_config(tmp_path / "out", level=20, solver={"k_lowest": 101})
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--quiet"]) == 0
+        lines = (tmp_path / "out" / "eigenvalues.csv").read_text().splitlines()[2:]
+        for boundary in ("neumann", "dirichlet_v0"):
+            ev = [float(line.split(",")[1]) for line in lines if line.endswith("," + boundary)]
+            assert len(ev) == 101 and ev == sorted(ev)
 
 
 class TestCountingCommand:
@@ -420,6 +435,12 @@ class TestCountingCommand:
         cfg = base_config(tmp_path / "out", level=8, solver={"backend": "dense"})
         assert main(["counting", "--config", write_config(tmp_path, cfg), "--quiet"]) == 1
         assert "29523 vertices, above the dense limit 4000" in capsys.readouterr().err
+
+    def test_lapack_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        fail_lapack(monkeypatch)
+        cfg = base_config(tmp_path / "out", solver={"backend": "dense"})
+        assert main(["counting", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
+        assert "dense eigensolve failed" in capsys.readouterr().err
 
     def test_level_past_int64_exits_two(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out", level=39)

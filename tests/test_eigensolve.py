@@ -1,14 +1,15 @@
 """Dense and inertia eigenvalue backends and their cross-validation."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from hanoispec import eigensolve
-from hanoispec.analysis import free_path_pencil
+from hanoispec.analysis import eigenvalue_brackets, eigenvalue_groups, free_path_pencil
 from hanoispec.assembly import (
     Pencil,
     apply_dirichlet,
@@ -24,7 +25,6 @@ from hanoispec.eigensolve import (
     count_below,
     eig_dense,
     eig_dense_cached,
-    eig_lowest,
     get_counter,
     lambda_max_bound,
 )
@@ -53,25 +53,6 @@ def path_pencil():
 
 def m0_pencil():
     return assemble_neumann(build_graph(SEQ, 0, 1, 0.25))
-
-
-def readme_pencil(boundary):
-    # the README example's level-4, s = 2 graph: 363 rows, 360 grounded
-    g = build_graph(SEQ, 4, 2, 0.25)
-    p = assemble_neumann(g)
-    return apply_dirichlet(p, g, "v0") if boundary == "dirichlet_v0" else p
-
-
-def drop_a_copy(monkeypatch):
-    """Make eigsh leave out one copy of the lowest repeated eigenvalue and
-    return the next eigenvalue in its place, as shift-invert iteration can."""
-    eigsh = spla.eigsh
-
-    def dropping(A, k, **kwargs):
-        w = np.sort(eigsh(A, k=k + 1, **kwargs))
-        return np.delete(w, np.flatnonzero(np.diff(w) <= 1e-8 * w[1:])[0])
-
-    monkeypatch.setattr(spla, "eigsh", dropping)
 
 
 def fail_lapack(monkeypatch):
@@ -128,31 +109,19 @@ class TestDense:
         dev = np.abs(v - v.mean() * np.ones_like(v)).max() / np.abs(v).max()
         assert dev < 1e-8
 
-    def test_multiplicities(self):
-        spec = eig_dense(m0_pencil())
-        groups = spec.multiplicities()
-        assert [m for _, m in groups] == [1, 2]
-
-    def test_multiplicities_match_the_loop(self):
-        # the per-eigenvalue loop that the vectorised grouping replaced
-        def loop(ev):
-            if len(ev) == 0:
-                return []
-            scale = max(abs(float(ev[0])), abs(float(ev[-1])), 1e-300)
-            groups, start = [], 0
-            for i in range(1, len(ev) + 1):
-                if i == len(ev) or (ev[i] - ev[i - 1]
-                                    > eigensolve.MULTIPLICITY_REL_GAP
-                                    * max(abs(ev[i - 1]), scale * 1e-6)):
-                    groups.append((float(np.mean(ev[start:i])), i - start))
-                    start = i
-            return groups
-
-        spectra = [eig_dense(readme_pencil(b)).eigenvalues for b in ("neumann", "dirichlet_v0")]
-        spectra += [np.array([]), np.array([2.0]), np.full(4, 3.0),
-                    np.array([-1e-17, 0.0, 1e-17, 1.0, 1.0 + 1e-9, 1.0 + 1e-7, 5.0])]
-        for ev in spectra:
-            assert Spectrum(ev).multiplicities() == loop(ev)
+    def test_first_dirichlet_eigenvalue_scales_with_level(self):
+        # lowest eigenvalue of grounded level-j blocks grows like (3/r)^j
+        lam1 = []
+        for j in (1, 2, 3):
+            g = build_graph(SEQ, 4, 2, 0.25)
+            comps = assemble_decoupled(g, j, "dirichlet_split")
+            blocks = [c for c in comps if c.n > g.s]
+            lam1.append(min(float(eig_dense(c).eigenvalues[0]) for c in blocks))
+        ratios = [lam1[i + 1] / lam1[i] for i in range(2)]
+        for rr in ratios:
+            assert 0.3 * 6.0 <= rr <= 3.0 * 6.0  # (3/r) = 6 up to bounded constants
+        slope = np.polyfit([1, 2, 3], np.log(lam1), 1)[0]
+        assert slope == pytest.approx(math.log(6.0), rel=0.35)
 
 
 class TestEmptyPencil:
@@ -167,7 +136,7 @@ class TestEmptyPencil:
 
     def test_dense_spectrum_is_empty(self, empty):
         spec = eig_dense(empty)
-        assert spec.n == 0 and spec.multiplicities() == []
+        assert spec.n == 0
         assert spec.count_leq(1e3) == 0
         assert spec.count_leq(np.array([-1.0, 0.0, 1e3])).tolist() == [0, 0, 0]
 
@@ -228,16 +197,32 @@ class TestInertia:
             assert res.count == oracle, (x, res)
 
 
-def cluster_thresholds(spec) -> list:
+def cluster_thresholds(groups) -> list:
     """Each eigenvalue of multiplicity >= 3, and one ulp either side of it.
 
     The symmetry of the gasket makes highly repeated eigenvalues common.
     """
     out = []
-    for lam, mult in spec.multiplicities():
+    for lam, mult in groups:
         if mult >= 3:
             out += [np.nextafter(lam, -np.inf), lam, np.nextafter(lam, np.inf)]
     return out
+
+
+def counted_groups(g) -> list:
+    """The eigenvalue groups of the graph's Neumann and V_0-grounded
+    pencils, from the brackets of block-elimination counts."""
+    return [eigenvalue_groups(lo, hi)
+            for lo, hi in eigenvalue_brackets(g.seq, g.m, g.s, g.beta, g.n_vertices)]
+
+
+def dense_groups(spec) -> list:
+    """The groups of a dense spectrum that no count brackets (a component
+    pencil, or a union of them): eigenvalues whose bars of LAPACK's error
+    bound, 1e-12 lambda_max, overlap."""
+    ev = spec.eigenvalues
+    tol = 1e-12 * np.max(np.abs(ev), initial=0.0)
+    return eigenvalue_groups(ev - tol, ev + tol)
 
 
 ZOO_LEVELS = [(0, 1), (1, 1), (1, 3), (2, 2), (3, 1), (3, 2), (4, 2), (5, 2)]
@@ -265,7 +250,7 @@ class TestBackendAgreement:
             spec = eig_dense(p)
             ctr = get_counter(p)
             hi = max(float(spec.eigenvalues[-1]) * 1.3, 1.0)
-            grid = list(np.geomspace(hi * 1e-4, hi, 50)) + cluster_thresholds(spec)
+            grid = list(np.geomspace(hi * 1e-4, hi, 50)) + cluster_thresholds(dense_groups(spec))
             for x in grid:
                 a = spec.count_leq(float(x))
                 b = ctr.count_below(float(x) * (1 + 1e-9)).count
@@ -281,9 +266,9 @@ class TestBackendAgreement:
         spec_n = eig_dense(p_n)
         spec_d = eig_dense(apply_dirichlet(p_n, g, "v0")) if m else None
         hi = float(spec_n.eigenvalues[-1]) * 1.3
-        grid = list(np.geomspace(hi * 1e-4, hi, 50)) + cluster_thresholds(spec_n)
-        if m:
-            grid += cluster_thresholds(spec_d)
+        grid = list(np.geomspace(hi * 1e-4, hi, 50))
+        for groups in counted_groups(g):
+            grid += cluster_thresholds(groups)
         grid = np.array(grid)
         nd, nn = BlockInertiaCounter(g.seq, g.m, g.s, g.beta).count_below(grid * (1 + 1e-9))
         assert nn.tolist() == [spec_n.count_leq(float(x)) for x in grid]
@@ -357,8 +342,8 @@ class TestBlockCounter:
         spectra = [eig_dense(p) for p in pencils]
         ev = np.unique(np.concatenate([sc.eigenvalues for sc in spectra]))
         xs = list(0.5 * (ev[1:] + ev[:-1]))
-        for sc in spectra:
-            xs += cluster_thresholds(sc)
+        for groups in counted_groups(g):
+            xs += cluster_thresholds(groups)
         xs = np.array(sorted(x for x in xs if x > 0))
         nd, nn = BlockInertiaCounter(g.seq, g.m, g.s, g.beta).count_below(xs * (1 + EPS_SHIFT))
         for counts, p, sc in zip((nn, nd), pencils, spectra):
@@ -385,7 +370,7 @@ class TestBlockCounter:
         ev = np.unique(np.concatenate([sc.eigenvalues for sc in spectra]))
         xs = list(0.5 * (ev[1:] + ev[:-1]))
         for sc in spectra:
-            xs += cluster_thresholds(sc)
+            xs += cluster_thresholds(dense_groups(sc))
         # the free components' zero modes come out of LAPACK as +-1e-13
         xs = np.array(sorted(x for x in xs if x > 1e-8 * ev[-1]))
         ctr = BlockInertiaCounter(g.seq, g.m, g.s, g.beta)
@@ -635,96 +620,3 @@ class TestPath:
                                                                           A[inner, ends])
             assert g[i] == pytest.approx(-S[0, 1], rel=1e-12)
             assert r[i] == pytest.approx(S[0, 0] + S[0, 1], rel=1e-12)
-
-
-class TestLowest:
-    def test_m0_two(self):
-        spec = eig_lowest(m0_pencil(), 2)
-        np.testing.assert_allclose(spec.eigenvalues, [0.0, 9.0], atol=1e-10)
-
-    def test_matches_dense_on_larger_graph(self):
-        p = assemble_neumann(build_graph(SEQ, 3, 2, 0.25))
-        low = eig_lowest(p, 12)
-        full = eig_dense(p)
-        np.testing.assert_allclose(low.eigenvalues, full.eigenvalues[:12],
-                                   rtol=1e-7, atol=1e-8)
-
-    @pytest.mark.parametrize("boundary,n", [("neumann", 363), ("dirichlet_v0", 360)])
-    def test_shift_invert_path_matches_dense(self, monkeypatch, boundary, n):
-        # n > 300 and k <= n/3: eig_lowest must answer from ARPACK, without
-        # falling back to the dense solver
-        g = build_graph(SEQ, 4, 2, 0.25)
-        p = assemble_neumann(g)
-        if boundary == "dirichlet_v0":
-            p = apply_dirichlet(p, g, "v0")
-        assert p.n == n
-        ref = eig_dense(p).eigenvalues[:12]
-        calls = []
-        eigsh = spla.eigsh
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs["k"])
-            return eigsh(*args, **kwargs)
-
-        def no_dense(*args, **kwargs):
-            raise AssertionError("eig_lowest fell back to the dense solver")
-
-        monkeypatch.setattr(spla, "eigsh", spy)
-        monkeypatch.setattr(eigensolve, "eig_dense", no_dense)
-        low = eig_lowest(p, 12)
-        assert calls == [12]
-        np.testing.assert_allclose(low.eigenvalues, ref, rtol=1e-7, atol=1e-7 * ref[-1])
-
-    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet_v0"])
-    def test_keeps_every_copy_of_a_repeated_eigenvalue(self, boundary):
-        # at k = 101 shift-invert iteration converges on every value it
-        # returns on these pencils but leaves out a copy of a repeated one;
-        # the inertia counts see that and the dense solver answers
-        p = readme_pencil(boundary)
-        ref = eig_dense(p).eigenvalues
-        low = eig_lowest(p, 101)
-        np.testing.assert_allclose(low.eigenvalues, ref[:101], rtol=0, atol=1e-9 * ref[101])
-        want = Spectrum(ref[:101]).multiplicities()
-        got = low.multiplicities()
-        assert [c for _, c in got] == [c for _, c in want]
-        np.testing.assert_allclose([v for v, _ in got], [v for v, _ in want],
-                                   rtol=0, atol=1e-9 * ref[101])
-
-    def test_skipped_copy_falls_back_to_dense(self, monkeypatch):
-        p = readme_pencil("neumann")
-        ref = eig_dense(p).eigenvalues[:12]
-        drop_a_copy(monkeypatch)
-        np.testing.assert_allclose(eig_lowest(p, 12).eigenvalues, ref,
-                                   rtol=0, atol=1e-9 * ref[-1])
-
-    def test_skipped_copy_above_dense_limit_raises(self, monkeypatch):
-        p = readme_pencil("dirichlet_v0")
-        drop_a_copy(monkeypatch)
-        with pytest.raises(ConvergenceError, match="inertia counts"):
-            eig_lowest(p, 12, dense_limit=p.n - 1)
-
-    def test_scaling_law(self):
-        p = assemble_neumann(build_graph(SEQ, 2, 2, 0.25))
-        base = eig_lowest(p, 5).eigenvalues
-        scaled = eig_lowest(p.scaled(2.0), 5).eigenvalues
-        np.testing.assert_allclose(scaled, base / 2.0, rtol=1e-10, atol=1e-10)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(DomainError):
-            eig_lowest(m0_pencil(), 0)
-
-    def test_first_dirichlet_eigenvalue_scales_with_level(self):
-        # lowest eigenvalue of grounded level-j blocks grows like (3/r)^j
-        import math
-
-        lam1 = []
-        for j in (1, 2, 3):
-            g = build_graph(SEQ, 4, 2, 0.25)
-            comps = assemble_decoupled(g, j, "dirichlet_split")
-            blocks = [c for c in comps if c.n > g.s]
-            lam1.append(min(float(eig_lowest(c, 1).eigenvalues[0]) for c in blocks))
-        ratios = [lam1[i + 1] / lam1[i] for i in range(2)]
-        for rr in ratios:
-            assert 0.3 * 6.0 <= rr <= 3.0 * 6.0  # (3/r) = 6 up to bounded constants
-        slope = np.polyfit([1, 2, 3], np.log(lam1), 1)[0]
-        assert slope == pytest.approx(math.log(6.0), rel=0.35)

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from hanoispec import resistance
 from hanoispec.assembly import Pencil, assemble_decoupled, assemble_neumann
 from hanoispec.errors import ConnectivityError, DomainError, LevelError, PencilSizeError
 from hanoispec.geometry import build_graph, cell_corner_ids, enumerate_words
@@ -153,6 +154,16 @@ class TestCompatibility:
         rep = compatibility_check(SEQ, 4)
         assert rep.ok
         assert rep.max_deviation <= 1e-9
+
+    def test_past_physical_memory_raises_unbuilt(self, monkeypatch):
+        # level 20 has 1.6e10 vertices at s = 1: the check refuses it before
+        # the first level is built and factored
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(resistance, "build_graph", no_graph)
+        with pytest.raises(PencilSizeError, match="of physical memory"):
+            compatibility_check(SEQ, 20)
 
     def test_m0_trivial(self):
         rep = compatibility_check(SEQ, 0)
