@@ -30,7 +30,6 @@ from .resistance import (
     compatibility_check,
     effective_resistance,
     harmonic_extension,
-    resistance_diameter,
 )
 from .analysis import (
     CountingSample,

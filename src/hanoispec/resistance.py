@@ -1,17 +1,18 @@
-"""Effective-resistance computations on the graph approximations.
+"""Effective resistances of the Hanoi networks.
 
-Every quantity here comes from one solve path, ``GroundedSolver``: the
-conductance Laplacian with its grounded vertices removed is factored once
-by SuperLU; a solve takes a matrix of right-hand sides, and a column whose
-residual is above 1e-10 * ||rhs|| gets one step of iterative refinement.
-A disconnected network raises ``ConnectivityError``.  The resistances
-among k vertices take k-1 columns; a stack of vertex sets is solved in
-chunks of whole sets, with at most STACK_COLUMNS columns per solve.
+``GroundedSolver`` works on an assembled graph.  It checks that every
+connected component holds a grounded vertex, factors the grounded
+conductance Laplacian once by SuperLU, and solves for a matrix of
+right-hand sides, refining once a column whose residual is above
+1e-10 * ||rhs||; the resistances among k vertices take one solve with
+k-1 columns.  ``compatibility_check`` (the electrical equivalence that
+defines matching pairs: all boundary pair resistances equal 2/3 at every
+level), ``effective_resistance`` and ``harmonic_extension`` use it.
 
-The module verifies the electrical equivalence that defines matching
-pairs (all boundary pair resistances equal 2/3 at every level), computes
-harmonic extensions, and estimates the resistance-metric dimension from
-the scaling of block diameters.
+``cell_diameter_scaling`` builds no graph: it traces the network onto
+the corners of every block by a 3x3 recursion over the levels that needs
+only the scale factors, and estimates the resistance-metric dimension
+from the scaling of the block diameters.
 """
 
 from __future__ import annotations
@@ -22,44 +23,50 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .assembly import Pencil, assemble_neumann
-from .errors import ConnectivityError, DomainError, LevelError, PencilSizeError
-from .geometry import _check_memory, block_corner_ids, build_graph, enumerate_words
+from .errors import ConnectivityError, ConvergenceError, DomainError, LevelError
+from .geometry import (_check_memory, block_corner_ids, build_graph, check_graph_args,
+                       enumerate_words, level_scales)
 from .sequences import MatchingSequence, resistance_dimension, scale_factors
 
 # The largest deviation from 2/3 that compatibility_check accepts.
 COMPATIBILITY_TOL = 1e-9
 
-# Right-hand-side columns per solve of a stack of vertex sets: an unchunked
-# stack of the 243 level-5 blocks raised peak memory by a fifth.
-STACK_COLUMNS = 64
-
 
 class GroundedSolver:
-    """Shared factorization of the Laplacian grounded at one vertex or a set of them."""
+    """Shared factorization of the Laplacian grounded at one vertex or a set of them.
+
+    Raises ConnectivityError unless every connected component of the
+    network holds a grounded vertex, which is when the grounded Laplacian
+    is nonsingular.
+    """
 
     def __init__(self, p: Pencil, ground: Union[int, Iterable[int]] = 0):
         self.n = p.n
         free = np.ones(p.n, dtype=bool)
         free[list(ground) if np.iterable(ground) else ground] = False
-        self.keep = np.flatnonzero(free)
-        A = p.L[self.keep][:, self.keep].tocsc()
-        try:
-            self._lu = spla.splu(A)
-        except RuntimeError as exc:
-            if "exactly singular" not in str(exc):
-                raise
+        _, component = connected_components(p.L, directed=False)
+        floating = ~np.isin(component, component[~free])
+        if floating.any():
             raise ConnectivityError(
-                "grounded Laplacian is exactly singular; graph is disconnected"
-            ) from None
-        self._A = A
+                f"graph is disconnected: the component of vertex {int(np.argmax(floating))} "
+                "holds no grounded vertex"
+            )
+        self.keep = np.flatnonzero(free)
+        self._A = p.L[self.keep][:, self.keep].tocsc()
+        self._lu = spla.splu(self._A)
+        self._norm_A = spla.norm(self._A, 1)
 
     def solve(self, b_full: np.ndarray) -> np.ndarray:
         """Solve L phi = b with phi = 0 on the ground, for b of shape (n,) or (n, k).
 
-        Each column is refined and checked on its own.  With one grounded
-        vertex, each column of b must sum to zero.
+        Each column is refined and checked on its own: after refinement its
+        normwise backward error ||r|| / (||A|| ||x|| + ||b||) (1-norms) must
+        be at most 1e-12, which a backward-stable solve meets however large
+        the network's resistances make ||x||.  With one grounded vertex,
+        each column of b must sum to zero.
         """
         b = b_full[self.keep].reshape(self.keep.size, -1)
         x = self._lu.solve(b)
@@ -69,64 +76,44 @@ class GroundedSolver:
         if bad.any():
             x[:, bad] += self._lu.solve(r[:, bad])
             r = b[:, bad] - self._A @ x[:, bad]
-            if np.any(np.linalg.norm(r, axis=0) > 1e-8 * nb[bad]):
-                raise ConnectivityError(
-                    "grounded system did not solve to tolerance; graph may be disconnected"
+            scale = self._norm_A * np.abs(x[:, bad]).sum(axis=0) + np.abs(b[:, bad]).sum(axis=0)
+            if not np.all(np.abs(r).sum(axis=0) <= 1e-12 * scale):
+                raise ConvergenceError(
+                    "grounded solve left a backward error above 1e-12 after refinement"
                 )
         phi = np.zeros((self.n, x.shape[1]))
         phi[self.keep] = x
         return phi.reshape(b_full.shape)
 
     def resistance_matrix(self, ids) -> np.ndarray:
-        """Effective resistances among k distinct vertices: (k, k) for one set
-        ``ids`` of shape (k,), (B, k, k) for a stack of shape (B, k).
+        """(k, k) effective resistances among k distinct vertices ``ids``.
 
-        For each set, column i of V holds the potentials at the set for the
-        current e_{ids[i]} - e_{ids[0]} (column 0 is zero); M = V - V[0] is
-        their energy pairing, so R[i, j] = M[i, i] + M[j, j] - 2 M[i, j].  A
-        stack is solved in chunks of whole sets of at most STACK_COLUMNS
-        columns; a single set takes one solve with k-1 columns.
+        Column i of V holds the potentials at ``ids`` for the current
+        e_{ids[i]} - e_{ids[0]} (column 0 is zero), from one solve with k-1
+        columns; M = V - V[0] is their energy pairing, so
+        R[i, j] = M[i, i] + M[j, j] - 2 M[i, j].
         """
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim not in (1, 2):
-            raise DomainError(f"vertex ids must have shape (k,) or (B, k), got {ids.shape}")
-        stack = ids[None] if ids.ndim == 1 else ids
-        k = stack.shape[1]
+        if ids.ndim != 1:
+            raise DomainError(f"vertex ids must have shape (k,), got {ids.shape}")
+        k = ids.size
         if k < 2:
             raise DomainError(f"effective resistance needs two or more vertices, got {k}")
-        repeated = (np.diff(np.sort(stack, axis=1), axis=1) == 0).any(axis=1)
-        if repeated.any():
-            raise DomainError(
-                "effective resistance needs distinct vertices, got "
-                f"{stack[np.argmax(repeated)].tolist()}"
-            )
-        per_solve = max(1, STACK_COLUMNS // (k - 1))
-        R = np.empty((len(stack), k, k))
-        for start in range(0, len(stack), per_solve):
-            R[start:start + per_solve] = self._stack_resistances(stack[start:start + per_solve])
-        return R[0] if ids.ndim == 1 else R
-
-    def _stack_resistances(self, stack: np.ndarray) -> np.ndarray:
-        """resistance_matrix of a (B, k) stack of distinct-vertex sets, from one solve."""
-        sets, k = stack.shape
-        cols = np.arange(sets * (k - 1)).reshape(sets, k - 1)
-        b = np.zeros((self.n, cols.size))
-        b[stack[:, 1:], cols] = 1.0
-        b[stack[:, :1], cols] = -1.0
-        phi = self.solve(b).reshape(self.n, sets, k - 1)
-        V = np.zeros((sets, k, k))
-        V[:, :, 1:] = phi[stack, np.arange(sets)[:, None]]
-        M = V - V[:, :1]
-        M = 0.5 * (M + M.transpose(0, 2, 1))     # symmetric in exact arithmetic
-        d = np.diagonal(M, axis1=1, axis2=2)
-        R = d[:, :, None] + d[:, None, :] - 2.0 * M
-        off = R[:, ~np.eye(k, dtype=bool)]
-        bad = ~np.all(off > 0.0, axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
+        if np.unique(ids).size < k:
+            raise DomainError(f"effective resistance needs distinct vertices, got {ids.tolist()}")
+        b = np.zeros((self.n, k - 1))
+        b[ids[1:], np.arange(k - 1)] = 1.0
+        b[ids[0]] = -1.0
+        V = np.zeros((k, k))
+        V[:, 1:] = self.solve(b)[ids]
+        M = V - V[:1]
+        M = 0.5 * (M + M.T)     # symmetric in exact arithmetic
+        d = np.diag(M)
+        R = d[:, None] + d[None, :] - 2.0 * M
+        off = R[~np.eye(k, dtype=bool)]
+        if not np.all(off > 0.0):
             raise ConnectivityError(
-                f"nonpositive effective resistance {off[i].min()!r} among vertices "
-                f"{stack[i].tolist()}"
+                f"nonpositive effective resistance {off.min()!r} among vertices {ids.tolist()}"
             )
         return R
 
@@ -227,6 +214,26 @@ class DiameterScaling:
     predicted_dimension: Optional[float]
 
 
+# The network of a parent block w in the exterior recursion has 9 nodes:
+# node 3c + i is corner i of the child w*c, and node 4i (corner i of child
+# i) is corner i of w.  Row c of _CHILD lists the nodes of child c and row
+# c of _REST the six others.
+_TRIANGLE = 3.0 * np.eye(3) - 1.0           # Laplacian of the unit-conductance triangle
+_BRIDGES = np.zeros((9, 9))                 # the unit bridges (a, b)-(b, a), a < b
+_BRIDGES[[1, 3, 2, 6, 5, 7], [1, 3, 2, 6, 5, 7]] = 1.0
+_BRIDGES[[1, 3, 2, 6, 5, 7], [3, 1, 6, 2, 7, 5]] = -1.0
+_CHILD = np.arange(9).reshape(3, 3)
+_REST = np.array([np.setdiff1d(np.arange(9), row) for row in _CHILD])
+
+
+def _largest_corner_resistance(S: np.ndarray) -> np.ndarray:
+    """Largest pairwise resistance of each 3x3 Laplacian in the stack S,
+    from its inverse grounded at corner 0."""
+    g11, g22, g12 = S[:, 1, 1], S[:, 2, 2], S[:, 1, 2]
+    det = g11 * g22 - g12 * g12
+    return np.maximum(np.maximum(g22, g11), g11 + g22 + 2.0 * g12) / det
+
+
 def cell_diameter_scaling(
     seq: MatchingSequence,
     m: int,
@@ -240,26 +247,51 @@ def cell_diameter_scaling(
     diameter by at most a bounded factor, which moves the intercept of
     the log fit, not its slope.
 
-    The resistances come from the level-j_max graph, whatever ``m`` is.
-    Matching pairs make every cell, seen from its three corners, the
-    triangle it refines (the compatibility of Alonso-Ruiz, Freiberg and
-    Kigami), so the level-m graph traced onto V_{j_max} is the level-j_max
-    graph (Kigami, *Analysis on Fractals*, 2001, ch. 2, on traces), and
-    the corner resistances of blocks of level <= j_max are the same on
-    both.  A larger graph only loses digits to rounding.  ``m`` stays in
-    the signature, validated as 0 <= j_max < m, because the CLI and the
-    benchmark pass it positionally.  Each level's 3**j corner triples are
-    one stacked ``resistance_matrix`` call.
+    The resistances come from a recursion over the levels, not from a
+    graph.  Matching pairs make every level-k block, seen from its three
+    corners, the triangle of side delta_k (the compatibility of
+    Alonso-Ruiz, Freiberg and Kigami, 2016), so the network traced onto
+    a block's corners is that triangle plus E_w, the 3x3 Laplacian of
+    everything outside the block w traced onto its corners (Kigami,
+    *Analysis on Fractals*, 2001, ch. 2, on traces).  The root has E = 0.
+    The children w*1, w*2, w*3 of a level-(k-1) block w, each a triangle
+    of side delta_k, joined by the three level-k bridges (a, b)-(b, a) of
+    resistance gamma_k and with E_w on the outer corners, form a 9-node
+    network.  Eliminating the six nodes outside w*a (one batched solve
+    per level) traces it onto the corners of w*a; that trace less w*a's
+    own triangle is E_{w*a}.  A block's diameter is read off the trace
+    by the 2x2 inverse grounded at one corner.  Blocks are ranked
+    rank(w*a) = 3 rank(w) + a - 1, so each level's records come out in
+    ``enumerate_words`` order.  The level-m graph traced onto these
+    corners is this network for every m > j_max, so ``m`` does not
+    change the result; it stays in the signature, validated as
+    0 <= j_max < m, because the CLI and the benchmark pass it
+    positionally.  ``beta`` (the masses) does not enter either; it is
+    validated as for a graph.  A j_max whose level-j_max graph would
+    exceed physical memory raises PencilSizeError before anything is
+    allocated.
     """
     if not 0 <= j_max < m:
         raise LevelError(f"j_max ({j_max}) must be in 0..{m - 1}, below the graph level ({m})")
-    g = build_graph(seq, j_max, s=1, beta=beta)
-    solver = GroundedSolver(assemble_neumann(g))
-    records = []
-    max_d, min_d = [], []
-    for j in range(j_max + 1):
-        d = solver.resistance_matrix(block_corner_ids(g, j)).max(axis=(1, 2))
-        records.extend((j, w, dw) for w, dw in zip(enumerate_words(j), d.tolist()))
+    check_graph_args(j_max, 1, beta)
+    _check_memory(j_max, 1)
+    delta, gamma = level_scales(seq, j_max)
+    S = (_TRIANGLE / delta[0])[None]
+    d = _largest_corner_resistance(S)
+    records = [(0, "", float(d[0]))]
+    max_d, min_d = [float(d[0])], [float(d[0])]
+    for k in range(1, j_max + 1):
+        E = S - _TRIANGLE / delta[k - 1]
+        M = np.kron(np.eye(3), _TRIANGLE / delta[k]) + _BRIDGES / gamma[k - 1]
+        M = np.repeat(M[None], len(E), axis=0)
+        M[:, ::4, ::4] += E
+        near = M[:, _CHILD[:, :, None], _REST[:, None, :]]      # (3**(k-1), 3, 3, 6)
+        far = M[:, _REST[:, :, None], _REST[:, None, :]]
+        S = M[:, _CHILD[:, :, None], _CHILD[:, None, :]] - near @ np.linalg.solve(
+            far, near.transpose(0, 1, 3, 2))
+        S = S.reshape(-1, 3, 3)
+        d = _largest_corner_resistance(S)
+        records.extend((k, w, dw) for w, dw in zip(enumerate_words(k), d.tolist()))
         max_d.append(float(d.max()))
         min_d.append(float(d.min()))
 
@@ -286,49 +318,3 @@ def cell_diameter_scaling(
         dimension_estimate=dim_est,
         predicted_dimension=predicted,
     )
-
-
-@dataclass(frozen=True)
-class DiameterResult:
-    value: float
-    exact: bool
-    pairs_checked: int
-    seed: Optional[int]
-
-
-def resistance_diameter(
-    p: Pencil,
-    mode: str = "exact",
-    k: int = 200,
-    seed: int = 20240601,
-    anchors: Optional[list] = None,
-) -> DiameterResult:
-    """Maximum pairwise effective resistance of the pencil's graph.
-
-    ``exact`` solves for all vertices at once (n - 1 right-hand sides,
-    so n <= 2000) and maximizes over all pairs.  ``sampled`` maximizes
-    over k random pairs plus all pairs between the anchor vertices (the
-    boundary corners, when the caller passes them; the lowest three ids
-    otherwise) and the rest, and is only a lower bound.
-    """
-    n = p.n
-    if mode == "exact":
-        if n > 2000:
-            raise PencilSizeError(
-                f"exact diameter needs n <= 2000, got {n}; use mode='sampled'"
-            )
-        R = GroundedSolver(p).resistance_matrix(np.arange(n))
-        return DiameterResult(float(R.max()), True, n * (n - 1) // 2, None)
-    if mode != "sampled":
-        raise DomainError(f"unknown diameter mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    if anchors is None:
-        anchors = list(range(min(3, n)))
-    a = np.repeat(np.asarray(anchors, dtype=np.int64), n)
-    v = np.tile(np.arange(n), len(anchors))
-    # a call per pair: one call of size (k, 2) would make all 2k vertices distinct
-    draws = np.array([rng.choice(n, size=2, replace=False) for _ in range(k)],
-                     dtype=np.int64).reshape(k, 2)
-    pairs = np.concatenate([np.stack([a, v], axis=1)[a != v], draws])
-    R = GroundedSolver(p).resistance_matrix(pairs)
-    return DiameterResult(float(R[:, 0, 1].max(initial=0.0)), False, len(pairs), seed)

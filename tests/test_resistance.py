@@ -10,15 +10,13 @@ from hypothesis import given, settings, strategies as st
 from hanoispec import resistance
 from hanoispec.assembly import Pencil, assemble_decoupled, assemble_neumann
 from hanoispec.errors import ConnectivityError, DomainError, LevelError, PencilSizeError
-from hanoispec.geometry import build_graph, cell_corner_ids, enumerate_words
+from hanoispec.geometry import block_corner_ids, build_graph, cell_corner_ids, enumerate_words
 from hanoispec.resistance import (
-    STACK_COLUMNS,
     GroundedSolver,
     cell_diameter_scaling,
     compatibility_check,
     effective_resistance,
     harmonic_extension,
-    resistance_diameter,
 )
 from hanoispec.sequences import constant, explicit, geometric_to_limit, scale_factors
 
@@ -108,40 +106,44 @@ class TestDisconnected:
             lambda p: effective_resistance(p, 0, 1),
             lambda p: harmonic_extension(p, {0: 1.0, 1: 0.0}),
             lambda p: GroundedSolver(p),
-            lambda p: GroundedSolver(p).resistance_matrix([[0, 1], [0, 2]]),
         ],
-        ids=["across", "within", "harmonic_extension", "GroundedSolver", "stacked"],
+        ids=["across", "within", "harmonic_extension", "GroundedSolver"],
     )
     def test_connectivity_error(self, call):
         with pytest.raises(ConnectivityError):
             call(two_disjoint_edges())
 
-    def test_stacked_error_names_only_the_offending_set(self):
+    def test_error_names_the_offending_set(self):
         # one grounded vertex per component keeps the solver nonsingular;
         # a set of two grounded vertices then has zero resistance
         solver = GroundedSolver(two_disjoint_edges(), ground=[0, 2])
+        assert solver.resistance_matrix([1, 3])[0, 1] == pytest.approx(2.0, rel=1e-12)
         with pytest.raises(ConnectivityError, match=r"among vertices \[0, 2\]$"):
-            solver.resistance_matrix([[1, 3], [0, 2]])
+            solver.resistance_matrix([0, 2])
+
+    @pytest.mark.parametrize(
+        "seq, level",
+        [(constant(0.05), 6), (constant(0.1), 7)],
+        ids=["constant-0.05", "constant-0.1"],
+    )
+    def test_extreme_ratios_stay_connected(self, seq, level):
+        # the grounded solves there leave residuals above 1e-8 ||b|| that
+        # refinement cannot lower, with backward errors near eps
+        rep = compatibility_check(seq, level)
+        assert len(rep.resistances) == level + 1
 
 
 class TestResistanceMatrixShapes:
-    def test_repeated_vertex_names_only_its_set(self):
+    def test_repeated_vertex_is_named(self):
         solver = GroundedSolver(assemble_neumann(build_graph(SEQ, 1, 1, 0.25)))
         with pytest.raises(DomainError, match=r"got \[2, 5, 2\]$"):
-            solver.resistance_matrix([[0, 1, 2], [2, 5, 2], [3, 3, 4]])
+            solver.resistance_matrix([2, 5, 2])
 
     @pytest.mark.parametrize("ids", [[0], [[0], [1]], [[[0, 1]]]], ids=["one", "ones", "3-d"])
     def test_bad_shapes(self, ids):
         solver = GroundedSolver(assemble_neumann(build_graph(SEQ, 1, 1, 0.25)))
         with pytest.raises(DomainError):
             solver.resistance_matrix(ids)
-
-    def test_chunks_hold_whole_sets(self, solve_calls):
-        p = assemble_neumann(build_graph(SEQ, 2, 1, 0.25))
-        R = GroundedSolver(p).resistance_matrix(np.tile([0, 5, 9, 14], (40, 1)))
-        assert R.shape == (40, 4, 4)
-        per_solve = STACK_COLUMNS // 3
-        assert solve_calls == [(p.n, 3 * per_solve), (p.n, 3 * (40 - per_solve))]
 
     def test_ground_in_every_component(self):
         ext = harmonic_extension(two_disjoint_edges(), {0: 1.0, 2: 0.0})
@@ -264,40 +266,6 @@ class TestHarmonicExtension:
         assert ext.energy <= 6.0 / delta_m + 1e-9
 
 
-class TestDiameter:
-    def test_m0_exact(self):
-        p = assemble_neumann(build_graph(SEQ, 0, 1, 0.25))
-        res = resistance_diameter(p, mode="exact")
-        assert res.value == pytest.approx(2.0 / 3.0, rel=1e-12)
-
-    def test_sampled_below_exact(self):
-        g = build_graph(SEQ, 2, 1, 0.25)
-        p = assemble_neumann(g)
-        exact = resistance_diameter(p, mode="exact")
-        sampled = resistance_diameter(
-            p, mode="sampled", k=40, anchors=list(cell_corner_ids(g, ""))
-        )
-        assert sampled.value <= exact.value * (1 + 1e-10)
-        assert exact.value >= 2.0 / 3.0 - 1e-12
-
-    def test_deterministic(self):
-        p = assemble_neumann(build_graph(SEQ, 2, 1, 0.25))
-        a = resistance_diameter(p, mode="sampled", k=25)
-        b = resistance_diameter(p, mode="sampled", k=25)
-        assert a.value == b.value
-
-    def test_exact_matches_pinv_oracle(self):
-        p = assemble_neumann(build_graph(geometric_to_limit(0.55, 0.3), 3, 2, 0.28))
-        exact = resistance_diameter(p, mode="exact")
-        oracle = pinv_resistances(p, np.arange(p.n)).max()
-        assert exact.value == pytest.approx(oracle, rel=1e-11)
-
-    def test_exact_size_guard(self):
-        p = assemble_neumann(build_graph(SEQ, 7, 1, 0.25))
-        with pytest.raises(PencilSizeError):
-            resistance_diameter(p, mode="exact")
-
-
 class TestDiameterScaling:
     def test_constant_half_small(self):
         ds = cell_diameter_scaling(SEQ, 4, 2)
@@ -316,11 +284,47 @@ class TestDiameterScaling:
         with pytest.raises(LevelError):
             cell_diameter_scaling(SEQ, 3, j_max)
 
-    def test_records_cover_all_blocks(self, solve_calls):
+    def test_records_cover_all_blocks(self, monkeypatch):
+        # the recursion builds no graph and factors nothing
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a graph was built or factored")
+
+        monkeypatch.setattr(resistance, "build_graph", no_graph)
+        monkeypatch.setattr(resistance, "GroundedSolver", no_graph)
         ds = cell_diameter_scaling(SEQ, 3, 2)
         assert len(ds.records) == 1 + 3 + 9
-        # one stacked solve per level on the level-2 graph, two columns a block
-        assert solve_calls == [(27, 2), (27, 6), (27, 18)]
+        assert [(j, w) for j, w, _ in ds.records] == [
+            (j, w) for j in range(3) for w in enumerate_words(j)
+        ]
+
+    def test_past_physical_memory_raises_unallocated(self, monkeypatch):
+        # the level-20 graph needs more than physical memory, and so would
+        # the recursion's 3**20 blocks: refused before the scale factors
+        def no_scales(*args, **kwargs):
+            raise AssertionError("the recursion started")
+
+        monkeypatch.setattr(resistance, "level_scales", no_scales)
+        with pytest.raises(PencilSizeError, match="of physical memory"):
+            cell_diameter_scaling(SEQ, 21, 20)
+
+    @pytest.mark.parametrize(
+        "seq",
+        [constant(0.5), geometric_to_limit(0.6, 0.5), explicit([0.45, 0.53], "cycle")],
+        ids=["constant", "geometric", "band"],
+    )
+    @pytest.mark.parametrize("j_max", [4, 5])
+    def test_matches_grounded_solves_on_the_level_j_max_graph(self, seq, j_max):
+        # the graph path the recursion replaced: one grounded solve per block
+        # corner triple on the level-j_max graph
+        ds = cell_diameter_scaling(seq, j_max + 1, j_max)
+        g = build_graph(seq, j_max, 1, 0.25)
+        solver = GroundedSolver(assemble_neumann(g))
+        reference = [
+            solver.resistance_matrix(ids).max()
+            for j in range(j_max + 1) for ids in block_corner_ids(g, j)
+        ]
+        diameters = [d for _, _, d in ds.records]
+        np.testing.assert_allclose(diameters, reference, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize(
         "seq",
@@ -377,21 +381,6 @@ class TestResistanceMatrixProperties:
         assert np.all(np.diag(R) == 0.0)
         # triangle inequality R[i, j] <= R[i, l] + R[l, j] over all triples
         assert np.all(R[:, None, :] <= (R[:, :, None] + R[None, :, :]) * (1 + 1e-12))
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(networks(), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_stack_matches_one_call_per_set(self, net, cross_chunk, seed):
-        # B = 1, or one set more than a solve takes, so the stack spans two solves
-        p, ids = net
-        k = len(ids)
-        sets = STACK_COLUMNS // (k - 1) + 1 if cross_chunk else 1
-        rng = np.random.default_rng(seed)
-        stack = [ids] + [rng.permutation(p.n)[:k] for _ in range(sets - 1)]
-        solver = GroundedSolver(p)
-        R = solver.resistance_matrix(stack)
-        assert R.shape == (sets, k, k)
-        for Rs, s in zip(R, stack):
-            np.testing.assert_allclose(Rs, solver.resistance_matrix(s), rtol=1e-12, atol=0)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(networks())
