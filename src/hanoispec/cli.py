@@ -303,6 +303,12 @@ def _prediction_payload(seq) -> dict:
     return {key: v for key, v in asdict(pred).items() if v is not None}
 
 
+# Bytes validate takes at its peak per vertex, a measurement: its peak RSS
+# less that of level 1 is 364-365 bytes a vertex at levels 10-12 with
+# s = 1 and 319-332 with s = 2 (constant(0.5), numpy 2.4, scipy 1.17).
+_VALIDATE_BYTES_PER_VERTEX = 370
+
+
 def cmd_validate(cfg: RunConfig, quiet: bool = False) -> int:
     report = sequences.validate_conditions(cfg.sequence, max(cfg.level, 40))
     _say(quiet, f"sequence {report.family}: {report.verdict}")
@@ -317,8 +323,11 @@ def cmd_validate(cfg: RunConfig, quiet: bool = False) -> int:
         _say(quiet, f"FAIL sequence-conditions: {report.verdict}")
         return EXIT_VIOLATION
 
-    g = geometry.build_graph(cfg.sequence, cfg.level, cfg.subdivisions, cfg.beta)
     m, s = cfg.level, cfg.subdivisions
+    n = geometry.vertex_count(m, s)
+    geometry.check_memory(_VALIDATE_BYTES_PER_VERTEX * n,
+                          f"validating the level-{m} graph ({n} vertices)")
+    g = geometry.build_graph(cfg.sequence, m, s, cfg.beta)
     nv_expect = 3 ** (m + 1) + (s - 1) * (3 ** (m + 1) - 3) // 2
     ne_expect = 3 ** (m + 1) + s * (3 ** (m + 1) - 3) // 2
     checks = [
@@ -440,6 +449,12 @@ def cmd_counting(cfg: RunConfig, quiet: bool = False) -> int:
 def cmd_resistance(cfg: RunConfig, quiet: bool = False) -> int:
     h = config_hash(cfg)
     outdir = cfg.outputs.directory
+    # the diameters first: their size check refuses a level before any work or output
+    scaling = None
+    if cfg.level >= 1:
+        scaling = res_mod.cell_diameter_scaling(
+            cfg.sequence, cfg.level, cfg.level - 1, beta=cfg.beta
+        )
     compat = res_mod.compatibility_check(cfg.sequence, cfg.level, beta=cfg.beta)
     rows = []
     for m, triple in zip(compat.levels, compat.resistances):
@@ -457,10 +472,7 @@ def cmd_resistance(cfg: RunConfig, quiet: bool = False) -> int:
             "ok": compat.ok,
         },
     }
-    if cfg.level >= 1:
-        scaling = res_mod.cell_diameter_scaling(
-            cfg.sequence, cfg.level, cfg.level - 1, beta=cfg.beta
-        )
+    if scaling is not None:
         write_csv(
             os.path.join(outdir, "diameters.csv"),
             ["j", "word", "diameter"],

@@ -168,16 +168,14 @@ def vertex_count(m: int, s: int) -> int:
     return 3 ** (m + 1) + (s - 1) * (3 ** (m + 1) - 3) // 2
 
 
-def _check_memory(m: int, s: int):
-    """Raise PencilSizeError if the level-m graph's arrays exceed physical memory."""
-    n = vertex_count(m, s)
-    need = _BYTES_PER_VERTEX_OR_EDGE * (n + 3 ** (m + 1) + s * (3 ** (m + 1) - 3) // 2)
+def check_memory(need: int, what: str):
+    """Raise PencilSizeError if ``need`` bytes, the measured peak of the
+    job ``what``, exceed the host's physical memory."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise PencilSizeError(
-            f"the level-{m} graph has {n} vertices and needs about {need / 2**30:.3g} GiB, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory; "
-            "the counting command, and spectrum with solver.k_lowest, build no graph"
+            f"{what} would take about {need / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory"
         )
 
 
@@ -213,10 +211,11 @@ def build_graph(
     raises PencilSizeError before anything is allocated.
     """
     check_graph_args(m, s, beta)
-    _check_memory(m, s)
     n_corners = 3 ** (m + 1)
     n_bridges = (3 ** (m + 1) - 3) // 2
     n = vertex_count(m, s)
+    check_memory(_BYTES_PER_VERTEX_OR_EDGE * (n + n_corners + s * n_bridges),
+                 f"the level-{m} graph ({n} vertices)")
     delta, gamma = level_scales(seq, m)
 
     mass_cell = np.zeros(n)

@@ -10,7 +10,7 @@ import pytest
 
 import numpy as np
 
-from hanoispec import analysis, geometry
+from hanoispec import analysis, geometry, resistance
 from hanoispec.cli import (
     config_from_dict,
     config_hash,
@@ -265,10 +265,29 @@ class TestValidateCommand:
         assert capsys.readouterr().out == ""
 
     def test_graph_past_physical_memory_exits_one(self, tmp_path, capsys):
-        # level 20 has 1.6e10 vertices: build_graph refuses it before it allocates
+        # level 20 has 1.6e10 vertices: validate refuses it before the graph is built
         cfgfile = write_config(tmp_path, base_config(tmp_path / "out", level=20))
         assert main(["validate", "--config", cfgfile, "--quiet"]) == 1
         assert "of physical memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level,memory,code", [
+        (2, 370 * 39, 0),       # level 2, s = 2: 39 vertices at 370 bytes each
+        (2, 370 * 39 - 1, 1),
+        # 7.83 GiB: the level-15 graph's arrays (6.7 GiB) would fit, but not
+        # validate's 6.5e7 vertices at 370 bytes each
+        (15, int(7.83 * 2**30), 1),
+    ])
+    def test_memory_bound_is_370_bytes_per_vertex(self, tmp_path, monkeypatch, level, memory,
+                                                  code):
+        def no_graph(*args, **kwargs):
+            raise AssertionError("the graph was built")
+
+        pages = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(geometry.os, "sysconf", pages.__getitem__)
+        if code:
+            monkeypatch.setattr(geometry, "build_graph", no_graph)
+        cfgfile = write_config(tmp_path, base_config(tmp_path / "out", level=level))
+        assert main(["validate", "--config", cfgfile, "--quiet"]) == code
 
 
 class TestSpectrumCommand:
@@ -468,6 +487,21 @@ class TestResistanceCommand:
         assert report["compatibility"]["ok"]
         assert report["verdict"] == "pass"
         assert "diameter_fit" in report
+
+    def test_level_16_refused_by_the_diameters_size_check(self, tmp_path, monkeypatch, capsys):
+        # on a 7.83 GiB host the level-15 graph's arrays (4.8 GiB) would fit,
+        # but not the diameters' 3**15 blocks at 1200 bytes each: exit 1
+        # before the scale factors are read or any output is written
+        def no_scales(*args, **kwargs):
+            raise AssertionError("the scale factors were read")
+
+        pages = {"SC_PHYS_PAGES": int(7.83 * 2**30), "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(geometry.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(resistance, "level_scales", no_scales)
+        cfg = base_config(tmp_path / "out", level=16, subdivisions=1)
+        assert main(["resistance", "--config", write_config(tmp_path, cfg), "--quiet"]) == 1
+        assert "the diameters of the level-15 blocks" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_out_flag_overrides_directory(self, tmp_path):
         cfg = base_config(tmp_path / "ignored", level=1, subdivisions=1)

@@ -423,7 +423,7 @@ class TestBlockCounter:
         # at x = 0, S_0 is the trace of the resistance form on V_0: its row
         # sum w_0 stays exactly zero and every V_0 pair resistance is
         # 2 / sigma_0 = 2/3
-        compat = compatibility_check(seq, 6, beta=0.25)
+        compat = compatibility_check(seq, 30, beta=0.25)
         for m in range(31):
             for s in (1, 2, 3):
                 ctr = BlockInertiaCounter(seq, m, s, 0.25)
@@ -431,8 +431,7 @@ class TestBlockCounter:
                 assert w0[0] == 0.0, (m, s)
                 R = 2.0 / sigma0[0]
                 assert abs(R - 2.0 / 3.0) <= 1e-12, (m, s, R)
-                if m <= 6:  # the grounded SuperLU solves are off by up to 7.7e-12
-                    assert compat.resistances[m] == pytest.approx([R] * 3, abs=compat.tolerance)
+                assert compat.resistances[m] == pytest.approx([R] * 3, abs=1e-14), (m, s)
 
     def test_deep_pivots_are_tested_against_their_own_rounding(self):
         # around x = 3.0913e18 at m = 24 a level's entries reach 3e13 while

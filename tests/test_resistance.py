@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from hanoispec import resistance
+from hanoispec import geometry, resistance
 from hanoispec.assembly import Pencil, assemble_decoupled, assemble_neumann
 from hanoispec.errors import ConnectivityError, DomainError, LevelError, PencilSizeError
 from hanoispec.geometry import block_corner_ids, build_graph, cell_corner_ids, enumerate_words
@@ -21,6 +21,10 @@ from hanoispec.resistance import (
 from hanoispec.sequences import constant, explicit, geometric_to_limit, scale_factors
 
 SEQ = constant(0.5)
+# families whose level-5 graph reads its V_0 pair resistances within 1e-10
+# of 2/3; constant(0.05) does only up to level 3
+WIRING_FAMILIES = [constant(0.5), constant(0.3), geometric_to_limit(0.6, 0.5),
+                   explicit([0.45, 0.53], "cycle")]
 
 
 def pinv_resistances(p: Pencil, ids) -> np.ndarray:
@@ -33,20 +37,6 @@ def pinv_resistances(p: Pencil, ids) -> np.ndarray:
 def two_disjoint_edges() -> Pencil:
     L = sp.csr_matrix(np.kron(np.eye(2), [[1.0, -1.0], [-1.0, 1.0]]))
     return Pencil(L, np.full(4, 0.25), np.arange(4))
-
-
-@pytest.fixture
-def solve_calls(monkeypatch):
-    """Shapes of the right-hand sides passed to GroundedSolver.solve."""
-    calls = []
-    original = GroundedSolver.solve
-
-    def counting(self, b):
-        calls.append(b.shape)
-        return original(self, b)
-
-    monkeypatch.setattr(GroundedSolver, "solve", counting)
-    return calls
 
 
 class TestEffectiveResistance:
@@ -129,8 +119,9 @@ class TestDisconnected:
     def test_extreme_ratios_stay_connected(self, seq, level):
         # the grounded solves there leave residuals above 1e-8 ||b|| that
         # refinement cannot lower, with backward errors near eps
-        rep = compatibility_check(seq, level)
-        assert len(rep.resistances) == level + 1
+        g = build_graph(seq, level, 1, 0.25)
+        R = GroundedSolver(assemble_neumann(g)).resistance_matrix(block_corner_ids(g, 0)[0])
+        assert np.all(R[~np.eye(3, dtype=bool)] > 0.0)
 
 
 class TestResistanceMatrixShapes:
@@ -157,15 +148,34 @@ class TestCompatibility:
         assert rep.ok
         assert rep.max_deviation <= 1e-9
 
-    def test_past_physical_memory_raises_unbuilt(self, monkeypatch):
-        # level 20 has 1.6e10 vertices at s = 1: the check refuses it before
-        # the first level is built and factored
+    @pytest.mark.parametrize("seq", WIRING_FAMILIES + [constant(0.05)], ids=lambda q: q.describe())
+    def test_level_40_builds_no_graph_and_factors_nothing(self, monkeypatch, seq):
+        # the level-40 graph has 3.6e19 vertices; the series reduction of
+        # the trace onto V_0 needs only the scale factors
         def no_graph(*args, **kwargs):
-            raise AssertionError("a graph was built")
+            raise AssertionError("a graph was built or factored")
 
-        monkeypatch.setattr(resistance, "build_graph", no_graph)
-        with pytest.raises(PencilSizeError, match="of physical memory"):
-            compatibility_check(SEQ, 20)
+        monkeypatch.setattr(geometry, "build_graph", no_graph)
+        monkeypatch.setattr(resistance, "GroundedSolver", no_graph)
+        rep = compatibility_check(seq, 40)
+        assert rep.levels == tuple(range(41))
+        assert rep.max_deviation <= 1e-14
+
+    @pytest.mark.parametrize("seq", WIRING_FAMILIES, ids=lambda q: q.describe())
+    def test_matches_grounded_solves_on_the_graph(self, seq):
+        # the graph's wiring: its V_0 pair resistances by SuperLU agree with
+        # the series reduction (the graph's own deviation is at most 5.3e-12)
+        rep = compatibility_check(seq, 5)
+        for m in range(6):
+            g = build_graph(seq, m, 1, 0.25)
+            R = GroundedSolver(assemble_neumann(g)).resistance_matrix(block_corner_ids(g, 0)[0])
+            graph = (R[0, 1], R[0, 2], R[1, 2])
+            np.testing.assert_allclose(graph, rep.resistances[m], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("kwargs", [{"m_max": -1}, {"m_max": 2, "beta": 0.4}])
+    def test_bad_arguments(self, kwargs):
+        with pytest.raises(DomainError):
+            compatibility_check(SEQ, **kwargs)
 
     def test_m0_trivial(self):
         rep = compatibility_check(SEQ, 0)
@@ -204,11 +214,6 @@ class TestCompatibility:
         for later in values[1:]:
             assert later[0] == pytest.approx(values[0][0], rel=1e-10)
             assert later[1] == pytest.approx(values[0][1], rel=1e-10)
-
-
-    def test_one_solve_per_level(self, solve_calls):
-        compatibility_check(SEQ, 3)
-        assert solve_calls == [(n, 2) for n in (3, 9, 27, 81)]
 
 
 class TestHarmonicExtension:
@@ -289,7 +294,7 @@ class TestDiameterScaling:
         def no_graph(*args, **kwargs):
             raise AssertionError("a graph was built or factored")
 
-        monkeypatch.setattr(resistance, "build_graph", no_graph)
+        monkeypatch.setattr(geometry, "build_graph", no_graph)
         monkeypatch.setattr(resistance, "GroundedSolver", no_graph)
         ds = cell_diameter_scaling(SEQ, 3, 2)
         assert len(ds.records) == 1 + 3 + 9
@@ -298,14 +303,25 @@ class TestDiameterScaling:
         ]
 
     def test_past_physical_memory_raises_unallocated(self, monkeypatch):
-        # the level-20 graph needs more than physical memory, and so would
-        # the recursion's 3**20 blocks: refused before the scale factors
+        # the recursion's 3**20 level-20 blocks need more than physical
+        # memory: refused before the scale factors
         def no_scales(*args, **kwargs):
             raise AssertionError("the recursion started")
 
         monkeypatch.setattr(resistance, "level_scales", no_scales)
-        with pytest.raises(PencilSizeError, match="of physical memory"):
+        with pytest.raises(PencilSizeError, match="the level-20 blocks"):
             cell_diameter_scaling(SEQ, 21, 20)
+
+    @pytest.mark.parametrize("spare,fits", [(0, True), (-1, False)])
+    def test_memory_bound_is_1200_bytes_per_block(self, monkeypatch, spare, fits):
+        # j_max = 2: 9 blocks take 1200 * 9 bytes
+        pages = {"SC_PHYS_PAGES": 1200 * 9 + spare, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(geometry.os, "sysconf", pages.__getitem__)
+        if fits:
+            assert len(cell_diameter_scaling(SEQ, 3, 2).records) == 13
+        else:
+            with pytest.raises(PencilSizeError):
+                cell_diameter_scaling(SEQ, 3, 2)
 
     @pytest.mark.parametrize(
         "seq",
