@@ -286,6 +286,12 @@ class BlockInertiaCounter:
     it, with phi_k, the count of the free-free level-k bridge with its end
     masses, from one more ``_path`` that eliminates those bridges end to end.
 
+    Below -lambda_max every pivot must come out positive and clear; the
+    first ``try_count`` checks that on an extra threshold -1 - lambda_max
+    in its own batch, and raises ConvergenceError if not.  A pass costs
+    about the same for one threshold as for a hundred (its numpy calls
+    run once per level), so the check costs no pass of its own.
+
     Every pivot (of a bridge, the inner corners or a free bridge) and
     w and sigma of S_j and S_0 are near-singular when their magnitude is
     at most PIVOT_ROUNDING times the summed magnitudes of the terms that
@@ -311,8 +317,8 @@ class BlockInertiaCounter:
         # decoupled components exceeds 2 sum|c| / mass over the vertex
         # classes (a corner with only its cell share, a corner at a level-k
         # bridge, an interior bridge node), so below -lambda_max L - x M is
-        # positive definite; the set-up pass checks that every pivot comes
-        # out positive and clear of its rounding there.
+        # positive definite; the first try_count checks that every pivot
+        # comes out positive and clear of its rounding there.
         cell = 2.0 * abs(self.cell_conductance)
         ck, bm = np.abs(self.seg_conductance), self.bridge_mass
         bounds = [[2.0 * cell / self.corner_mass],
@@ -383,28 +389,31 @@ class BlockInertiaCounter:
                 ok_j & bridge_clear[:level].all(axis=0), ok_j & clear_s & free_clear.all(axis=0))
         return nu, S0, ok_0, sums
 
-    def _set_up_pass(self):
-        """Count once below -lambda_max, where every pivot must be positive and clear."""
-        if not self._set_up:
-            counts, ok = self.try_count(np.array([-1.0 - self.lambda_max]))
-            if counts[1, 0] != 0 or not ok[1, 0]:
-                raise ConvergenceError("block elimination set-up pass is not positive definite")
-            self._set_up = True
-
     def try_count(self, x: np.ndarray, level: Optional[int] = None):
         """One pass at thresholds x: (counts, clear), one row per count.
 
         The rows are N_D and N_N, then lowerSum_j and upperSum_j for a
         bracketing level j; clear says where each count's pivots were all
-        clear of their rounding.
+        clear of their rounding.  The first call also counts at
+        -1 - lambda_max, where every pivot must come out positive and
+        clear, and raises ConvergenceError if N_N is not a clear 0 there.
         """
+        set_up = not self._set_up
+        if set_up:
+            x = np.concatenate(([-1.0 - self.lambda_max], x))
         nu, S0, ok, sums = self._eliminate(x, level)
         neg, clear = _schur_inertia(*S0)
         counts, oks = [nu, nu + neg], [ok, ok & clear]
         if sums is not None:
             counts += sums[:2]
             oks += sums[2:]
-        return np.array(counts), np.array(oks)
+        counts, oks = np.array(counts), np.array(oks)
+        if set_up:
+            if counts[1, 0] != 0 or not oks[1, 0]:
+                raise ConvergenceError("block elimination set-up pass is not positive definite")
+            self._set_up = True
+            counts, oks = counts[:, 1:], oks[:, 1:]
+        return counts, oks
 
     def count_below(self, x, eps_shift: float = EPS_SHIFT, level: Optional[int] = None):
         """(N_D, N_N) strictly below each threshold, nudging x off near-singular shifts.
@@ -423,7 +432,6 @@ class BlockInertiaCounter:
         if level is not None and self.n + 3 ** (level + 1) - 3 > COUNT_MAX:
             raise LevelError(f"the level-{level} bracketing sums of the level-{m} graph "
                              f"can exceed what int64 counts hold ({COUNT_MAX})")
-        self._set_up_pass()
         x = np.array(x, dtype=float).ravel()
         rows = 2 if level is None else 4
         counts = np.zeros((rows, x.size), dtype=np.int64)
@@ -453,13 +461,18 @@ def _pivot(p: np.ndarray, mag: np.ndarray, clear: np.ndarray) -> np.ndarray:
     with where p is clear of it."""
     tol = PIVOT_ROUNDING * mag
     small = np.abs(p) <= tol
+    if not small.any():
+        return p
     clear &= ~small
     return np.where(small, tol, p)
 
 
 def _neg(*pivots: np.ndarray) -> np.ndarray:
     """How many of the pivots are negative, per threshold, as an integer."""
-    return sum(p < 0.0 for p in pivots)
+    neg = (pivots[0] < 0.0).astype(np.int64)
+    for p in pivots[1:]:
+        neg += p < 0.0
+    return neg
 
 
 def _schur_inertia(w, sigma, w_mag, sigma_mag) -> tuple[np.ndarray, np.ndarray]:
@@ -495,7 +508,7 @@ def _path(ck, row_sums: list, g, clear: np.ndarray):
 
 # get_counter and eig_dense_cached are plain aliases of InertiaCounter and
 # eig_dense; they stay only because perfbench's tracer looks both names up,
-# until the benchmark refresh of ROADMAP item 4.
+# until the benchmark refresh of ROADMAP item 5.
 def get_counter(p: Pencil) -> InertiaCounter:
     return InertiaCounter(p)
 

@@ -201,7 +201,6 @@ class DiameterScaling:
 
     levels: tuple
     max_diameter: tuple
-    min_diameter: tuple
     records: tuple              # (level, word, diameter) rows
     slope: float
     slope_raw: float
@@ -278,7 +277,7 @@ def cell_diameter_scaling(
     S = (_TRIANGLE / delta[0])[None]
     d = _largest_corner_resistance(S)
     records = [(0, "", float(d[0]))]
-    max_d, min_d = [float(d[0])], [float(d[0])]
+    max_d = [float(d[0])]
     for k in range(1, j_max + 1):
         E = S - _TRIANGLE / delta[k - 1]
         M = np.kron(np.eye(3), _TRIANGLE / delta[k]) + _BRIDGES / gamma[k - 1]
@@ -292,7 +291,6 @@ def cell_diameter_scaling(
         d = _largest_corner_resistance(S)
         records.extend((k, w, dw) for w, dw in zip(enumerate_words(k), d.tolist()))
         max_d.append(float(d.max()))
-        min_d.append(float(d.min()))
 
     js = np.arange(j_max + 1, dtype=float)
     logs = np.log(np.array(max_d))
@@ -310,7 +308,6 @@ def cell_diameter_scaling(
     return DiameterScaling(
         levels=tuple(range(j_max + 1)),
         max_diameter=tuple(max_d),
-        min_diameter=tuple(min_d),
         records=tuple(records),
         slope=slope,
         slope_raw=slope_raw,

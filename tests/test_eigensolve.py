@@ -532,11 +532,30 @@ class TestBlockCounter:
 
     def test_setup_pass_must_be_positive_definite(self):
         # a negative corner mass makes L - x M indefinite below the bound; the
-        # first count_below runs the set-up pass
+        # first try_count of count_below also counts there
         ctr = BlockInertiaCounter(SEQ, 1, 1, 0.25)
         ctr.corner_mass = -ctr.corner_mass
         with pytest.raises(ConvergenceError):
             ctr.count_below([1.0])
+
+    def test_setup_check_guards_eigenvalue_brackets(self, monkeypatch):
+        # the same check on the spectrum's path: its first try_count raises
+        init, calls = BlockInertiaCounter.__init__, []
+
+        def negated_mass(self, *args):
+            init(self, *args)
+            self.corner_mass = -self.corner_mass
+
+        def spy(self, x, level=None):
+            calls.append(np.size(x))
+            return try_count(self, x, level)
+
+        try_count = BlockInertiaCounter.try_count
+        monkeypatch.setattr(BlockInertiaCounter, "__init__", negated_mass)
+        monkeypatch.setattr(BlockInertiaCounter, "try_count", spy)
+        with pytest.raises(ConvergenceError, match="set-up"):
+            eigenvalue_brackets(SEQ, 1, 1, 0.25, 3)
+        assert len(calls) == 1
 
     def test_graph_args_are_checked(self):
         for m, s, beta in [(-1, 2, 0.25), (2, 0, 0.25), (2, 2, 0.4), (2, 2, 0.0)]:
