@@ -9,7 +9,7 @@ k-1 columns.  ``effective_resistance`` and ``harmonic_extension`` use it.
 
 ``compatibility_check`` and ``cell_diameter_scaling`` build no graph:
 they trace the network onto V_0 by series reduction and onto every
-block's corners by a 3x3 recursion, from the scale factors alone.
+block's corners by star-mesh elimination, from the scale factors alone.
 """
 
 from __future__ import annotations
@@ -209,27 +209,37 @@ class DiameterScaling:
 
 
 # The resistance command's peak RSS per level-j_max block, less that of
-# level 1: 1196, 1188 and 1115 bytes at j_max = 10, 11, 12 (numpy 2.4).
-_BYTES_PER_BLOCK = 1200
+# level 1: at most 1419, 1413 and 1378 bytes at j_max = 10, 11, 12 (numpy 2.4).
+_BYTES_PER_BLOCK = 1420
 
-# The network of a parent block w in the exterior recursion has 9 nodes:
-# node 3c + i is corner i of the child w*c, and node 4i (corner i of child
-# i) is corner i of w.  Row c of _CHILD lists the nodes of child c and row
-# c of _REST the six others.
-_TRIANGLE = 3.0 * np.eye(3) - 1.0           # Laplacian of the unit-conductance triangle
-_BRIDGES = np.zeros((9, 9))                 # the unit bridges (a, b)-(b, a), a < b
-_BRIDGES[[1, 3, 2, 6, 5, 7], [1, 3, 2, 6, 5, 7]] = 1.0
-_BRIDGES[[1, 3, 2, 6, 5, 7], [3, 1, 6, 2, 7, 5]] = -1.0
-_CHILD = np.arange(9).reshape(3, 3)
-_REST = np.array([np.setdiff1d(np.arange(9), row) for row in _CHILD])
+# The 9-node network of a parent block w: node 3c + i is corner i of the
+# child w*c, node 4i is corner i of w.  The columns of _NETWORK are its edges
+# by kind: w's corner pairs (0, 1), (0, 2), (1, 2) (carrying E_w), the child
+# triangles' sides, the bridges.  _EXTERIORS[a] lacks child a's triangle and
+# orders the nodes as _ORDER[a], rotated to put child a's corners last.
+_NETWORK = np.zeros((9, 9, 5))
+_NETWORK[[0, 0, 4, 1, 2, 5], [4, 8, 8, 3, 6, 7], [0, 1, 2, 4, 4, 4]] = 1.0
+_NETWORK += _NETWORK.transpose(1, 0, 2)
+_NETWORK[:, :, 3] = np.kron(np.eye(3), np.ones((3, 3))) - np.eye(9)
+_ORDER = [np.roll(np.arange(9), -3 * a - 3) for a in range(3)]
+_EXTERIORS = np.array([_NETWORK[o][:, o] for o in _ORDER])
+_EXTERIORS[:, 6:, 6:] = 0.0
 
 
-def _largest_corner_resistance(S: np.ndarray) -> np.ndarray:
-    """Largest pairwise resistance of each 3x3 Laplacian in the stack S,
-    from its inverse grounded at corner 0."""
-    g11, g22, g12 = S[:, 1, 1], S[:, 2, 2], S[:, 1, 2]
-    det = g11 * g22 - g12 * g12
-    return np.maximum(np.maximum(g22, g11), g11 + g22 + 2.0 * g12) / det
+def _child_exteriors(E: np.ndarray, t, b) -> np.ndarray:
+    """Exterior conductances (3, 3B) of the children of B blocks, in rank
+    order, from the blocks' E (3, B) on corner pairs (0, 1), (0, 2), (1, 2),
+    for child triangle sides of conductance t and bridges of conductance b.
+    Star-mesh elimination (the GTH algorithm, Grassmann, Taksar and Heyman
+    1985): removing node v adds c_vi c_vj / sum_u c_vu to each pair i, j
+    of the nodes left, so only non-negative numbers are added, multiplied
+    and divided and every conductance keeps its relative accuracy.
+    """
+    C = _EXTERIORS @ np.vstack((E, np.repeat([[t], [b]], E.shape[1], axis=1)))
+    for v in range(6):
+        c = C[:, v, v + 1:]
+        C[:, v + 1:, v + 1:] += c[:, :, None] * (c / c.sum(axis=1, keepdims=True))[:, None]
+    return C[:, [6, 6, 7], [7, 8, 8]].transpose(1, 2, 0).reshape(3, -1)
 
 
 def cell_diameter_scaling(
@@ -249,56 +259,46 @@ def cell_diameter_scaling(
     graph.  Matching pairs make every level-k block, seen from its three
     corners, the triangle of side delta_k (the compatibility of
     Alonso-Ruiz, Freiberg and Kigami, 2016), so the network traced onto
-    a block's corners is that triangle plus E_w, the 3x3 Laplacian of
-    everything outside the block w traced onto its corners (Kigami,
-    *Analysis on Fractals*, 2001, ch. 2, on traces).  The root has E = 0.
-    The children w*1, w*2, w*3 of a level-(k-1) block w, each a triangle
-    of side delta_k, joined by the three level-k bridges (a, b)-(b, a) of
-    resistance gamma_k and with E_w on the outer corners, form a 9-node
-    network.  Eliminating the six nodes outside w*a (one batched solve
-    per level) traces it onto the corners of w*a; that trace less w*a's
-    own triangle is E_{w*a}.  A block's diameter is read off the trace
-    by the 2x2 inverse grounded at one corner.  Blocks are ranked
-    rank(w*a) = 3 rank(w) + a - 1, so each level's records come out in
-    ``enumerate_words`` order.  The level-m graph traced onto these
-    corners is this network for every m > j_max, so ``m`` does not
-    change the result; it stays in the signature, validated as
-    0 <= j_max < m, because the CLI and the benchmark pass it
-    positionally.  ``beta`` (the masses) does not enter either; it is
-    validated as for a graph.  A j_max whose recursion, priced at
-    ``_BYTES_PER_BLOCK`` per level-j_max block, would exceed physical
-    memory raises PencilSizeError before anything is allocated.
+    the corners of a block w is that triangle plus E_w, the conductances
+    of everything outside w traced onto them (Kigami, *Analysis on
+    Fractals*, 2001, ch. 2, on traces); the root has E = 0.  The children
+    of w, triangles of side delta_k, joined by the three level-k bridges
+    of resistance gamma_k and with E_w on w's corners, form a 9-node
+    network; without w*a's own triangle, eliminating its six nodes
+    outside w*a leaves E_{w*a}, for all blocks of a level at once.  The
+    diameter is the largest of 1 / (c_ij + c_ik c_jk / (c_ik + c_jk)) over
+    the corner pairs, c being E plus the block's own triangle.  Blocks
+    are ranked rank(w*a) = 3 rank(w) + a - 1, so each level's records
+    come out in ``enumerate_words`` order.  The level-m graph traces onto
+    these corners as this network for every m > j_max, so ``m`` does not
+    change the result, and ``beta`` (the masses) does not enter; both
+    are validated and stay because the CLI and the benchmark pass them.
+    A j_max whose recursion, priced at ``_BYTES_PER_BLOCK`` per level-j_max
+    block, would exceed physical memory raises PencilSizeError before
+    anything is allocated.
     """
     if not 0 <= j_max < m:
         raise LevelError(f"j_max ({j_max}) must be in 0..{m - 1}, below the graph level ({m})")
     check_graph_args(j_max, 1, beta)
     check_memory(_BYTES_PER_BLOCK * 3 ** j_max, f"the diameters of the level-{j_max} blocks")
     delta, gamma = level_scales(seq, j_max)
-    S = (_TRIANGLE / delta[0])[None]
-    d = _largest_corner_resistance(S)
-    records = [(0, "", float(d[0]))]
-    max_d = [float(d[0])]
-    for k in range(1, j_max + 1):
-        E = S - _TRIANGLE / delta[k - 1]
-        M = np.kron(np.eye(3), _TRIANGLE / delta[k]) + _BRIDGES / gamma[k - 1]
-        M = np.repeat(M[None], len(E), axis=0)
-        M[:, ::4, ::4] += E
-        near = M[:, _CHILD[:, :, None], _REST[:, None, :]]      # (3**(k-1), 3, 3, 6)
-        far = M[:, _REST[:, :, None], _REST[:, None, :]]
-        S = M[:, _CHILD[:, :, None], _CHILD[:, None, :]] - near @ np.linalg.solve(
-            far, near.transpose(0, 1, 3, 2))
-        S = S.reshape(-1, 3, 3)
-        d = _largest_corner_resistance(S)
+    E = np.zeros((3, 1))
+    records, max_d = [], []
+    for k in range(j_max + 1):
+        c = E + 1.0 / delta[k]
+        a, b = c[[1, 0, 0]], c[[2, 2, 1]]
+        d = 1.0 / (c + a * b / (a + b)).min(axis=0)
         records.extend((k, w, dw) for w, dw in zip(enumerate_words(k), d.tolist()))
         max_d.append(float(d.max()))
+        if k < j_max:
+            E = _child_exteriors(E, 1.0 / delta[k + 1], 1.0 / gamma[k])
 
     js = np.arange(j_max + 1, dtype=float)
     logs = np.log(np.array(max_d))
     slope_raw = float(np.polyfit(js, logs, 1)[0]) if j_max >= 1 else float("nan")
     limit = seq.limit_r
     if limit is not None and j_max >= 1:
-        sf = scale_factors(seq, j_max)
-        drift = np.concatenate(([1.0], sf.partial_products[:j_max]))
+        drift = np.concatenate(([1.0], scale_factors(seq, j_max).partial_products[:j_max]))
         slope = float(np.polyfit(js, logs - np.log(drift), 1)[0])
         predicted = resistance_dimension(limit)
     else:

@@ -490,7 +490,7 @@ class TestResistanceCommand:
 
     def test_level_16_refused_by_the_diameters_size_check(self, tmp_path, monkeypatch, capsys):
         # on a 7.83 GiB host the level-15 graph's arrays (4.8 GiB) would fit,
-        # but not the diameters' 3**15 blocks at 1200 bytes each: exit 1
+        # but not the diameters' 3**15 blocks at 1420 bytes each: exit 1
         # before the scale factors are read or any output is written
         def no_scales(*args, **kwargs):
             raise AssertionError("the scale factors were read")

@@ -313,9 +313,9 @@ class TestDiameterScaling:
             cell_diameter_scaling(SEQ, 21, 20)
 
     @pytest.mark.parametrize("spare,fits", [(0, True), (-1, False)])
-    def test_memory_bound_is_1200_bytes_per_block(self, monkeypatch, spare, fits):
-        # j_max = 2: 9 blocks take 1200 * 9 bytes
-        pages = {"SC_PHYS_PAGES": 1200 * 9 + spare, "SC_PAGE_SIZE": 1}
+    def test_memory_bound_is_1420_bytes_per_block(self, monkeypatch, spare, fits):
+        # j_max = 2: 9 blocks take 1420 * 9 bytes
+        pages = {"SC_PHYS_PAGES": 1420 * 9 + spare, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr(geometry.os, "sysconf", pages.__getitem__)
         if fits:
             assert len(cell_diameter_scaling(SEQ, 3, 2).records) == 13
@@ -341,6 +341,25 @@ class TestDiameterScaling:
         ]
         diameters = [d for _, _, d in ds.records]
         np.testing.assert_allclose(diameters, reference, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("seq", [geometric_to_limit(0.6, 0.5), constant(0.05)],
+                             ids=["geometric", "constant"])
+    def test_corner_chain_holds_at_60_digits(self, seq):
+        # the exterior of the corner chain 1^j, stepped from the same scale
+        # factors in floats and in 60-digit arithmetic, agrees to 1e-15
+        # relative at every j <= 40: no step subtracts, so no rounding
+        # error is amplified by cancellation
+        mpmath = pytest.importorskip("mpmath")
+        delta, gamma = geometry.level_scales(seq, 40)
+        E = exact = np.zeros((3, 1))
+        with mpmath.workdps(60):
+            for k in range(1, 41):
+                t, b = 1.0 / delta[k], 1.0 / gamma[k - 1]
+                E = resistance._child_exteriors(E, t, b)[:, :1]
+                exact = resistance._child_exteriors(exact, mpmath.mpf(t), mpmath.mpf(b))[:, :1]
+                for e, x in zip(E.ravel(), exact.ravel()):
+                    assert abs(mpmath.mpf(e) - x) <= 1e-15 * x, (k, e, x)
+        assert exact.dtype == object and E[2, 0] > 0.0
 
     @pytest.mark.parametrize(
         "seq",
