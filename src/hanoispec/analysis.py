@@ -13,15 +13,16 @@ BlockInertiaCounter, also what auto means at every size), which needs
 only the scale factors and builds no graph, or LAPACK spectra (dense,
 the reference).  auto_grid and counting_function take it and never see
 a pencil or a backend name; auto_grid finds its ends by a log-space
-multisection on the counts under either backend, so the two backends
-give the same grid.  Its passes are narrow (two brackets), and a block
-elimination costs about the same for a few points as for a hundred, so
-each call also counts every point the next pass can ask for, and half
-the passes count nothing; a count depends only on its own threshold, so
-the grid is the same as with one call a pass.  The block counter's
-set-up check rides in its first call.  The same multisection on the block counter
-gives the spectrum without the graph (eigenvalue_brackets,
-eigenvalue_groups), one call a pass: its passes are wide.
+multisection on the block counter's N_N under either backend, so the
+two backends give the same grid.  Its passes are narrow (two brackets),
+and a block elimination costs about the same for a few points as for a
+hundred, so each call also counts every point the next pass can ask for,
+and half the passes count nothing; a count depends only on its own
+threshold, so the grid is the same as with one call a pass.  The block
+counter's set-up check rides in its first call.  The same multisection
+on it gives the spectrum without the graph (eigenvalue_brackets,
+eigenvalue_groups), one call a pass: its passes are wide.  Both drop the
+counts that are not clear of their rounding, and never nudge them.
 
 The bracketing check sandwiches the counting functions between the
 component sums of the level-j decoupled forms: grounding V_j can only
@@ -109,9 +110,9 @@ class GraphCounts:
     On families with ratios r below about 0.11 its 1e-9 threshold shift is
     under LAPACK's error on clustered eigenvalues, so it can miscount
     there; only an explicit ``dense`` reaches that path.  The bracketing
-    sums come from block elimination with either backend.  ``n`` (the
-    number of vertices) and ``lambda_max`` (the Gershgorin bound of the
-    Neumann pencil) are the counter's closed forms.
+    sums and the ends of ``auto_grid`` come from block elimination with
+    either backend.  ``n`` (the number of vertices) and ``lambda_max``
+    (the Gershgorin bound of the Neumann pencil) are the counter's closed forms.
     """
 
     def __init__(self, seq: MatchingSequence, m: int, s: int, beta: float,
@@ -179,18 +180,20 @@ def auto_grid(counts: GraphCounts, eta: float = 0.2, per_decade: int = 60) -> np
     """Log-spaced grid from the 10th Neumann eigenvalue to the eta-quantile cutoff.
 
     The cutoff lambda_ceil(eta*n) marks the part of the discrete spectrum
-    trusted to approximate the continuum.  Both ends are found together
-    by log-space multisection on N_N to 1e-4 relative width, whatever the
-    backend of ``counts``.  Until an end has a lower bracket, each pass
-    counts a ladder down to about 4.8e-7 times its upper one, so an end
-    up to 69 decades below the Gershgorin bound converges.  The grid has
-    per_decade points a decade, at least 16 and at most MAX_GRID_POINTS.
+    trusted to approximate the continuum.  Both ends are found together by
+    log-space multisection to 1e-4 relative width on the block counter's
+    N_N at x (1 + eps_shift), whatever the backend of ``counts``, dropping
+    counts not clear of their rounding.  Until an end has a lower bracket,
+    each pass counts a ladder down to about 4.8e-7 times its upper one, so
+    an end up to 69 decades below the Gershgorin bound converges.  The
+    grid has per_decade points a decade, at least 16 and at most MAX_GRID_POINTS.
     """
     n = counts.n
     k_lo = min(10, n - 1)
     k_hi = max(k_lo + 1, min(n, math.ceil(eta * n)))
-    _, (x_lo, x_hi) = _bisect_quantiles(lambda xs: (counts.count(xs)[1], True), (k_lo, k_hi),
-                                        counts.lambda_max, lookahead=True)
+    blocks, shift = counts._blocks, 1.0 + counts.eps_shift
+    _, (x_lo, x_hi) = _bisect_quantiles(lambda xs: [a[1] for a in blocks.try_count(xs * shift)],
+                                        (k_lo, k_hi), counts.lambda_max, lookahead=True)
     if x_hi <= x_lo * (1.0 + 1e-9):
         raise InsufficientDataError(
             f"degenerate grid window [{x_lo:g}, {x_hi:g}]; the graph is too small"
@@ -213,8 +216,8 @@ def _bisect_quantiles(count, ks, upper: float, rtol: float = 1e-4,
     and the smallest with N(x) >= k.  N is exact and monotone, so every
     clear point narrows every bracket it falls in; counts that are not
     clear are dropped, not nudged.  A bracket that a pass leaves unchanged
-    stops at its width, and one still open after max_passes passes or with
-    no clear count below it (lo = 0) raises ConvergenceError.
+    stops at its width; one still open after max_passes passes or with no
+    clear count below it (lo = 0) raises ConvergenceError that counts the drops.
 
     With ``lookahead``, counts are kept by threshold, and a pass that must
     count also counts the points of every bracket the next pass can have
@@ -231,6 +234,7 @@ def _bisect_quantiles(count, ks, upper: float, rtol: float = 1e-4,
     lo, hi = np.zeros(ks.size), np.full(ks.size, upper * 1.0001)
     stopped = np.zeros(ks.size, dtype=bool)
     known = {}      # threshold -> (N, clear), counted ahead
+    dropped = 0     # counts not clear of their rounding
     for passes in range(max_passes + 1):
         open_ = (hi >= lo * (1.0 + rtol)) & ~stopped
         if passes == max_passes or not open_.any():
@@ -242,6 +246,7 @@ def _bisect_quantiles(count, ks, upper: float, rtol: float = 1e-4,
         else:
             n, clear = count(xs)
         keep = np.broadcast_to(clear, xs.shape)
+        dropped += int(np.count_nonzero(~keep))
         xs, n = xs[keep], np.asarray(n)[keep]
         # the last x with N(x) < k and the first with N(x) >= k, by suffix
         # minima and prefix maxima of N in any order; 0 and inf stand for none
@@ -256,7 +261,8 @@ def _bisect_quantiles(count, ks, upper: float, rtol: float = 1e-4,
         i = int(np.argmax(failed))
         raise ConvergenceError(f"multisection for the {ks[i]}-th eigenvalue stopped at "
                                f"[{lo[i]:g}, {hi[i]:g}] after {passes} passes, starting "
-                               f"from the bound {upper:g}")
+                               f"from the bound {upper:g}; {dropped} counts were dropped "
+                               "as not clear of their rounding")
     return lo, hi
 
 
@@ -274,21 +280,15 @@ def _count_ahead(count, xs: np.ndarray, known: dict, lo: np.ndarray, ends: np.nd
     After this pass an open bracket (lo, hi) with section ends ``ends``
     is one of its sections (ends[i], ends[i + 1]), i >= 1, or
     (lo, ends[1]); the points of those that stay open are formed as the
-    next pass forms them.  If that batch raises, a point the next pass
-    may never ask for can be at fault, so only xs is counted: what raises
-    then is what a pass without the lookahead raises.
+    next pass forms them.  A point looked ahead at that is not clear is
+    kept as such, and dropped only if a pass asks for it.
     """
-    todo = xs[[x not in known for x in xs.tolist()]]
-    if todo.size:
+    if any(x not in known for x in xs.tolist()):
         a, b = np.column_stack((lo, ends[:, 1:-1])).ravel(), ends[:, 1:].ravel()
         stays_open = b >= a * (1.0 + rtol)
-        batch = np.union1d(todo, _section_ends(a[stays_open], b[stays_open])[:, 1:-1])
+        batch = np.union1d(xs, _section_ends(a[stays_open], b[stays_open])[:, 1:-1])
         batch = batch[[x not in known for x in batch.tolist()]]
-        try:
-            n, clear = count(batch)
-        except ThresholdAtEigenvalueError:
-            batch = todo
-            n, clear = count(batch)
+        n, clear = count(batch)
         known.update(zip(batch.tolist(), zip(np.asarray(n).tolist(),
                                              np.broadcast_to(clear, batch.shape).tolist())))
     n, clear = zip(*(known[x] for x in xs.tolist()))

@@ -30,8 +30,8 @@ factorization is exactly singular, had to interchange rows, or has a
 pivot magnitude under SMALL_PIVOT_REL * max|L|, or when one of the block
 counter's scalar pivots is within PIVOT_ROUNDING (16 eps) times the
 summed magnitudes of the terms that formed it, which bounds its rounding
-whatever the scale of its level.  The threshold is then nudged up by
-10 * eps_shift relatively and the elimination retried.
+whatever the scale of its level.  count_below then nudges x up by 10 *
+eps_shift relatively and retries; analysis's multisections drop it.
 
 The backends are cross-validated against each other in the test suite on
 every pencil family the package produces; InertiaCounter is the

@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import connected_components
 from .assembly import Pencil
 from .errors import ConnectivityError, ConvergenceError, DomainError, LevelError
 from .geometry import check_graph_args, check_memory, enumerate_words, level_scales
-from .sequences import MatchingSequence, resistance_dimension, scale_factors
+from .sequences import MatchingSequence, resistance_dimension
 
 # The largest deviation from 2/3 that compatibility_check accepts.
 COMPATIBILITY_TOL = 1e-9
@@ -298,8 +298,7 @@ def cell_diameter_scaling(
     slope_raw = float(np.polyfit(js, logs, 1)[0]) if j_max >= 1 else float("nan")
     limit = seq.limit_r
     if limit is not None and j_max >= 1:
-        drift = np.concatenate(([1.0], scale_factors(seq, j_max).partial_products[:j_max]))
-        slope = float(np.polyfit(js, logs - np.log(drift), 1)[0])
+        slope = float(np.polyfit(js, logs - np.log(delta / limit ** js), 1)[0])
         predicted = resistance_dimension(limit)
     else:
         slope = slope_raw

@@ -291,13 +291,13 @@ class TestAutoGrid:
         g = build_graph(seq, m, s, 0.25)
         p = assemble_neumann(g)
         counted = []
-        count_below = BlockInertiaCounter.count_below
+        try_count = BlockInertiaCounter.try_count
 
         def spy(self, x, *args, **kwargs):
             counted.extend(np.ravel(x))
-            return count_below(self, x, *args, **kwargs)
+            return try_count(self, x, *args, **kwargs)
 
-        monkeypatch.setattr(BlockInertiaCounter, "count_below", spy)
+        monkeypatch.setattr(BlockInertiaCounter, "try_count", spy)
         grid = auto_grid(GraphCounts(seq, m, s, 0.25, "inertia"))
         assert 0 < max(counted) <= lambda_max_bound(p)
         ev = eig_dense(p).eigenvalues
@@ -338,6 +338,54 @@ class TestAutoGrid:
         # with nothing clear no bracket can narrow, and none has a lower end
         with pytest.raises(ConvergenceError, match=r"the 1-th eigenvalue stopped at \[0, "):
             analysis._bisect_quantiles(lambda xs: (xs >= 1.0, False), (1,), 1e3, rtol=1e-13)
+
+    def test_unclear_grid_count_is_dropped_not_nudged(self, monkeypatch):
+        # one point of the first pass's ladder comes back not clear: the grid
+        # search drops it, as the spectrum does, and never calls count_below,
+        # which would nudge it; both ends still converge
+        counts = GraphCounts(SEQ, 4, 2, 0.25)
+        hi = np.full(1, counts.lambda_max * 1.0001)
+        point = analysis._section_ends(np.zeros(1), hi)[0, 4] * (1.0 + EPS_SHIFT)
+        try_count, marked = BlockInertiaCounter.try_count, []
+
+        def unclear_at_point(self, x, *args, **kwargs):
+            n, clear = try_count(self, x, *args, **kwargs)
+            at = x == point
+            marked.extend(x[at].tolist())
+            clear[:, at] = False
+            return n, clear
+
+        def nudge(*args, **kwargs):
+            raise AssertionError("the grid search nudged a count")
+
+        monkeypatch.setattr(BlockInertiaCounter, "try_count", unclear_at_point)
+        monkeypatch.setattr(BlockInertiaCounter, "count_below", nudge)
+        grid = auto_grid(counts)
+        monkeypatch.undo()
+        assert marked == [point]
+        for end, k in zip((grid[0], grid[-1]), grid_quantiles(counts.n)):
+            assert counts.count([end])[1, 0] >= k > counts.count([end / (1 + 1e-4)])[1, 0]
+
+    def test_low_ratio_grid_counts(self):
+        # constant(0.05) at level 8: the grid search once nudged an unclear
+        # count three times and raised; it drops it now, and a seeded sample
+        # of the counts agrees with SuperLU on the assembled pencils (grid[0]
+        # lies within 1e-4 of lambda_10, where SuperLU's pivot test fails)
+        exp = run_counting_experiment(constant(0.05), 8, 2, 0.25)
+        assert exp.fit.passed
+        p_n = assemble_neumann(exp.graph)
+        superlu = [InertiaCounter(p) for p in (apply_dirichlet(p_n, exp.graph, "v0"), p_n)]
+        picks = np.random.default_rng(8).choice(np.arange(1, len(exp.samples)), 6, replace=False)
+        for smp in (exp.samples[i] for i in sorted(picks)):
+            want = [c.count_below(smp.x * (1.0 + EPS_SHIFT), EPS_SHIFT).count for c in superlu]
+            assert [smp.n_dirichlet, smp.n_neumann] == want
+
+    def test_convergence_error_counts_the_dropped(self):
+        # at constant(0.05), level 14, the counts near the 10th eigenvalue are
+        # not clear of their rounding; the error says how many were dropped
+        with pytest.raises(ConvergenceError, match=r"the 10-th eigenvalue stopped at \[0, .*; "
+                           r"[1-9]\d* counts were dropped as not clear of their rounding"):
+            auto_grid(GraphCounts(constant(0.05), 14, 2, 0.25))
 
     @pytest.mark.parametrize("m", [19, 20])
     def test_ends_at_depth(self, m):
