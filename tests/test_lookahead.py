@@ -152,11 +152,14 @@ def test_lookahead_point_on_an_eigenvalue(reference):
     assert np.array_equal(auto_grid(GraphCounts(seq, m, s, beta)), want)
 
 
-def step_counts(steps, asked):
-    """Counts of a spectrum with eigenvalues at steps, each batch logged in asked."""
+def step_counts(steps, asked, unclear=None):
+    """Counts of a spectrum with eigenvalues at steps, each batch logged in
+    asked; the count at the threshold unclear is not clear of its rounding,
+    and wrong: it reads every eigenvalue as below it."""
     def count(xs):
         asked.append(xs.tolist())
-        return np.searchsorted(steps, xs, side="right"), True
+        n = np.searchsorted(steps, xs, side="right")
+        return np.where(xs == unclear, len(steps), n), xs != unclear
     return count
 
 
@@ -179,6 +182,36 @@ class TestLookahead:
         got, asked = self.points(steps, ks, True)
         assert np.array_equal(got, want)
         assert len(asked) == (len(asked_ref) + 1) // 2
+
+    def test_an_unclear_point_only_looked_ahead_at_is_not_dropped(self, steps, ks):
+        # no pass asks for it, so it narrows nothing and fails nothing
+        want, asked_ref = self.points(steps, ks, False)
+        _, asked = self.points(steps, ks, True)
+        ahead = sorted(set(sum(asked, [])) - set(sum(asked_ref, [])))
+        unclear = ahead[len(ahead) // 2]
+        got = analysis._bisect_quantiles(step_counts(steps, [], unclear), ks, self.UPPER,
+                                         lookahead=True)
+        assert np.array_equal(got, want)
+
+    def test_an_unclear_point_a_pass_asks_for_is_dropped_as_without_lookahead(self, steps, ks):
+        # the same brackets either way, and, cut off after three passes, the
+        # same error counting the one drop
+        _, asked_ref = self.points(steps, ks, False)
+        unclear = asked_ref[2][3]
+        got = [analysis._bisect_quantiles(step_counts(steps, [], unclear), ks, self.UPPER,
+                                          lookahead=lookahead) for lookahead in (False, True)]
+        assert np.array_equal(got[0], got[1])
+        lo, hi = got[0]
+        eigenvalues = np.take(steps, np.subtract(ks, 1))
+        assert np.all((lo < eigenvalues) & (eigenvalues <= hi))
+        errors = []
+        for lookahead in (False, True):
+            with pytest.raises(ConvergenceError,
+                               match="after 3 passes.*; 1 counts were dropped") as exc:
+                analysis._bisect_quantiles(step_counts(steps, [], unclear), ks, self.UPPER,
+                                           max_passes=3, lookahead=lookahead)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("m, backend, level", [(3, "inertia", None), (5, "auto", None),
