@@ -16,13 +16,15 @@ a pencil or a backend name; auto_grid finds its ends by a log-space
 multisection on the block counter's N_N under either backend, so the
 two backends give the same grid.  Its passes are narrow (two brackets),
 and a block elimination costs about the same for a few points as for a
-hundred, so each call also counts every point the next pass can ask for,
-and half the passes count nothing; a count depends only on its own
-threshold, so the grid is the same as with one call a pass.  The block
-counter's set-up check rides in its first call.  The same multisection
-on it gives the spectrum without the graph (eigenvalue_brackets,
-eigenvalue_groups), one call a pass: its passes are wide.  Both drop the
-counts that are not clear of their rounding, and never nudge them.
+hundred, so each pass cuts every open bracket into 64 log-uniform
+sections, whose ends lo (hi / lo)**(j / 64) are closed forms, and counts
+them in one call: a first pass of 63 points and two of 126 narrow both
+ends to 1e-4 when they lie within the first pass's ladder.
+The block counter's set-up check rides in its first call.  The same
+multisection on it, 8 sections a pass, gives the spectrum without the
+graph (eigenvalue_brackets, eigenvalue_groups): its passes are wide.
+Both drop the counts that are not clear of their rounding, and never
+nudge them.
 
 The bracketing check sandwiches the counting functions between the
 component sums of the level-j decoupled forms: grounding V_j can only
@@ -86,15 +88,18 @@ class CountingSample:
 # The most points auto_grid lays out, whatever the window's width in decades.
 MAX_GRID_POINTS = 400
 # Sections of one open grid-end bracket per pass: SECTIONS - 1 log-uniform
-# points cut it into SECTIONS, each 1/SECTIONS of its log width.  A bracket
-# without a lower end yet is cut on [hi * SECTIONS**-SECTIONS, hi], a
-# ladder of hi / SECTIONS**i down to about 4.8e-7 * hi, so no pass counts
-# near x = 0, where the Neumann zero eigenvalue stops block elimination.
-# With the lookahead a call counts SECTIONS - 1 points of each bracket and
-# SECTIONS (SECTIONS - 1) of each bracket the next pass can have: 126 for
-# auto_grid's two ends.
-SECTIONS = 8
-# Passes of the grid-end multisection before it raises ConvergenceError.
+# points cut it into SECTIONS, each 1/SECTIONS of its log width, 126 points
+# for auto_grid's two ends, which one block elimination counts for about
+# the cost of a few.
+SECTIONS = 64
+# A bracket without a lower end yet is cut on [hi * LADDER, hi]: for the
+# grid a ladder of hi * 8**(-j/8) down to about 7.7e-8 * hi, so no pass
+# counts near x = 0, where the Neumann zero eigenvalue stops block elimination.
+LADDER = 8.0 ** -8
+# Passes of the grid-end multisection before it raises ConvergenceError: a
+# ladder reaches 63/8 powers of 8 (7.1 decades) below its top and two passes
+# narrow one of its sections to 1e-4, so 16 leave room for 13 ladders and 3
+# narrowing passes, and ends up to 90 decades below the bound converge.
 MAX_PASSES = 16
 
 
@@ -183,17 +188,16 @@ def auto_grid(counts: GraphCounts, eta: float = 0.2, per_decade: int = 60) -> np
     trusted to approximate the continuum.  Both ends are found together by
     log-space multisection to 1e-4 relative width on the block counter's
     N_N at x (1 + eps_shift), whatever the backend of ``counts``, dropping
-    counts not clear of their rounding.  Until an end has a lower bracket,
-    each pass counts a ladder down to about 4.8e-7 times its upper one, so
-    an end up to 69 decades below the Gershgorin bound converges.  The
-    grid has per_decade points a decade, at least 16 and at most MAX_GRID_POINTS.
+    counts not clear of their rounding (``_grid_ends``).  Each pass cuts
+    every open bracket into SECTIONS log-uniform sections; until an end has
+    a lower bracket, its pass counts a ladder down to 8**(-63/8), about
+    7.7e-8, times its upper one, so an end up to 90 decades below the
+    Gershgorin bound converges.  The grid has per_decade points a decade,
+    at least 16 and at most MAX_GRID_POINTS.
     """
-    n = counts.n
-    k_lo = min(10, n - 1)
-    k_hi = max(k_lo + 1, min(n, math.ceil(eta * n)))
     blocks, shift = counts._blocks, 1.0 + counts.eps_shift
-    _, (x_lo, x_hi) = _bisect_quantiles(lambda xs: [a[1] for a in blocks.try_count(xs * shift)],
-                                        (k_lo, k_hi), counts.lambda_max, lookahead=True)
+    x_lo, x_hi = _grid_ends(lambda xs: [a[1] for a in blocks.try_count(xs * shift)],
+                            counts.n, counts.lambda_max, eta)
     if x_hi <= x_lo * (1.0 + 1e-9):
         raise InsufficientDataError(
             f"degenerate grid window [{x_lo:g}, {x_hi:g}]; the graph is too small"
@@ -203,48 +207,49 @@ def auto_grid(counts: GraphCounts, eta: float = 0.2, per_decade: int = 60) -> np
     return np.geomspace(x_lo, x_hi, n_points)
 
 
+def _grid_ends(count, n: int, upper: float, eta: float) -> tuple[float, float]:
+    """auto_grid's ends: the upper ends of the brackets of lambda_10 and
+    lambda_ceil(eta n) of an n-vertex graph whose N_N is ``count`` and
+    whose eigenvalues lie below ``upper``, by ``_bisect_quantiles`` with
+    its defaults."""
+    k_lo = min(10, n - 1)
+    k_hi = max(k_lo + 1, min(n, math.ceil(eta * n)))
+    _, (x_lo, x_hi) = _bisect_quantiles(count, (k_lo, k_hi), upper)
+    return float(x_lo), float(x_hi)
+
+
 def _bisect_quantiles(count, ks, upper: float, rtol: float = 1e-4,
                       max_passes: int = MAX_PASSES,
-                      lookahead: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                      sections: int = SECTIONS) -> tuple[np.ndarray, np.ndarray]:
     """Brackets (lo, hi) of the smallest x with N(x) >= k for each k, by
-    log-space multisection to rtol relative width.
+    log-space multisection to rtol relative width; the defaults are auto_grid's.
 
     ``count`` maps sorted thresholds to N and whether each count is clear.
-    Each pass counts the SECTIONS - 1 log-uniform points of every open
-    bracket, with lo raised to hi * SECTIONS**-SECTIONS while it is 0, in
-    one call, then moves each k's ends to the largest clear x with N(x) < k
-    and the smallest with N(x) >= k.  N is exact and monotone, so every
-    clear point narrows every bracket it falls in; counts that are not
-    clear are dropped, not nudged.  A bracket that a pass leaves unchanged
-    stops at its width; one still open after max_passes passes or with no
-    clear count below it (lo = 0) raises ConvergenceError that counts the drops.
+    Each pass counts the ``sections - 1`` log-uniform points of every open
+    bracket (``_section_ends``) in one call, then moves each k's ends to
+    the largest clear x with N(x) < k and the smallest with N(x) >= k.  N
+    is exact and monotone, so every clear point narrows every bracket it
+    falls in; counts that are not clear are dropped, not nudged.  A
+    bracket that a pass leaves unchanged stops at its width; one still open
+    after max_passes passes or with no clear count below it (lo = 0)
+    raises ConvergenceError that counts the drops.
 
-    With ``lookahead``, counts are kept by threshold, and a pass that must
-    count also counts the points of every bracket the next pass can have
-    (``_count_ahead``), so the next pass usually counts nothing.  Each
-    count depends only on its own threshold, so the brackets are the same
-    as without it; overlapping brackets can make the next pass ask for a
-    point not counted ahead, which costs one more call.  It pays on
-    narrow passes, where a call's cost is its fixed overhead: auto_grid's
-    two ends.  On eigenvalue_brackets' wide passes it more than doubled
-    the time (level 10, k = 101: 0.069 s to 0.163 s).
+    A call's cost is mostly its fixed overhead on auto_grid's two narrow
+    ends, so they take 64 sections: a ladder pass of 63 points and two of
+    126 narrow both to 1e-4.  eigenvalue_brackets' passes are wide and take
+    8: with 64 the full level-6 spectrum took 0.24 s in place of 0.066 s.
     """
     ks = np.asarray(ks)
     # above the Gershgorin bound N = n, and no caller asks for a k above n
     lo, hi = np.zeros(ks.size), np.full(ks.size, upper * 1.0001)
     stopped = np.zeros(ks.size, dtype=bool)
-    known = {}      # threshold -> (N, clear), counted ahead
     dropped = 0     # counts not clear of their rounding
     for passes in range(max_passes + 1):
         open_ = (hi >= lo * (1.0 + rtol)) & ~stopped
         if passes == max_passes or not open_.any():
             break
-        ends = _section_ends(lo[open_], hi[open_])
-        xs = np.unique(ends[:, 1:-1])
-        if lookahead:
-            n, clear = _count_ahead(count, xs, known, lo[open_], ends, rtol)
-        else:
-            n, clear = count(xs)
+        xs = np.unique(_section_ends(lo[open_], hi[open_], sections))
+        n, clear = count(xs)
         keep = np.broadcast_to(clear, xs.shape)
         dropped += int(np.count_nonzero(~keep))
         xs, n = xs[keep], np.asarray(n)[keep]
@@ -266,33 +271,12 @@ def _bisect_quantiles(count, ks, upper: float, rtol: float = 1e-4,
     return lo, hi
 
 
-def _section_ends(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The SECTIONS + 1 log-uniform section ends of each bracket (lo, hi),
-    one row a bracket, with lo raised to hi * SECTIONS**-SECTIONS."""
-    return np.geomspace(np.maximum(lo, hi * SECTIONS ** -SECTIONS), hi, SECTIONS + 1, axis=1)
-
-
-def _count_ahead(count, xs: np.ndarray, known: dict, lo: np.ndarray, ends: np.ndarray,
-                 rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """count(xs) read from ``known``, with the thresholds not in it counted
-    in one call together with every point the next pass can ask for.
-
-    After this pass an open bracket (lo, hi) with section ends ``ends``
-    is one of its sections (ends[i], ends[i + 1]), i >= 1, or
-    (lo, ends[1]); the points of those that stay open are formed as the
-    next pass forms them.  A point looked ahead at that is not clear is
-    kept as such, and dropped only if a pass asks for it.
-    """
-    if any(x not in known for x in xs.tolist()):
-        a, b = np.column_stack((lo, ends[:, 1:-1])).ravel(), ends[:, 1:].ravel()
-        stays_open = b >= a * (1.0 + rtol)
-        batch = np.union1d(xs, _section_ends(a[stays_open], b[stays_open])[:, 1:-1])
-        batch = batch[[x not in known for x in batch.tolist()]]
-        n, clear = count(batch)
-        known.update(zip(batch.tolist(), zip(np.asarray(n).tolist(),
-                                             np.broadcast_to(clear, batch.shape).tolist())))
-    n, clear = zip(*(known[x] for x in xs.tolist()))
-    return np.array(n), np.array(clear)
+def _section_ends(lo: np.ndarray, hi: np.ndarray, sections: int) -> np.ndarray:
+    """The interior section ends lo (hi / lo)**(j / sections), j = 1 ..
+    sections - 1, of each bracket (lo, hi), one row a bracket, with lo
+    raised to hi * LADDER."""
+    lo = np.maximum(lo, hi * LADDER)
+    return lo[:, None] * (hi / lo)[:, None] ** (np.arange(1, sections) / sections)
 
 
 def eigenvalue_brackets(seq: MatchingSequence, m: int, s: int, beta: float,
@@ -308,10 +292,11 @@ def eigenvalue_brackets(seq: MatchingSequence, m: int, s: int, beta: float,
     counter = BlockInertiaCounter(seq, m, s, beta)
     out = []
     for row, first, n in ((1, 2, counter.n), (0, 1, counter.n - 3)):    # N_N, then N_D
-        # MAX_PASSES passes reach below lambda_1 from the bound, as many narrow
+        # 8 sections a pass; MAX_PASSES passes of them reach below lambda_1
+        # from the bound, as many narrow
         ends = _bisect_quantiles(lambda xs: [a[row] for a in counter.try_count(xs)],
                                  np.arange(first, min(k, n) + 1), counter.lambda_max,
-                                 rtol=1e-13, max_passes=2 * MAX_PASSES)
+                                 rtol=1e-13, max_passes=2 * MAX_PASSES, sections=8)
         # crossed ends (counts that disagree near a cluster) bound it; the
         # Neumann lambda_1 comes first as 0
         out.append(tuple(np.pad(f(ends, axis=0), (first - 1, 0)) for f in (np.min, np.max)))

@@ -306,18 +306,19 @@ class TestAutoGrid:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_unconverged_end_raises(self, k):
-        # a pass without a lower end reaches down to SECTIONS**-(SECTIONS - 1)
-        # of its top, so steps of N at 2**-90 and 2**-85 of the bound converge;
-        # steps below what MAX_PASSES such passes reach do not
+        # with auto_grid's settings a pass without a lower end reaches 63/8
+        # powers of 8 (7.1 decades) below its top, so steps of N 90 and 85
+        # decades below the bound converge; steps below what MAX_PASSES such
+        # passes reach do not
         upper = 1e6
-        steps = [upper * 2.0 ** -90, upper * 2.0 ** -85]
+        steps = [upper * 1e-90, upper * 1e-85]
 
         def step_count(steps):
             return lambda xs: ([sum(x >= t for t in steps) for x in xs], True)
 
         _, ends = analysis._bisect_quantiles(step_count(steps), (1, 2), upper)
         assert all(t <= e < t * (1 + 1e-4) for e, t in zip(ends, steps))
-        reach = upper * analysis.SECTIONS ** (-(analysis.SECTIONS - 1) * analysis.MAX_PASSES)
+        reach = upper * 8.0 ** (-63 / 8 * analysis.MAX_PASSES)
         with pytest.raises(ConvergenceError, match=rf"the {k}-th eigenvalue .* after "
                            rf"{analysis.MAX_PASSES} passes"):
             analysis._bisect_quantiles(step_count([reach / 4, reach / 2]), (k,), upper)
@@ -345,7 +346,8 @@ class TestAutoGrid:
         # which would nudge it; both ends still converge
         counts = GraphCounts(SEQ, 4, 2, 0.25)
         hi = np.full(1, counts.lambda_max * 1.0001)
-        point = analysis._section_ends(np.zeros(1), hi)[0, 4] * (1.0 + EPS_SHIFT)
+        point = analysis._section_ends(np.zeros(1), hi, analysis.SECTIONS)[0, 31]
+        point *= 1.0 + EPS_SHIFT
         try_count, marked = BlockInertiaCounter.try_count, []
 
         def unclear_at_point(self, x, *args, **kwargs):
@@ -658,9 +660,9 @@ class TestExperimentPipeline:
             return [c.count_below(x * (1.0 + EPS_SHIFT), EPS_SHIFT).count for c in superlu]
 
         grid = [smp.x for smp in exp.samples]
-        _, ends = analysis._bisect_quantiles(lambda xs: ([count(x)[1] for x in xs], True),
-                                             grid_quantiles(p_n.n), lambda_max_bound(p_n))
-        assert [grid[0], grid[-1]] == ends.tolist()
+        ends = analysis._grid_ends(lambda xs: ([count(x)[1] for x in xs], True),
+                                   p_n.n, lambda_max_bound(p_n), 0.2)
+        assert (grid[0], grid[-1]) == ends
         samples = [CountingSample(x, *count(x)) for x in grid]
         if bracket_level is not None:
             sums = component_sums(exp.graph, bracket_level, grid)
