@@ -19,12 +19,12 @@ and a block elimination costs about the same for a few points as for a
 hundred, so each pass cuts every open bracket into 64 log-uniform
 sections, whose ends lo (hi / lo)**(j / 64) are closed forms, and counts
 them in one call: a first pass of 63 points and two of 126 narrow both
-ends to 1e-4 when they lie within the first pass's ladder.
-The block counter's set-up check rides in its first call.  The same
-multisection on it, 8 sections a pass, gives the spectrum without the
-graph (eigenvalue_brackets, eigenvalue_groups): its passes are wide.
-Both drop the counts that are not clear of their rounding, and never
-nudge them.
+ends to 1e-4 when they lie within the first pass's ladder.  The block
+counter's set-up check rides in its first call.  The same multisection
+on it, 8 sections a pass, gives the spectrum without the graph
+(eigenvalue_brackets, eigenvalue_groups): its passes are wide.  Both
+drop the counts that are not clear of their rounding, and never nudge
+them.
 
 The bracketing check sandwiches the counting functions between the
 component sums of the level-j decoupled forms: grounding V_j can only
