@@ -192,12 +192,14 @@ def test_spectrum_matches_geomspace_sections(multisection, seq, m, s, beta, _):
         assert np.allclose(hi, hi_ref, rtol=1e-12, atol=0.0)
 
 
-def step_counts(steps, asked):
-    """Counts of a spectrum with eigenvalues at steps, all clear, each
-    batch logged in asked."""
+def step_counts(steps, asked, unclear=None):
+    """Counts of a spectrum with eigenvalues at steps, each batch logged in
+    asked; the count at the threshold unclear is not clear of its rounding,
+    and wrong: it reads every eigenvalue as below it."""
     def count(xs):
-        asked.append(xs.size)
-        return np.searchsorted(steps, xs, side="right"), True
+        asked.append(xs.copy())
+        n = np.searchsorted(steps, xs, side="right")
+        return np.where(xs == unclear, len(steps), n), xs != unclear
     return count
 
 
@@ -213,7 +215,38 @@ def test_passes_bracket_the_steps(steps, ks, batches):
     lo, hi = analysis._bisect_quantiles(step_counts(steps, asked), ks, 100.0)
     eigenvalues = np.take(steps, np.subtract(ks, 1))
     assert np.all((lo < eigenvalues) & (eigenvalues <= hi) & (hi < lo * (1 + 1e-4)))
-    assert asked == batches
+    assert [xs.size for xs in asked] == batches
+
+
+@pytest.mark.parametrize("steps, ks", [([0.3, 1.7, 2.9, 41.0], (1, 3)),
+                                       ([1e-9, 3e-8, 2.9, 41.0], (1, 2))],
+                         ids=["ladder", "deep"])
+def test_an_unclear_point_is_dropped_not_nudged(steps, ks):
+    # the second pass's last point below the first eigenvalue, the lower end
+    # it would set, reads unclear: the bracket still holds the eigenvalue,
+    # and, cut off after two passes, the error counts the one drop
+    asked = []
+    analysis._bisect_quantiles(step_counts(steps, asked), ks, 100.0)
+    eigenvalues = np.take(steps, np.subtract(ks, 1))
+    unclear = asked[1][asked[1] < eigenvalues[0]].max()
+    lo, hi = analysis._bisect_quantiles(step_counts(steps, [], unclear), ks, 100.0)
+    assert np.all((lo < eigenvalues) & (eigenvalues <= hi) & (hi < lo * (1 + 1e-4)))
+    assert unclear not in lo and unclear not in hi
+    with pytest.raises(ConvergenceError, match="after 2 passes.*; 1 counts were dropped"):
+        analysis._bisect_quantiles(step_counts(steps, [], unclear), ks, 100.0, max_passes=2)
+
+
+def test_grid_point_on_an_eigenvalue(multisection):
+    # an 8-section pass counted with the 8 sections of each of its
+    # sub-brackets once raised ThresholdAtEigenvalueError here on a point
+    # no pass asked for; a 64-section pass counts those very points
+    seq, m, s, beta = constant(0.05333548754351021), 7, 3, 0.23029144652921052
+    want = multisection(lambda: analysis.auto_grid(GraphCounts(seq, m, s, beta)), True)[0]
+    got, _, drops = multisection(lambda: analysis.auto_grid(GraphCounts(seq, m, s, beta)),
+                                 False)
+    assert not isinstance(got, HanoiError), got
+    assert drops == 0
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
