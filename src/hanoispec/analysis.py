@@ -23,8 +23,8 @@ ends to 1e-4 when they lie within the first pass's ladder.  The block
 counter's set-up check rides in its first call.  The same multisection
 on it, 8 sections a pass, gives the spectrum without the graph
 (eigenvalue_brackets, eigenvalue_groups): its passes are wide.  Both
-drop the counts that are not clear of their rounding, and never nudge
-them.
+drop the counts that are not clear of their rounding, counting_function
+raises on a sample's, and none is nudged.
 
 The bracketing check sandwiches the counting functions between the
 component sums of the level-j decoupled forms: grounding V_j can only
@@ -143,17 +143,22 @@ class GraphCounts:
 
     def count(self, xs, level: Optional[int] = None) -> np.ndarray:
         """Rows N_D and N_N, #{lambda <= x} at each threshold x; with a
-        bracketing level j, 1 <= j < m, then lowerSum_j and upperSum_j."""
+        bracketing level j, 1 <= j < m, then lowerSum_j and upperSum_j.
+        A block-elimination count it uses (only the sums under ``dense``)
+        not clear of its rounding raises ThresholdAtEigenvalueError."""
         if level is not None:
             _check_bracketing(self.m, self.s, level)
         xs = np.asarray(xs, dtype=float)
-        shifted = xs * (1.0 + self.eps_shift)
-        if self._spectra is None:
-            return np.array(self._blocks.count_below(shifted, self.eps_shift, level))
-        rows = [spec.count_leq(xs, self.eps_shift) for spec in self._spectra]
-        if level is not None:
-            rows += self._blocks.count_below(shifted, self.eps_shift, level)[2:]
-        return np.array(rows)
+        rows = [spec.count_leq(xs, self.eps_shift) for spec in self._spectra or ()]
+        if self._spectra is not None and level is None:
+            return np.array(rows)
+        counts, clear = self._blocks.try_count(xs * (1.0 + self.eps_shift), level)
+        unclear = ~clear[len(rows):].all(axis=0)
+        if unclear.any():
+            raise ThresholdAtEigenvalueError(
+                f"the count at x = {float(xs[np.argmax(unclear)])} is not clear of its "
+                "rounding; x sits numerically on an eigenvalue")
+        return np.array(rows + list(counts[len(rows):]))
 
 
 def counting_function(
@@ -188,7 +193,8 @@ def auto_grid(counts: GraphCounts, eta: float = 0.2, per_decade: int = 60) -> np
     trusted to approximate the continuum.  Both ends are found together by
     log-space multisection to 1e-4 relative width on the block counter's
     N_N at x (1 + eps_shift), whatever the backend of ``counts``, dropping
-    counts not clear of their rounding (``_grid_ends``).  Each pass cuts
+    counts not clear of their rounding (``_grid_ends``); an end whose
+    bracket a pass leaves unchanged stops wider, silently.  Each pass cuts
     every open bracket into SECTIONS log-uniform sections; until an end has
     a lower bracket, its pass counts a ladder down to 8**(-63/8), about
     7.7e-8, times its upper one, so an end up to 90 decades below the

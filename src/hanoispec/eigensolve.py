@@ -27,11 +27,11 @@ Two backends:
 
 A threshold x sits numerically on an eigenvalue when InertiaCounter's
 factorization is exactly singular, had to interchange rows, or has a
-pivot magnitude under SMALL_PIVOT_REL * max|L|, or when one of the block
-counter's scalar pivots is within PIVOT_ROUNDING (16 eps) times the
-summed magnitudes of the terms that formed it, which bounds its rounding
-whatever the scale of its level.  count_below then nudges x up by 10 *
-eps_shift relatively and retries; analysis's multisections drop it.
+pivot magnitude under SMALL_PIVOT_REL * max|L|; count_below then nudges
+x up by 10 * eps_shift and retries.  A block-counter count is flagged
+when a scalar pivot it rests on is within PIVOT_ROUNDING (16 eps) times
+the summed magnitudes of the terms that formed it, a bound on its
+rounding at any level's scale; analysis drops or raises on such a count.
 
 The backends are cross-validated against each other in the test suite on
 every pencil family the package produces; InertiaCounter is the
@@ -62,7 +62,7 @@ from .sequences import MatchingSequence
 DENSE_LIMIT = 4000
 EPS_SHIFT = 1e-9
 SMALL_PIVOT_REL = 1e-12
-# Nudges of a threshold that sits numerically on an eigenvalue before it fails.
+# InertiaCounter's nudges of a threshold on an eigenvalue before it fails.
 RETRIES = 3
 # Counts are int64: a graph with more vertices than this is not counted.
 COUNT_MAX = int(np.iinfo(np.int64).max)
@@ -216,7 +216,7 @@ class InertiaCounter:
                 return InertiaResult(xt, count, attempt == 0)
             xt = xt * (1.0 + 10.0 * eps_shift)
         raise ThresholdAtEigenvalueError(
-            f"threshold {x!r} sits on an eigenvalue: {RETRIES} retries with relative "
+            f"threshold {float(x)} sits on an eigenvalue: {RETRIES} retries with relative "
             f"shift {10 * eps_shift:g} all hit a singular or row-interchanged factorization "
             f"or a pivot below {self.pivot_tol:.3e}"
         )
@@ -296,8 +296,8 @@ class BlockInertiaCounter:
     w and sigma of S_j and S_0 are near-singular when their magnitude is
     at most PIVOT_ROUNDING times the summed magnitudes of the terms that
     formed them; those of w and sigma are carried through the levels.
-    ``count_below`` then nudges the threshold as InertiaCounter does, for
-    each count only on the pivots it depends on.
+    ``try_count`` flags each count on the pivots it depends on and never
+    moves the threshold: a nudge does not undo rounding built up over levels.
     """
 
     def __init__(self, seq: MatchingSequence, m: int, s: int, beta: float):
@@ -393,11 +393,19 @@ class BlockInertiaCounter:
         """One pass at thresholds x: (counts, clear), one row per count.
 
         The rows are N_D and N_N, then lowerSum_j and upperSum_j for a
-        bracketing level j; clear says where each count's pivots were all
-        clear of their rounding.  The first call also counts at
-        -1 - lambda_max, where every pivot must come out positive and
-        clear, and raises ConvergenceError if N_N is not a clear 0 there.
+        bracketing level j, 1 <= j <= m; clear says where each count's
+        pivots were all clear of their rounding.  The first call also
+        counts at -1 - lambda_max, where every pivot must come out positive
+        and clear, and raises ConvergenceError if N_N is not a clear 0 there.
         """
+        if level is not None:
+            m = self.seg_conductance.size
+            if not 1 <= level <= m:
+                raise LevelError(f"bracketing level {level} outside 1..{m}")
+            # a sum counts at most the n + 3^(j+1) - 3 vertices of the level-j decoupled form
+            if self.n + 3 ** (level + 1) - 3 > COUNT_MAX:
+                raise LevelError(f"the level-{level} bracketing sums of the level-{m} graph "
+                                 f"can exceed what int64 counts hold ({COUNT_MAX})")
         set_up = not self._set_up
         if set_up:
             x = np.concatenate(([-1.0 - self.lambda_max], x))
@@ -414,45 +422,6 @@ class BlockInertiaCounter:
             self._set_up = True
             counts, oks = counts[:, 1:], oks[:, 1:]
         return counts, oks
-
-    def count_below(self, x, eps_shift: float = EPS_SHIFT, level: Optional[int] = None):
-        """(N_D, N_N) strictly below each threshold, nudging x off near-singular shifts.
-
-        With a bracketing level j, 1 <= j <= m, (lowerSum_j, upperSum_j)
-        follow.  As in InertiaCounter.count_below, a threshold whose pass
-        hits a near-singular pivot is retried at x * (1 + 10 eps_shift),
-        each count only while its own pivots fail: N_D needs the
-        interior pivots clear, N_N also S_0.
-        """
-        m = self.seg_conductance.size
-        if level is not None and not 1 <= level <= m:
-            raise LevelError(f"bracketing level {level} outside 1..{m}")
-        # the most a count can reach: n, or the n + 3^(j+1) - 3 vertices of
-        # the level-j decoupled form
-        if level is not None and self.n + 3 ** (level + 1) - 3 > COUNT_MAX:
-            raise LevelError(f"the level-{level} bracketing sums of the level-{m} graph "
-                             f"can exceed what int64 counts hold ({COUNT_MAX})")
-        x = np.array(x, dtype=float).ravel()
-        rows = 2 if level is None else 4
-        counts = np.zeros((rows, x.size), dtype=np.int64)
-        todo = np.ones((rows, x.size), dtype=bool)
-        xt = x.copy()
-        for _ in range(RETRIES + 1):
-            idx = np.flatnonzero(todo.any(axis=0))
-            if idx.size == 0:
-                break
-            count, ok = self.try_count(xt[idx], level)
-            done = todo[:, idx] & ok
-            counts[:, idx] = np.where(done, count, counts[:, idx])
-            todo[:, idx] &= ~done
-            xt[idx] = xt[idx] * (1.0 + 10.0 * eps_shift)
-        if todo.any():
-            bad = x[np.flatnonzero(todo.any(axis=0))[0]]
-            raise ThresholdAtEigenvalueError(
-                f"threshold {bad!r} sits on an eigenvalue: {RETRIES} retries with relative "
-                f"shift {10 * eps_shift:g} all hit a near-singular pivot"
-            )
-        return tuple(counts)
 
 
 def _pivot(p: np.ndarray, mag: np.ndarray, clear: np.ndarray) -> np.ndarray:

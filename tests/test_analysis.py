@@ -36,6 +36,7 @@ from hanoispec.errors import (
     InsufficientDataError,
     LevelError,
     PencilSizeError,
+    ThresholdAtEigenvalueError,
 )
 from hanoispec.geometry import build_graph, enumerate_words
 from hanoispec.sequences import (
@@ -58,6 +59,23 @@ class TestCountingFunction:
         counts = GraphCounts(SEQ, 0, 1, 0.25, "dense")
         samples = counting_function(counts, [9.0])
         assert samples[0].n_neumann == 3  # right-continuous convention
+
+    def test_unclear_sample_raises_after_one_pass(self, monkeypatch):
+        # constant(0.05), level 10: the grid point 12936.65049545567 (one of
+        # the auto grid's 400) counts unclear at x (1 + eps_shift); the sample
+        # raises after that one pass, naming the grid's x, not the shifted one
+        counts = GraphCounts(constant(0.05), 10, 2, 0.25)
+        try_count, calls = BlockInertiaCounter.try_count, []
+
+        def spy(self, x, level=None):
+            calls.append(x.size)
+            return try_count(self, x, level)
+
+        monkeypatch.setattr(BlockInertiaCounter, "try_count", spy)
+        with pytest.raises(ThresholdAtEigenvalueError, match=r"the count at x = "
+                           r"12936\.65049545567 is not clear of its rounding"):
+            counting_function(counts, [12936.65049545567])
+        assert calls == [1]
 
     def test_backends_agree(self):
         grid = np.geomspace(1.0, 1e4, 25)
@@ -250,7 +268,7 @@ class TestBracketing:
     def test_bracketed_run_eliminates_its_grid_once(self, monkeypatch):
         # the grid's N_D, N_N and both sums come from one pass of one counter
         built, sizes = [], []
-        init, count_below = BlockInertiaCounter.__init__, BlockInertiaCounter.count_below
+        init, try_count = BlockInertiaCounter.__init__, BlockInertiaCounter.try_count
 
         def spy_init(self, *args, **kwargs):
             built.append(self)
@@ -258,10 +276,10 @@ class TestBracketing:
 
         def spy_count(self, x, *args, **kwargs):
             sizes.append(np.size(x))
-            return count_below(self, x, *args, **kwargs)
+            return try_count(self, x, *args, **kwargs)
 
         monkeypatch.setattr(BlockInertiaCounter, "__init__", spy_init)
-        monkeypatch.setattr(BlockInertiaCounter, "count_below", spy_count)
+        monkeypatch.setattr(BlockInertiaCounter, "try_count", spy_count)
         exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend="inertia", bracket_level=2)
         assert len(built) == 1
         assert sizes.count(len(exp.samples)) == 1
@@ -342,8 +360,8 @@ class TestAutoGrid:
 
     def test_unclear_grid_count_is_dropped_not_nudged(self, monkeypatch):
         # one point of the first pass's ladder comes back not clear: the grid
-        # search drops it, as the spectrum does, and never calls count_below,
-        # which would nudge it; both ends still converge
+        # search drops it, as the spectrum does, and counts no point twice;
+        # both ends still converge
         counts = GraphCounts(SEQ, 4, 2, 0.25)
         hi = np.full(1, counts.lambda_max * 1.0001)
         point = analysis._section_ends(np.zeros(1), hi, analysis.SECTIONS)[0, 31]
@@ -357,11 +375,7 @@ class TestAutoGrid:
             clear[:, at] = False
             return n, clear
 
-        def nudge(*args, **kwargs):
-            raise AssertionError("the grid search nudged a count")
-
         monkeypatch.setattr(BlockInertiaCounter, "try_count", unclear_at_point)
-        monkeypatch.setattr(BlockInertiaCounter, "count_below", nudge)
         grid = auto_grid(counts)
         monkeypatch.undo()
         assert marked == [point]

@@ -402,6 +402,16 @@ class TestCountingCommand:
         lines = (outdir / "counting.csv").read_text().splitlines()
         assert lines[1] == "x,n_dirichlet,n_neumann,lower_sum,upper_sum,weyl_ratio"
 
+    def test_unclear_sample_exits_2_naming_its_x(self, tmp_path, capsys):
+        # constant(0.05), level 10: this grid point's count is not clear of
+        # its rounding; the error names it as the grid holds it
+        cfg = base_config(tmp_path / "out", level=10, sequence={"kind": "constant", "r": 0.05},
+                          grid={"mode": "explicit", "values": [12936.65049545567]})
+        assert main(["counting", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "the count at x = 12936.65049545567 is not clear of its rounding" in err
+        assert "np.float64" not in err
+
     def test_svg_well_formed(self, tmp_path):
         code, outdir = self._run(tmp_path, fit={"n_min": 10, "eta": 0.2,
                                                 "slope_tol": 0.2})

@@ -9,7 +9,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from hanoispec import eigensolve
-from hanoispec.analysis import eigenvalue_brackets, eigenvalue_groups, free_path_pencil
+from hanoispec.analysis import (
+    GraphCounts,
+    eigenvalue_brackets,
+    eigenvalue_groups,
+    free_path_pencil,
+)
 from hanoispec.assembly import (
     Pencil,
     apply_dirichlet,
@@ -60,6 +65,14 @@ def fail_lapack(monkeypatch):
         raise np.linalg.LinAlgError("the algorithm failed to converge")
 
     monkeypatch.setattr(scipy.linalg, "eigh", fail)
+
+
+def block_counts(ctr: BlockInertiaCounter, x, level=None) -> tuple:
+    """The block counter's rows at thresholds x, from one try_count, each
+    count asserted clear of its rounding."""
+    counts, clear = ctr.try_count(np.asarray(x, dtype=float).ravel(), level)
+    assert clear.all()
+    return tuple(counts)
 
 
 class TestDense:
@@ -270,7 +283,7 @@ class TestBackendAgreement:
         for groups in counted_groups(g):
             grid += cluster_thresholds(groups)
         grid = np.array(grid)
-        nd, nn = BlockInertiaCounter(g.seq, g.m, g.s, g.beta).count_below(grid * (1 + 1e-9))
+        nd, nn = block_counts(BlockInertiaCounter(g.seq, g.m, g.s, g.beta), grid * (1 + 1e-9))
         assert nn.tolist() == [spec_n.count_leq(float(x)) for x in grid]
         assert nd.tolist() == [spec_d.count_leq(float(x)) if m else 0 for x in grid]
 
@@ -345,7 +358,7 @@ class TestBlockCounter:
         for groups in counted_groups(g):
             xs += cluster_thresholds(groups)
         xs = np.array(sorted(x for x in xs if x > 0))
-        nd, nn = BlockInertiaCounter(g.seq, g.m, g.s, g.beta).count_below(xs * (1 + EPS_SHIFT))
+        nd, nn = block_counts(BlockInertiaCounter(g.seq, g.m, g.s, g.beta), xs * (1 + EPS_SHIFT))
         for counts, p, sc in zip((nn, nd), pencils, spectra):
             superlu = get_counter(p)
             assert counts.tolist() == [
@@ -374,18 +387,18 @@ class TestBlockCounter:
         # the free components' zero modes come out of LAPACK as +-1e-13
         xs = np.array(sorted(x for x in xs if x > 1e-8 * ev[-1]))
         ctr = BlockInertiaCounter(g.seq, g.m, g.s, g.beta)
-        nd, nn, lower, upper = ctr.count_below(xs * (1 + EPS_SHIFT), level=j)
+        nd, nn, lower, upper = block_counts(ctr, xs * (1 + EPS_SHIFT), level=j)
         assert lower.tolist() == [spectra[0].count_leq(float(x)) for x in xs]
         assert upper.tolist() == [spectra[1].count_leq(float(x)) for x in xs]
         assert np.all(lower <= nd) and np.all(nd <= nn) and np.all(nn <= upper)
-        # the sums are nudged on their own pivot blocks only
-        plain = ctr.count_below(xs * (1 + EPS_SHIFT))
+        # asking for the sums leaves N_D and N_N as they are
+        plain = block_counts(ctr, xs * (1 + EPS_SHIFT))
         assert nd.tolist() == plain[0].tolist() and nn.tolist() == plain[1].tolist()
 
     @pytest.mark.parametrize("j", [0, 4])
     def test_bracketing_level_range(self, j):
         with pytest.raises(LevelError):
-            BlockInertiaCounter(SEQ, 3, 2, 0.25).count_below([1.0], level=j)
+            BlockInertiaCounter(SEQ, 3, 2, 0.25).try_count(np.ones(1), level=j)
 
     @pytest.mark.parametrize("m, s", [(0, 1), (1, 3), (3, 1), (4, 2)])
     @pytest.mark.parametrize("seq", [SEQ, explicit([0.45, 0.53], tail="cycle")],
@@ -411,7 +424,7 @@ class TestBlockCounter:
         p_n = assemble_neumann(g)
         p_d = apply_dirichlet(p_n, g, "v0")
         xs = np.geomspace(1.0, lambda_max_bound(p_n), 40) * (1 + EPS_SHIFT)
-        nd, nn = BlockInertiaCounter(g.seq, g.m, g.s, g.beta).count_below(xs)
+        nd, nn = block_counts(BlockInertiaCounter(g.seq, g.m, g.s, g.beta), xs)
         assert nd.tolist() == [get_counter(p_d).count_below(float(x)).count for x in xs]
         assert nn.tolist() == [get_counter(p_n).count_below(float(x)).count for x in xs]
 
@@ -438,7 +451,7 @@ class TestBlockCounter:
         # B's small pivot sits near 9, far above its ~1e-2 rounding; every
         # threshold of a dense grid there counts, monotone in x
         ctr = BlockInertiaCounter(geometric_to_limit(0.6, 0.5), 24, 2, 0.25)
-        nd, nn = ctr.count_below(np.linspace(1 - 1e-3, 1 + 1e-3, 2001) * 3.0913e18)
+        nd, nn = block_counts(ctr, np.linspace(1 - 1e-3, 1 + 1e-3, 2001) * 3.0913e18)
         assert np.all(np.diff(nd) >= 0) and np.all(np.diff(nn) >= 0) and np.all(nd <= nn)
 
     @pytest.mark.parametrize("m, x, count", [
@@ -454,7 +467,7 @@ class TestBlockCounter:
         # clears a 1e-12 test and still miscounts; at m = 35 the form
         # B_22 - (3/4) g^2 / B_11 cancels two multiples of g ~ 4e18 to rounding
         ctr = BlockInertiaCounter(geometric_to_limit(0.6, 0.5), m, 2, 0.25)
-        nd, nn = ctr.count_below([x])
+        nd, nn = block_counts(ctr, [x])
         assert (int(nd[0]), int(nn[0])) == (count, count)
 
     def test_free_paths_count_their_zero_modes_at_depth(self):
@@ -463,41 +476,50 @@ class TestBlockCounter:
         # below x; a free path's last pivot, ~ -x times its mass, sits next
         # to conductances of 1e6 and is formed from row sums to keep it
         ctr = BlockInertiaCounter(SEQ, 20, 2, 0.25)
-        upper = ctr.count_below([0.01], level=20)[3]
+        upper = block_counts(ctr, [0.01], level=20)[3]
         assert int(upper[0]) == 3 ** 20 + (3 ** 21 - 3) // 2
 
     def test_threshold_on_neumann_eigenvalue(self):
         # the level-0 triangle has a double eigenvalue at 9: S_0 is singular
-        # there, so N_N is nudged up while N_D (no interior) is not
+        # there, so N_N is flagged while N_D (no interior) is not; counted
+        # through the shift, N_N takes in both copies, as the dense oracle
         ctr = BlockInertiaCounter(SEQ, 0, 1, 0.25)
         _, (ok_d, ok_n) = ctr.try_count(np.array([9.0]))
         assert ok_d[0] and not ok_n[0]
-        assert ctr.count_below([9.0])[1].tolist() == [count_below(m0_pencil(), 9.0).count]
+        nn = GraphCounts(SEQ, 0, 1, 0.25).count([9.0])[1]
+        assert nn.tolist() == [3] == [eig_dense(m0_pencil()).count_leq(9.0)]
 
-    def test_s0_failure_nudges_only_n_n(self, monkeypatch):
-        # N_D keeps the first pass's count when only S_0 is near-singular
-        ctr = BlockInertiaCounter(SEQ, 1, 2, 0.25)
-        ctr.count_below([1.0])  # the set-up pass runs on the first call
-        passes = iter([
-            (np.array([[1], [2]]), np.array([[True], [False]])),
-            (np.array([[5], [6]]), np.array([[True], [True]])),
-        ])
-        monkeypatch.setattr(ctr, "try_count", lambda x, level: next(passes))
-        nd, nn = ctr.count_below([10.0])
-        assert (nd[0], nn[0]) == (1, 6)
+    def test_s0_failure_raises_after_one_pass(self, monkeypatch):
+        # N_N not clear where N_D is: the sample raises, naming its own x,
+        # after the one pass that flagged it; dense without a level runs no
+        # pass at all
+        calls = []
 
-    def test_interior_pivot_failure_nudges_both_counts(self):
+        def only_n_d_clear(self, x, level=None):
+            calls.append(x.size)
+            return np.array([[1], [2]]), np.array([[True], [False]])
+
+        monkeypatch.setattr(BlockInertiaCounter, "try_count", only_n_d_clear)
+        with pytest.raises(ThresholdAtEigenvalueError,
+                           match=r"the count at x = 10\.0 is not clear of its rounding"):
+            GraphCounts(SEQ, 1, 2, 0.25).count([10.0])
+        assert calls == [1]
+        GraphCounts(SEQ, 1, 2, 0.25, "dense").count([10.0])
+        assert calls == [1]
+
+    def test_interior_pivot_failure_flags_both_counts(self):
         # with s = 2 the pivot of a bridge's interior node is 2 c_k - x mu_k,
-        # zero at x = 2 c_k / mu_k, which is no eigenvalue of the pencils
+        # zero at x = 2 c_k / mu_k, which is no eigenvalue of the pencils;
+        # counted through the shift both counts are clear and match dense
         g = build_graph(SEQ, 1, 2, 0.25)
         ctr = BlockInertiaCounter(g.seq, g.m, g.s, g.beta)
         x = 2.0 * ctr.seg_conductance[0] / (ctr.bridge_mass[0] / 2)
         _, (ok_d, ok_n) = ctr.try_count(np.array([x]))
         assert not ok_d[0] and not ok_n[0]
         p_n = assemble_neumann(g)
-        nd, nn = ctr.count_below([x])
-        assert (nd[0], nn[0]) == (eig_dense(apply_dirichlet(p_n, g, "v0")).count_leq(x),
-                                  eig_dense(p_n).count_leq(x))
+        nd, nn = GraphCounts(g.seq, g.m, g.s, g.beta).count([x])
+        assert (nd[0], nn[0]) == (6, 9) == (eig_dense(apply_dirichlet(p_n, g, "v0")).count_leq(x),
+                                            eig_dense(p_n).count_leq(x))
 
     def test_pivots_are_flagged_within_a_few_roundings(self):
         # 4 eps off a zero of the interior pivot 2 c_k - x mu_k (m = 1) and
@@ -512,31 +534,33 @@ class TestBlockCounter:
         _, ok = BlockInertiaCounter(SEQ, 0, 1, 0.25).try_count(9.0 * np.array(near + off))
         assert ok.tolist() == [[True] * 4, [False, False, True, True]]
 
-    def test_free_bridge_pivot_failure_nudges_the_sums(self):
+    def test_free_bridge_pivot_failure_flags_the_sums(self):
         # a free bridge's end pivot c_k - x m_b / (2s) vanishes at
         # x = 2 s c_k / m_b, and so does its interior's first pivot; with
-        # s = 2 this x is also an eigenvalue of the free bridge
+        # s = 2 this x is also an eigenvalue of the free bridge, which the
+        # sums counted through the shift take in, as the decoupled forms
         g = build_graph(SEQ, 2, 2, 0.25)
         ctr = BlockInertiaCounter(g.seq, g.m, g.s, g.beta)
         x = 2 * g.s * ctr.seg_conductance[0] / ctr.bridge_mass[0]
         _, ok = ctr.try_count(np.array([x]), level=1)
         assert not ok[2:].any()
-        xt = x * (1 + 10 * EPS_SHIFT)
-        want = [sum(eig_dense(c).count_leq(xt, 0.0) for c in assemble_decoupled(g, 1, kind))
+        want = [sum(eig_dense(c).count_leq(x) for c in assemble_decoupled(g, 1, kind))
                 for kind in ("dirichlet_split", "neumann_split")]
-        assert [int(c[0]) for c in ctr.count_below([x], level=1)[2:]] == want
+        sums = GraphCounts(g.seq, g.m, g.s, g.beta).count([x], level=1)[2:, 0]
+        assert sums.tolist() == [21, 33] == want
 
     def test_threshold_error_on_hopeless_shift(self):
-        with pytest.raises(ThresholdAtEigenvalueError):
-            BlockInertiaCounter(SEQ, 0, 1, 0.25).count_below([0.0])
+        # x = 0 stays 0 through the shift, where S_0 of the Neumann pencil is singular
+        with pytest.raises(ThresholdAtEigenvalueError, match=r"x = 0\.0 "):
+            GraphCounts(SEQ, 0, 1, 0.25).count([0.0])
 
     def test_setup_pass_must_be_positive_definite(self):
         # a negative corner mass makes L - x M indefinite below the bound; the
-        # first try_count of count_below also counts there
+        # first try_count also counts there
         ctr = BlockInertiaCounter(SEQ, 1, 1, 0.25)
         ctr.corner_mass = -ctr.corner_mass
         with pytest.raises(ConvergenceError):
-            ctr.count_below([1.0])
+            ctr.try_count(np.ones(1))
 
     def test_setup_check_guards_eigenvalue_brackets(self, monkeypatch):
         # the same check on the spectrum's path: its first try_count raises
@@ -568,7 +592,7 @@ class TestBlockCounter:
         # once wrapped to -2.1e17 at x = 1e30.
         ctr = BlockInertiaCounter(SEQ, 38, 2, 0.25)
         assert ctr.n == 3 ** 39 + (3 ** 39 - 3) // 2 < 2 ** 63
-        nd, nn = ctr.count_below([2.0 * ctr.lambda_max])
+        nd, nn = block_counts(ctr, [2.0 * ctr.lambda_max])
         assert (int(nd[0]), int(nn[0])) == (ctr.n - 3, ctr.n)
         with pytest.raises(LevelError, match="int64"):
             BlockInertiaCounter(SEQ, 39, 2, 0.25)
@@ -576,10 +600,10 @@ class TestBlockCounter:
         # decoupled form: for the s = 3 graph (n = 8.1e18) that is inside
         # int64 at j = 36 and past it at j = 37
         ctr = BlockInertiaCounter(SEQ, 38, 3, 0.25)
-        upper = ctr.count_below([2.0 * ctr.lambda_max], level=36)[3]
+        upper = block_counts(ctr, [2.0 * ctr.lambda_max], level=36)[3]
         assert int(upper[0]) == ctr.n + 3 ** 37 - 3
         with pytest.raises(LevelError, match="int64"):
-            ctr.count_below([1.0], level=37)
+            ctr.try_count(np.ones(1), level=37)
 
 
 class TestPath:
