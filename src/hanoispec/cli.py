@@ -484,6 +484,7 @@ def cmd_resistance(cfg: RunConfig, quiet: bool = False) -> int:
                 "slope_raw": scaling.slope_raw,
                 "dimension_estimate": scaling.dimension_estimate,
                 "predicted_dimension": scaling.predicted_dimension,
+                "corner_chain_dimension": res_mod.corner_chain_dimension(cfg.sequence),
             }
     payload["verdict"] = "pass" if compat.ok else "fail"
     write_json(os.path.join(outdir, "resistance_report.json"), payload, h)

@@ -7,9 +7,11 @@ right-hand sides, refining once a column whose residual is above
 1e-10 * ||rhs||; the resistances among k vertices take one solve with
 k-1 columns.  ``effective_resistance`` and ``harmonic_extension`` use it.
 
-``compatibility_check`` and ``cell_diameter_scaling`` build no graph:
-they trace the network onto V_0 by series reduction and onto every
-block's corners by star-mesh elimination, from the scale factors alone.
+``compatibility_check``, ``cell_diameter_scaling`` and
+``corner_chain_dimension`` build no graph: they trace the network onto
+V_0 by series reduction, and onto every block's corners in closed form
+(Delta-Y, series and four star-mesh steps a child, none of which
+subtracts), from the scale factors alone.
 """
 
 from __future__ import annotations
@@ -209,37 +211,62 @@ class DiameterScaling:
 
 
 # The resistance command's peak RSS per level-j_max block, less that of
-# level 1: at most 1419, 1413 and 1378 bytes at j_max = 10, 11, 12 (numpy 2.4).
-_BYTES_PER_BLOCK = 1420
+# level 1: at most 658, 641 and 636 bytes at j_max = 10, 11, 12 (numpy 2.4).
+_BYTES_PER_BLOCK = 660
 
-# The 9-node network of a parent block w: node 3c + i is corner i of the
-# child w*c, node 4i is corner i of w.  The columns of _NETWORK are its edges
-# by kind: w's corner pairs (0, 1), (0, 2), (1, 2) (carrying E_w), the child
-# triangles' sides, the bridges.  _EXTERIORS[a] lacks child a's triangle and
-# orders the nodes as _ORDER[a], rotated to put child a's corners last.
-_NETWORK = np.zeros((9, 9, 5))
-_NETWORK[[0, 0, 4, 1, 2, 5], [4, 8, 8, 3, 6, 7], [0, 1, 2, 4, 4, 4]] = 1.0
-_NETWORK += _NETWORK.transpose(1, 0, 2)
-_NETWORK[:, :, 3] = np.kron(np.eye(3), np.ones((3, 3))) - np.eye(9)
-_ORDER = [np.roll(np.arange(9), -3 * a - 3) for a in range(3)]
-_EXTERIORS = np.array([_NETWORK[o][:, o] for o in _ORDER])
-_EXTERIORS[:, 6:, 6:] = 0.0
+
+def _star_mesh(p, q, r):
+    """Star-mesh elimination of a node with three neighbours joined to it
+    by conductances p, q and r: the conductances it adds between the
+    neighbour pairs opposite p, q and r (Rosen 1924; the GTH algorithm of
+    Grassmann, Taksar and Heyman 1985 is this step in sequence)."""
+    s = p + q + r
+    return q * r / s, p * r / s, p * q / s
+
+
+# Child a's pair (0, 1), (0, 2), (1, 2) as an index into (AI, AJ, IJ),
+# where A is its corner a and I, J its corners i < j, the other two.
+_PAIR_KINDS = np.array([[0, 1, 2], [0, 2, 1], [2, 0, 1]])
 
 
 def _child_exteriors(E: np.ndarray, t, b) -> np.ndarray:
     """Exterior conductances (3, 3B) of the children of B blocks, in rank
     order, from the blocks' E (3, B) on corner pairs (0, 1), (0, 2), (1, 2),
     for child triangle sides of conductance t and bridges of conductance b.
-    Star-mesh elimination (the GTH algorithm, Grassmann, Taksar and Heyman
-    1985): removing node v adds c_vi c_vj / sum_u c_vu to each pair i, j
-    of the nodes left, so only non-negative numbers are added, multiplied
-    and divided and every conductance keeps its relative accuracy.
+
+    Child a meets the rest of its parent at the parent's corner P_a (its
+    own corner a) and by bridges at its corners i and j.  The triangles of
+    the other children i and j turn into stars Y_i, Y_j with arms y = 3t
+    (Delta-Y); in series, child a's corner i reaches Y_i through s =
+    by / (b + y), corner j reaches Y_j likewise, and Y_i reaches Y_j
+    through h = 1 / (2/y + 1/b).  With E on the parent's corners, each of
+    P_i, P_j, Y_i and Y_j then has three neighbours when its turn comes,
+    and star-mesh elimination of the four leaves child a's exterior.
+    Every step adds, multiplies and divides non-negative numbers only, so
+    every conductance keeps its relative accuracy.
     """
-    C = _EXTERIORS @ np.vstack((E, np.repeat([[t], [b]], E.shape[1], axis=1)))
-    for v in range(6):
-        c = C[:, v, v + 1:]
-        C[:, v + 1:, v + 1:] += c[:, :, None] * (c / c.sum(axis=1, keepdims=True))[:, None]
-    return C[:, [6, 6, 7], [7, 8, 8]].transpose(1, 2, 0).reshape(3, -1)
+    y = 3.0 * t
+    s = b * y / (b + y)
+    h = 1.0 / (2.0 / y + 1.0 / b)
+    # one row per child a: E on its parent's pairs (a, i), (a, j), (i, j)
+    ai, aj, ij = E[[0, 0, 1]], E[[1, 2, 2]], E[[2, 1, 0]]
+    # P_i's neighbours P_a, P_j, Y_i; then P_j's P_a, Y_i, Y_j
+    pj_yi, pa_yi, pa_pj = _star_mesh(ai, ij, y)
+    yi_yj, pa_yj, pa_yi2 = _star_mesh(aj + pa_pj, pj_yi, y)
+    # Y_i's neighbours A_i, Y_j, P_a; then Y_j's A_j, P_a, A_i
+    yj_pa, ai_pa, ai_yj = _star_mesh(s, yi_yj + h, pa_yi + pa_yi2)
+    AI, IJ, AJ = _star_mesh(s, pa_yj + yj_pa, ai_yj)
+    pairs = np.stack((AI + ai_pa, AJ, IJ))
+    return pairs[_PAIR_KINDS.T, np.arange(3)].transpose(0, 2, 1).reshape(3, -1)
+
+
+def _diameters(E: np.ndarray, delta_k) -> np.ndarray:
+    """The largest corner-pair resistance of each level-k block, from its
+    exterior E (3, B) and its own triangle of side delta_k: 1 / (c_ij +
+    c_ik c_jk / (c_ik + c_jk)) over the pairs, c being E plus the triangle."""
+    c = E + 1.0 / delta_k
+    a, b = c[[1, 0, 0]], c[[2, 2, 1]]
+    return 1.0 / (c + a * b / (a + b)).min(axis=0)
 
 
 def cell_diameter_scaling(
@@ -262,17 +289,19 @@ def cell_diameter_scaling(
     the corners of a block w is that triangle plus E_w, the conductances
     of everything outside w traced onto them (Kigami, *Analysis on
     Fractals*, 2001, ch. 2, on traces); the root has E = 0.  The children
-    of w, triangles of side delta_k, joined by the three level-k bridges
-    of resistance gamma_k and with E_w on w's corners, form a 9-node
-    network; without w*a's own triangle, eliminating its six nodes
-    outside w*a leaves E_{w*a}, for all blocks of a level at once.  The
-    diameter is the largest of 1 / (c_ij + c_ik c_jk / (c_ik + c_jk)) over
-    the corner pairs, c being E plus the block's own triangle.  Blocks
-    are ranked rank(w*a) = 3 rank(w) + a - 1, so each level's records
-    come out in ``enumerate_words`` order.  The level-m graph traces onto
-    these corners as this network for every m > j_max, so ``m`` does not
-    change the result, and ``beta`` (the masses) does not enter; both
-    are validated and stay because the CLI and the benchmark pass them.
+    of w, triangles of side delta_k, are joined by the three level-k
+    bridges of resistance gamma_k, with E_w on w's corners.  Seen from
+    w*a, the other two children's triangles turn into stars, the bridges
+    join them in series, and four star-mesh steps (two of w's corners,
+    the two star centres) leave E_{w*a}, for all blocks of a level at
+    once; no step subtracts.  The diameter is the largest of 1 / (c_ij +
+    c_ik c_jk / (c_ik + c_jk)) over the corner pairs, c being E plus the
+    block's own triangle.  Blocks are ranked rank(w*a) = 3 rank(w) + a - 1,
+    so each level's records come out in ``enumerate_words`` order.  The
+    level-m graph traces onto these corners as the level-j_max graph does
+    for every m > j_max, so ``m`` does not change the result, and ``beta``
+    (the masses) does not enter; both are validated and stay because the
+    CLI and the benchmark pass them.
     A j_max whose recursion, priced at ``_BYTES_PER_BLOCK`` per level-j_max
     block, would exceed physical memory raises PencilSizeError before
     anything is allocated.
@@ -285,9 +314,7 @@ def cell_diameter_scaling(
     E = np.zeros((3, 1))
     records, max_d = [], []
     for k in range(j_max + 1):
-        c = E + 1.0 / delta[k]
-        a, b = c[[1, 0, 0]], c[[2, 2, 1]]
-        d = 1.0 / (c + a * b / (a + b)).min(axis=0)
+        d = _diameters(E, delta[k])
         records.extend((k, w, dw) for w, dw in zip(enumerate_words(k), d.tolist()))
         max_d.append(float(d.max()))
         if k < j_max:
@@ -313,3 +340,32 @@ def cell_diameter_scaling(
         dimension_estimate=dim_est,
         predicted_dimension=predicted,
     )
+
+
+# The corner chain 1^j is stepped to level _CHAIN_LEVELS and its log
+# diameter fitted from level _CHAIN_FIT_FROM on, past the drift of the
+# first levels.
+_CHAIN_LEVELS = 48
+_CHAIN_FIT_FROM = 20
+
+
+def corner_chain_dimension(seq: MatchingSequence) -> float:
+    """ln 3 / (-slope) of the log diameter of the corner block 1^j against
+    j, over j = 20..48.
+
+    The exterior of 1^j is stepped with ``_child_exteriors`` on one block a
+    level, so the depth costs 48 small steps and no memory check.  It reads
+    the resistance dimension ln 3 / (-ln r) of a family with limit r to
+    within 1e-7 relative on constant(0.5), geometric_to_limit(0.6, 0.5)
+    and constant(0.05).
+    """
+    delta, gamma = level_scales(seq, _CHAIN_LEVELS)
+    E = np.zeros((3, 1))
+    logs = []
+    for k in range(_CHAIN_LEVELS + 1):
+        logs.append(math.log(float(_diameters(E, delta[k])[0])))
+        if k < _CHAIN_LEVELS:
+            E = _child_exteriors(E, 1.0 / delta[k + 1], 1.0 / gamma[k])[:, :1]
+    js = np.arange(_CHAIN_FIT_FROM, _CHAIN_LEVELS + 1, dtype=float)
+    slope = float(np.polyfit(js, logs[_CHAIN_FIT_FROM:], 1)[0])
+    return math.log(3.0) / (-slope) if slope < 0 else float("nan")

@@ -1,6 +1,7 @@
 """CLI commands, config round-trip, output formats, determinism."""
 
 import json
+import math
 import os
 import re
 import xml.etree.ElementTree as ET
@@ -497,10 +498,12 @@ class TestResistanceCommand:
         assert report["compatibility"]["ok"]
         assert report["verdict"] == "pass"
         assert "diameter_fit" in report
+        assert report["diameter_fit"]["corner_chain_dimension"] == pytest.approx(
+            math.log(3) / math.log(2), rel=1e-6)
 
     def test_level_16_refused_by_the_diameters_size_check(self, tmp_path, monkeypatch, capsys):
         # on a 7.83 GiB host the level-15 graph's arrays (4.8 GiB) would fit,
-        # but not the diameters' 3**15 blocks at 1420 bytes each: exit 1
+        # but not the diameters' 3**15 blocks at 660 bytes each: exit 1
         # before the scale factors are read or any output is written
         def no_scales(*args, **kwargs):
             raise AssertionError("the scale factors were read")

@@ -15,6 +15,7 @@ from hanoispec.resistance import (
     GroundedSolver,
     cell_diameter_scaling,
     compatibility_check,
+    corner_chain_dimension,
     effective_resistance,
     harmonic_extension,
 )
@@ -25,6 +26,35 @@ SEQ = constant(0.5)
 # of 2/3; constant(0.05) does only up to level 3
 WIRING_FAMILIES = [constant(0.5), constant(0.3), geometric_to_limit(0.6, 0.5),
                    explicit([0.45, 0.53], "cycle")]
+
+
+# The 9-node network of a parent block: node 3c + i is corner i of the
+# child c, node 4i is corner i of the parent.  Its edges by kind: the
+# parent's corner pairs (0, 1), (0, 2), (1, 2) (carrying its exterior E),
+# the child triangles' sides, the bridges.
+NETWORK = np.zeros((9, 9, 5))
+NETWORK[[0, 0, 4, 1, 2, 5], [4, 8, 8, 3, 6, 7], [0, 1, 2, 4, 4, 4]] = 1.0
+NETWORK += NETWORK.transpose(1, 0, 2)
+NETWORK[:, :, 3] = np.kron(np.eye(3), np.ones((3, 3))) - np.eye(9)
+
+
+def schur_exteriors(E: np.ndarray, t: float, b: float) -> np.ndarray:
+    """Dense oracle for ``_child_exteriors``: each child's exterior is the
+    Schur complement, onto its corners, of the network's Laplacian
+    without the child's own triangle."""
+    out = np.zeros((3, E.shape[1], 3))
+    for col in range(E.shape[1]):
+        C = NETWORK @ np.append(E[:, col], [t, b])
+        for a in range(3):
+            child = [3 * a, 3 * a + 1, 3 * a + 2]
+            rest = [v for v in range(9) if v not in child]
+            Ca = C.copy()
+            Ca[np.ix_(child, child)] = 0.0
+            L = np.diag(Ca.sum(axis=1)) - Ca
+            S = L[np.ix_(child, child)] - L[np.ix_(child, rest)] @ np.linalg.solve(
+                L[np.ix_(rest, rest)], L[np.ix_(rest, child)])
+            out[:, col, a] = -S[[0, 0, 1], [1, 2, 2]]
+    return out.reshape(3, -1)
 
 
 def pinv_resistances(p: Pencil, ids) -> np.ndarray:
@@ -312,10 +342,46 @@ class TestDiameterScaling:
         with pytest.raises(PencilSizeError, match="the level-20 blocks"):
             cell_diameter_scaling(SEQ, 21, 20)
 
+    def test_child_exteriors_match_the_schur_complement(self):
+        # the closed-form trace against the 9-node network's Schur
+        # complement, on random positive conductances within two decades;
+        # the oracle's solve subtracts, so its own error grows with their
+        # spread (1e-11 over six decades, where the trace still agrees with
+        # 50-digit arithmetic to 1e-15)
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            E = 10.0 ** rng.uniform(-1, 1, (3, 4))
+            t, b = 10.0 ** rng.uniform(-1, 1, 2)
+            np.testing.assert_allclose(resistance._child_exteriors(E, t, b),
+                                       schur_exteriors(E, t, b), rtol=1e-13, atol=0)
+
+    def test_child_exteriors_of_the_root_keep_the_oracle_zeros(self):
+        # with E = 0, a child's corner on its parent's corner touches
+        # nothing outside the child: its two pairs are exactly 0
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            t, b = 10.0 ** rng.uniform(-1, 1, 2)
+            fast = resistance._child_exteriors(np.zeros((3, 2)), t, b)
+            oracle = schur_exteriors(np.zeros((3, 2)), t, b)
+            assert np.array_equal(fast == 0.0, oracle == 0.0)
+            assert np.count_nonzero(fast) == 6
+            np.testing.assert_allclose(fast, oracle, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize(
+        "seq, dimension",
+        [(constant(0.5), 1.58496), (geometric_to_limit(0.6, 0.5), 2.15066),
+         (constant(0.05), 0.36673)],
+        ids=["constant-0.5", "geometric", "constant-0.05"],
+    )
+    def test_corner_chain_dimension_reads_the_prediction(self, seq, dimension):
+        # ln 3 / ln(1/r) for the family's limit r, from the corner chain
+        # 1^j fitted over j = 20..48
+        assert corner_chain_dimension(seq) == pytest.approx(dimension, rel=1e-4)
+
     @pytest.mark.parametrize("spare,fits", [(0, True), (-1, False)])
-    def test_memory_bound_is_1420_bytes_per_block(self, monkeypatch, spare, fits):
-        # j_max = 2: 9 blocks take 1420 * 9 bytes
-        pages = {"SC_PHYS_PAGES": 1420 * 9 + spare, "SC_PAGE_SIZE": 1}
+    def test_memory_bound_is_660_bytes_per_block(self, monkeypatch, spare, fits):
+        # j_max = 2: 9 blocks take 660 * 9 bytes
+        pages = {"SC_PHYS_PAGES": 660 * 9 + spare, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr(geometry.os, "sysconf", pages.__getitem__)
         if fits:
             assert len(cell_diameter_scaling(SEQ, 3, 2).records) == 13
