@@ -343,29 +343,38 @@ def cell_diameter_scaling(
 
 
 # The corner chain 1^j is stepped to level _CHAIN_LEVELS and its log
-# diameter fitted from level _CHAIN_FIT_FROM on, past the drift of the
-# first levels.
+# diameter fitted from level _CHAIN_FIT_FROM on.
 _CHAIN_LEVELS = 48
 _CHAIN_FIT_FROM = 20
 
 
-def corner_chain_dimension(seq: MatchingSequence) -> float:
+def corner_chain_dimension(seq: MatchingSequence) -> Optional[float]:
     """ln 3 / (-slope) of the log diameter of the corner block 1^j against
-    j, over j = 20..48.
+    j, over j = 20..48; None for an explicit sequence whose ratios end
+    before level 48 (no tail rule).
 
     The exterior of 1^j is stepped with ``_child_exteriors`` on one block a
-    level, so the depth costs 48 small steps and no memory check.  It reads
-    the resistance dimension ln 3 / (-ln r) of a family with limit r to
-    within 1e-7 relative on constant(0.5), geometric_to_limit(0.6, 0.5)
-    and constant(0.05).
+    level, in units of 1 / delta_j (the trace is homogeneous of degree one
+    in the conductances), so every value stays of order one whatever the
+    depth.  As in ``cell_diameter_scaling``, a family with limit r fits
+    the log diameter less ln(delta_j / r^j), which removes the drift of a
+    slowly converging prefix; it reads the resistance dimension
+    ln 3 / (-ln r) to within 1e-7 relative on constant(0.5),
+    geometric_to_limit(0.6, 0.5) and constant(0.05).  The depth costs 48
+    small steps and no memory check.
     """
-    delta, gamma = level_scales(seq, _CHAIN_LEVELS)
+    if seq.kind == "explicit" and seq.tail is None and len(seq.values) < _CHAIN_LEVELS:
+        return None
+    limit = seq.limit_r
     E = np.zeros((3, 1))
-    logs = []
+    log_delta, logs = 0.0, []
     for k in range(_CHAIN_LEVELS + 1):
-        logs.append(math.log(float(_diameters(E, delta[k])[0])))
+        drift = k * math.log(limit) if limit is not None else log_delta
+        logs.append(math.log(float(_diameters(E, 1.0)[0])) + drift)
         if k < _CHAIN_LEVELS:
-            E = _child_exteriors(E, 1.0 / delta[k + 1], 1.0 / gamma[k])[:, :1]
+            p = seq.pair(k + 1)
+            E = _child_exteriors(p.r * E, 1.0, p.r / p.rho)[:, :1]
+            log_delta += math.log(p.r)
     js = np.arange(_CHAIN_FIT_FROM, _CHAIN_LEVELS + 1, dtype=float)
     slope = float(np.polyfit(js, logs[_CHAIN_FIT_FROM:], 1)[0])
     return math.log(3.0) / (-slope) if slope < 0 else float("nan")

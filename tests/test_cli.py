@@ -501,6 +501,19 @@ class TestResistanceCommand:
         assert report["diameter_fit"]["corner_chain_dimension"] == pytest.approx(
             math.log(3) / math.log(2), rel=1e-6)
 
+    def test_sequence_without_a_tail_rule(self, tmp_path):
+        # the three ratios cover level 3 but not the corner chain's 48
+        # levels: the report is complete, with no chain dimension
+        cfg = base_config(tmp_path / "outr", level=3, subdivisions=1,
+                          sequence={"kind": "explicit", "values": [0.5, 0.4, 0.55]})
+        assert main(["resistance", "--config", write_config(tmp_path, cfg), "--quiet"]) == 0
+        report = json.loads((tmp_path / "outr" / "resistance_report.json").read_text())
+        assert report["verdict"] == "pass"
+        fit = report["diameter_fit"]
+        assert fit["corner_chain_dimension"] is None
+        assert fit["predicted_dimension"] is None
+        assert math.isfinite(fit["dimension_estimate"])
+
     def test_level_16_refused_by_the_diameters_size_check(self, tmp_path, monkeypatch, capsys):
         # on a 7.83 GiB host the level-15 graph's arrays (4.8 GiB) would fit,
         # but not the diameters' 3**15 blocks at 660 bytes each: exit 1

@@ -368,15 +368,24 @@ class TestDiameterScaling:
             np.testing.assert_allclose(fast, oracle, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize(
-        "seq, dimension",
-        [(constant(0.5), 1.58496), (geometric_to_limit(0.6, 0.5), 2.15066),
-         (constant(0.05), 0.36673)],
-        ids=["constant-0.5", "geometric", "constant-0.05"],
+        "seq, dimension, rel",
+        [(constant(0.5), 1.58496, 1e-4), (geometric_to_limit(0.6, 0.5), 2.15066, 1e-4),
+         (constant(0.05), 0.36673, 1e-4), (constant(1e-4), 0.119280, 1e-4),
+         (geometric_to_limit(0.5, 0.9), 1.58496, 1e-3)],
+        ids=["constant-0.5", "geometric", "constant-0.05", "constant-1e-4", "slow-geometric"],
     )
-    def test_corner_chain_dimension_reads_the_prediction(self, seq, dimension):
+    def test_corner_chain_dimension_reads_the_prediction(self, seq, dimension, rel):
         # ln 3 / ln(1/r) for the family's limit r, from the corner chain
-        # 1^j fitted over j = 20..48
-        assert corner_chain_dimension(seq) == pytest.approx(dimension, rel=1e-4)
+        # 1^j fitted over j = 20..48.  At r = 1e-4 the raw conductances of
+        # level 48 would overflow; at q = 0.9 (q^20 = 0.12) the fit reads
+        # 4 % low without the delta_j / r^j drift correction, and the
+        # 6e-4 left is the drift of the block's shape, not of its scale
+        assert corner_chain_dimension(seq) == pytest.approx(dimension, rel=rel)
+
+    def test_corner_chain_dimension_needs_ratios_to_level_48(self):
+        assert corner_chain_dimension(explicit([0.5, 0.4, 0.55])) is None
+        assert corner_chain_dimension(explicit([0.5] * 48)) == pytest.approx(
+            math.log(3) / math.log(2), rel=1e-12)
 
     @pytest.mark.parametrize("spare,fits", [(0, True), (-1, False)])
     def test_memory_bound_is_660_bytes_per_block(self, monkeypatch, spare, fits):
