@@ -12,19 +12,13 @@ the backend for the level-m graph once: block elimination (inertia,
 BlockInertiaCounter, also what auto means at every size), which needs
 only the scale factors and builds no graph, or LAPACK spectra (dense,
 the reference).  auto_grid and counting_function take it and never see
-a pencil or a backend name; auto_grid finds its ends by a log-space
-multisection on the block counter's N_N under either backend, so the
-two backends give the same grid.  Its passes are narrow (two brackets),
-and a block elimination costs about the same for a few points as for a
-hundred, so each pass cuts every open bracket into 64 log-uniform
-sections, whose ends lo (hi / lo)**(j / 64) are closed forms, and counts
-them in one call: a first pass of 63 points and two of 126 narrow both
-ends to 1e-4 when they lie within the first pass's ladder.  The block
-counter's set-up check rides in its first call.  The same multisection
-on it, 8 sections a pass, gives the spectrum without the graph
-(eigenvalue_brackets, eigenvalue_groups): its passes are wide.  Both
-drop the counts that are not clear of their rounding, counting_function
-raises on a sample's, and none is nudged.
+a pencil or a backend name; auto_grid finds its ends by log-space
+multisection (_bisect_quantiles) on the block counter's N_N under
+either backend, so the two backends give the same grid.  Both read only
+certified counts, which are exact, so no count is dropped or nudged.
+The same multisection on single float counts, whose errors near a
+cluster its 1e-13 brackets bound, gives the spectrum without the graph
+(eigenvalue_brackets, eigenvalue_groups).
 
 The bracketing check sandwiches the counting functions between the
 component sums of the level-j decoupled forms: grounding V_j can only
@@ -87,10 +81,8 @@ class CountingSample:
 
 # The most points auto_grid lays out, whatever the window's width in decades.
 MAX_GRID_POINTS = 400
-# Sections of one open grid-end bracket per pass: SECTIONS - 1 log-uniform
-# points cut it into SECTIONS, each 1/SECTIONS of its log width, 126 points
-# for auto_grid's two ends, which one block elimination counts for about
-# the cost of a few.
+# Sections of one open grid-end bracket per pass: 126 points for auto_grid's
+# two ends, which one block elimination counts for about the cost of a few.
 SECTIONS = 64
 # A bracket without a lower end yet is cut on [hi * LADDER, hi]: for the
 # grid a ladder of hi * 8**(-j/8) down to about 7.7e-8 * hi, so no pass
@@ -144,20 +136,15 @@ class GraphCounts:
     def count(self, xs, level: Optional[int] = None) -> np.ndarray:
         """Rows N_D and N_N, #{lambda <= x} at each threshold x; with a
         bracketing level j, 1 <= j < m, then lowerSum_j and upperSum_j.
-        A block-elimination count it uses (only the sums under ``dense``)
-        not clear of its rounding raises ThresholdAtEigenvalueError."""
+        Block elimination (only the sums under ``dense``) counts at
+        x (1 + eps_shift), every count certified."""
         if level is not None:
             _check_bracketing(self.m, self.s, level)
         xs = np.asarray(xs, dtype=float)
         rows = [spec.count_leq(xs, self.eps_shift) for spec in self._spectra or ()]
         if self._spectra is not None and level is None:
             return np.array(rows)
-        counts, clear = self._blocks.try_count(xs * (1.0 + self.eps_shift), level)
-        unclear = ~clear[len(rows):].all(axis=0)
-        if unclear.any():
-            raise ThresholdAtEigenvalueError(
-                f"the count at x = {float(xs[np.argmax(unclear)])} is not clear of its "
-                "rounding; x sits numerically on an eigenvalue")
+        counts = self._blocks.count(xs * (1.0 + self.eps_shift), level)
         return np.array(rows + list(counts[len(rows):]))
 
 
@@ -192,17 +179,17 @@ def auto_grid(counts: GraphCounts, eta: float = 0.2, per_decade: int = 60) -> np
     The cutoff lambda_ceil(eta*n) marks the part of the discrete spectrum
     trusted to approximate the continuum.  Both ends are found together by
     log-space multisection to 1e-4 relative width on the block counter's
-    N_N at x (1 + eps_shift), whatever the backend of ``counts``, dropping
-    counts not clear of their rounding (``_grid_ends``); an end whose
-    bracket a pass leaves unchanged stops wider, silently.  Each pass cuts
-    every open bracket into SECTIONS log-uniform sections; until an end has
-    a lower bracket, its pass counts a ladder down to 8**(-63/8), about
-    7.7e-8, times its upper one, so an end up to 90 decades below the
-    Gershgorin bound converges.  The grid has per_decade points a decade,
-    at least 16 and at most MAX_GRID_POINTS.
+    certified N_N at x (1 + eps_shift), whatever the backend of ``counts``
+    (``_grid_ends``).  Each pass cuts every open bracket into SECTIONS
+    log-uniform sections, whose ends are closed forms, and counts them in
+    one block elimination; until an end has a lower bracket, its pass
+    counts a ladder down to 8**(-63/8), about 7.7e-8, times its upper one,
+    so an end up to 90 decades below the Gershgorin bound converges.  The
+    grid has per_decade points a decade, at least 16 and at most
+    MAX_GRID_POINTS.
     """
     blocks, shift = counts._blocks, 1.0 + counts.eps_shift
-    x_lo, x_hi = _grid_ends(lambda xs: [a[1] for a in blocks.try_count(xs * shift)],
+    x_lo, x_hi = _grid_ends(lambda xs: blocks.count(xs * shift)[1],
                             counts.n, counts.lambda_max, eta)
     if x_hi <= x_lo * (1.0 + 1e-9):
         raise InsufficientDataError(
@@ -230,15 +217,13 @@ def _bisect_quantiles(count, ks, upper: float, rtol: float = 1e-4,
     """Brackets (lo, hi) of the smallest x with N(x) >= k for each k, by
     log-space multisection to rtol relative width; the defaults are auto_grid's.
 
-    ``count`` maps sorted thresholds to N and whether each count is clear.
-    Each pass counts the ``sections - 1`` log-uniform points of every open
-    bracket (``_section_ends``) in one call, then moves each k's ends to
-    the largest clear x with N(x) < k and the smallest with N(x) >= k.  N
-    is exact and monotone, so every clear point narrows every bracket it
-    falls in; counts that are not clear are dropped, not nudged.  A
-    bracket that a pass leaves unchanged stops at its width; one still open
-    after max_passes passes or with no clear count below it (lo = 0)
-    raises ConvergenceError that counts the drops.
+    ``count`` maps sorted thresholds to N.  Each pass counts the
+    ``sections - 1`` log-uniform points of every open bracket
+    (``_section_ends``) in one call, then moves each k's ends to the
+    largest x with N(x) < k and the smallest with N(x) >= k, so every
+    point narrows every bracket it falls in.  A bracket still open after
+    max_passes passes, one with no count below it (lo = 0) among them,
+    raises ConvergenceError.
 
     A call's cost is mostly its fixed overhead on auto_grid's two narrow
     ends, so they take 64 sections: a ladder pass of 63 points and two of
@@ -248,32 +233,23 @@ def _bisect_quantiles(count, ks, upper: float, rtol: float = 1e-4,
     ks = np.asarray(ks)
     # above the Gershgorin bound N = n, and no caller asks for a k above n
     lo, hi = np.zeros(ks.size), np.full(ks.size, upper * 1.0001)
-    stopped = np.zeros(ks.size, dtype=bool)
-    dropped = 0     # counts not clear of their rounding
     for passes in range(max_passes + 1):
-        open_ = (hi >= lo * (1.0 + rtol)) & ~stopped
+        open_ = hi >= lo * (1.0 + rtol)
         if passes == max_passes or not open_.any():
             break
         xs = np.unique(_section_ends(lo[open_], hi[open_], sections))
-        n, clear = count(xs)
-        keep = np.broadcast_to(clear, xs.shape)
-        dropped += int(np.count_nonzero(~keep))
-        xs, n = xs[keep], np.asarray(n)[keep]
+        n = np.asarray(count(xs))
         # the last x with N(x) < k and the first with N(x) >= k, by suffix
         # minima and prefix maxima of N in any order; 0 and inf stand for none
         last_below = np.searchsorted(np.minimum.accumulate(n[::-1])[::-1], ks)
         first_at = np.searchsorted(np.maximum.accumulate(n), ks)
         xs = np.concatenate(([0.0], xs, [np.inf]))
-        lo_was, hi_was = lo, hi
         lo, hi = np.maximum(lo, xs[last_below]), np.minimum(hi, xs[first_at + 1])
-        stopped |= open_ & (lo == lo_was) & (hi == hi_was)
-    failed = open_ | (lo == 0.0)
-    if failed.any():
-        i = int(np.argmax(failed))
+    if open_.any():
+        i = int(np.argmax(open_))
         raise ConvergenceError(f"multisection for the {ks[i]}-th eigenvalue stopped at "
                                f"[{lo[i]:g}, {hi[i]:g}] after {passes} passes, starting "
-                               f"from the bound {upper:g}; {dropped} counts were dropped "
-                               "as not clear of their rounding")
+                               f"from the bound {upper:g}")
     return lo, hi
 
 
@@ -290,8 +266,9 @@ def eigenvalue_brackets(seq: MatchingSequence, m: int, s: int, beta: float,
     """Brackets [(lo, hi)] with lambda_i in [lo_i, hi_i] of the k lowest
     eigenvalues (all, for k past the rows) of the level-m graph's Neumann
     pencil, then of its V_0-grounded one, from multisection on the block
-    counter's N_N and N_D to 1e-13 relative width; no graph is built.  The
-    Neumann lambda_1 is exactly 0, because the graph is connected.
+    counter's single float counts of N_N and N_D to 1e-13 relative width;
+    no graph is built.  The Neumann lambda_1 is exactly 0, because the
+    graph is connected.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -300,7 +277,7 @@ def eigenvalue_brackets(seq: MatchingSequence, m: int, s: int, beta: float,
     for row, first, n in ((1, 2, counter.n), (0, 1, counter.n - 3)):    # N_N, then N_D
         # 8 sections a pass; MAX_PASSES passes of them reach below lambda_1
         # from the bound, as many narrow
-        ends = _bisect_quantiles(lambda xs: [a[row] for a in counter.try_count(xs)],
+        ends = _bisect_quantiles(lambda xs: counter._float_count(xs)[row],
                                  np.arange(first, min(k, n) + 1), counter.lambda_max,
                                  rtol=1e-13, max_passes=2 * MAX_PASSES, sections=8)
         # crossed ends (counts that disagree near a cluster) bound it; the
@@ -555,6 +532,7 @@ class CountingExperiment:
     c1: float
     c2: float
     bracketing: Optional[BracketingReport]
+    work: dict      # the block counter's certified thresholds and 50-digit fallbacks
 
     @functools.cached_property
     def graph(self) -> GraphApprox:
@@ -608,4 +586,5 @@ def run_counting_experiment(
         c1=c1,
         c2=c2,
         bracketing=bracketing,
+        work={"certified": counts._blocks.certified, "fallbacks": counts._blocks.fallbacks},
     )

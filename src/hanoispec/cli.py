@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Iterable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -261,23 +262,25 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def atomic_write(path: str, text: str):
+def atomic_write(path: str, text: Union[str, Iterable[str]]):
+    """Write text, or each string of an iterable in turn, to path by way
+    of a temporary file in its directory."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def write_csv(path: str, header: list, rows: list, cfg_hash: str):
-    lines = [f"# config={cfg_hash}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    atomic_write(path, "\n".join(lines) + "\n")
+def write_csv(path: str, header: list, rows: Iterable, cfg_hash: str):
+    """One line per row, streamed to the file as rows yields them."""
+    atomic_write(path, itertools.chain(
+        (f"# config={cfg_hash}\n", ",".join(header) + "\n"),
+        (",".join(_fmt(v) for v in row) + "\n" for row in rows)))
 
 
 def write_json(path: str, payload: dict, cfg_hash: str):
@@ -430,6 +433,7 @@ def cmd_counting(cfg: RunConfig, quiet: bool = False) -> int:
             }
         ),
         "verdict": verdict,
+        "work": exp.work,
     }
     write_json(os.path.join(outdir, "report.json"), payload, h)
     if "svg" in cfg.outputs.formats:
@@ -476,7 +480,7 @@ def cmd_resistance(cfg: RunConfig, quiet: bool = False) -> int:
         write_csv(
             os.path.join(outdir, "diameters.csv"),
             ["j", "word", "diameter"],
-            [(j, w or "-", d) for (j, w, d) in scaling.records], h,
+            ((j, w or "-", d) for (j, w, d) in scaling.records), h,
         )
         if cfg.level >= 2:  # a one-level record has no slope to fit
             payload["diameter_fit"] = {

@@ -28,10 +28,9 @@ Two backends:
 A threshold x sits numerically on an eigenvalue when InertiaCounter's
 factorization is exactly singular, had to interchange rows, or has a
 pivot magnitude under SMALL_PIVOT_REL * max|L|; count_below then nudges
-x up by 10 * eps_shift and retries.  A block-counter count is flagged
-when a scalar pivot it rests on is within PIVOT_ROUNDING (16 eps) times
-the summed magnitudes of the terms that formed it, a bound on its
-rounding at any level's scale; analysis drops or raises on such a count.
+x up by 10 * eps_shift and retries.  BlockInertiaCounter.count never
+moves x: it certifies each count by two float counts either side of x,
+and recounts x in 50 digits where they disagree.
 
 The backends are cross-validated against each other in the test suite on
 every pencil family the package produces; InertiaCounter is the
@@ -226,9 +225,10 @@ class InertiaCounter:
 # Block-elimination inertia for whole level-m graphs
 # ---------------------------------------------------------------------------
 
-# A block-elimination pivot within this many eps of the summed magnitudes of
-# the terms that formed it is not told apart from zero by its rounding.
-PIVOT_ROUNDING = 16.0 * np.finfo(float).eps
+# The certificate counts x (1 -+ CERT_OFFSET), outside a float count's measured
+# 3e-13 relative backward error, and recounts in FALLBACK_DPS digits.
+CERT_OFFSET = 1e-12
+FALLBACK_DPS = 50
 
 
 class BlockInertiaCounter:
@@ -286,18 +286,22 @@ class BlockInertiaCounter:
     it, with phi_k, the count of the free-free level-k bridge with its end
     masses, from one more ``_path`` that eliminates those bridges end to end.
 
-    Below -lambda_max every pivot must come out positive and clear; the
-    first ``try_count`` checks that on an extra threshold -1 - lambda_max
-    in its own batch, and raises ConvergenceError if not.  A pass costs
-    about the same for one threshold as for a hundred (its numpy calls
-    run once per level), so the check costs no pass of its own.
-
-    Every pivot (of a bridge, the inner corners or a free bridge) and
-    w and sigma of S_j and S_0 are near-singular when their magnitude is
-    at most PIVOT_ROUNDING times the summed magnitudes of the terms that
-    formed them; those of w and sigma are carried through the levels.
-    ``try_count`` flags each count on the pivots it depends on and never
-    moves the threshold: a nudge does not undo rounding built up over levels.
+    ``count`` certifies what it returns.  A float Sturm count is the
+    exact count of a nearby matrix (Demmel, Dhillon and Ren, 1995), here
+    one whose eigenvalues lie within a relative 3e-13 of the pencil's: a
+    measured bound, not a proven one.  So the counts at x (1 -+
+    CERT_OFFSET) bound N(x) below and above, and where they agree they
+    are N(x) exactly.  Where they disagree, or a pivot is exactly zero or
+    not finite, the same elimination recounts x in FALLBACK_DPS-digit
+    mpmath arithmetic; an exactly zero pivot there too raises
+    ThresholdAtEigenvalueError.  ``certified`` and ``fallbacks`` count the
+    thresholds settled each way.  The spectrum reads single float counts
+    (``_float_count``): its brackets bound the crossed counts near a
+    cluster in any case.  The first pass also checks that every pivot
+    comes out positive below -lambda_max, at -1 - lambda_max.  A pass
+    costs about the same for one threshold as for a hundred (its numpy
+    calls run once per level), so neither that check nor the certificate's
+    second point costs a pass of its own.
     """
 
     def __init__(self, seq: MatchingSequence, m: int, s: int, beta: float):
@@ -317,8 +321,8 @@ class BlockInertiaCounter:
         # decoupled components exceeds 2 sum|c| / mass over the vertex
         # classes (a corner with only its cell share, a corner at a level-k
         # bridge, an interior bridge node), so below -lambda_max L - x M is
-        # positive definite; the first try_count checks that every pivot
-        # comes out positive and clear of its rounding there.
+        # positive definite; the first pass checks that every pivot comes
+        # out positive there.
         cell = 2.0 * abs(self.cell_conductance)
         ck, bm = np.abs(self.seg_conductance), self.bridge_mass
         bounds = [[2.0 * cell / self.corner_mass],
@@ -326,78 +330,88 @@ class BlockInertiaCounter:
                   4.0 * ck / (bm / s) if s > 1 else []]
         self.lambda_max = float(np.max(np.concatenate(bounds)))
         self._set_up = False
+        self.certified = 0      # thresholds whose two float counts agreed
+        self.fallbacks = 0      # thresholds recounted in FALLBACK_DPS digits
 
     def _eliminate(self, x: np.ndarray, level: Optional[int] = None):
-        """(nu_0, S_0, interior pivots clear, sums) for each threshold in x.
-
-        S_0 is (w, sigma, w_mag, sigma_mag): its row sum, its standard
-        eigenvalue and the summed magnitudes of the terms that formed each.
-        With a level j, sums holds lowerSum_j, upperSum_j and whether the
-        pivots each depends on are clear; otherwise it is None.
-        """
+        """(counts, ok, S_0) at thresholds x, float or mpmath: one row per
+        count, N_D and N_N, then lowerSum_j and upperSum_j with a level j;
+        ok where no pivot a count rests on is exactly zero or not finite;
+        S_0 as (w, sigma), its row sum and its standard eigenvalue.  Only
+        the last pivots are tested: a zero pivot of a bridge leaves its r,
+        and a zero t, p1 or p2 its level's w or sigma, infinite or nan up to
+        S_0 (an infinite w or sigma turns nan a level up, and nan stays).  A
+        zero sign pivot divides nothing; its count is then that of a
+        singular matrix next to L - x M, all the certificate needs."""
         s = self.s
         # first pass: every level's bridge interior at once, row k - 1 for
         # level k, leaving pi_k and the end-to-end g and end row sum r (at
         # s = 1 no node: pi_k = 0, g = ck and r the end's row sum)
         ck, bm = self.seg_conductance[:, None], self.bridge_mass[:, None]
         mu, end = -x * (bm / s), -x * (bm / (2 * s))
-        bridge_clear = np.ones(mu.shape, dtype=bool)
-        pi, g, r, r_mag = _path(ck, [mu] * (s - 1) + [end], ck, bridge_clear)
+        pi, g, r = _path(ck, [mu] * (s - 1) + [end], ck)
         # second pass, levels m..1: S_m of a cell has off-diagonal -1/delta_m
         # and row sums -x * corner mass
         c = self.cell_conductance
         w = -self.corner_mass * x
         sigma = 3.0 * c + w
-        w_mag, sigma_mag = np.abs(w), 3.0 * c + np.abs(w)
         nu = np.zeros(x.size, dtype=np.int64)
-        ok = np.ones(x.size, dtype=bool)
         for k in range(ck.size, 0, -1):
             if k == level:
-                at_level = nu, (w, sigma, w_mag, sigma_mag), ok & bridge_clear[k:].all(axis=0)
-            gk, rk, rk_mag = g[k - 1], r[k - 1], r_mag[k - 1]
+                at_level = nu, w, sigma
+            gk, rk = g[k - 1], r[k - 1]
             # the inner corners: the trivial and sign pivots and B's two LDL^T pivots
             d, o = (w + 2.0 * sigma) / 3.0, (w - sigma) / 3.0
-            d_mag = (w_mag + 2.0 * sigma_mag) / 3.0
-            t_mag = (2.0 * w_mag + sigma_mag) / 3.0 + rk_mag
-            t = _pivot((2.0 * w + sigma) / 3.0 + rk, t_mag, ok)
-            sign = _pivot(sigma + rk + 2.0 * gk, sigma_mag + rk_mag + 2.0 * np.abs(gk), ok)
-            p1 = _pivot(t + 1.5 * gk, t_mag + 1.5 * np.abs(gk), ok)
+            t = (2.0 * w + sigma) / 3.0 + rk
+            sign = sigma + rk + 2.0 * gk
+            p1 = t + 1.5 * gk
             # B_22 - (3/4) g^2 / p1, as sigma + r + g t / (2 p1)
             f = 0.5 * gk / p1
-            p2 = _pivot(sigma + rk + f * t, sigma_mag + rk_mag + np.abs(f) * t_mag, ok)
+            p2 = sigma + rk + f * t
             nu = 3 * (nu + pi[k - 1]) + _neg(t, sign) + 2 * _neg(p1, p2)
             # S_{k-1}, with (B^-1)_11 = B_22 / (p1 p2)
             binv = (sigma + rk + 0.5 * gk) / p1 / p2
-            binv_mag = (sigma_mag + rk_mag + 0.5 * np.abs(gk)) / np.abs(p1) / np.abs(p2)
-            w, w_mag = (w - 2.0 * o * (w + rk) / t,
-                        w_mag + 2.0 * np.abs(o) * (w_mag + rk_mag) / np.abs(t))
-            sigma, sigma_mag = d - 2.0 * o * o * binv, d_mag + 2.0 * o * o * binv_mag
-        S0, ok_0 = (w, sigma, w_mag, sigma_mag), ok & bridge_clear.all(axis=0)
-        if level is None:
-            return nu, S0, ok_0, None
-        # the sums of level j: its blocks grounded (nu_j) or free (+ neg(S_j)),
-        # and each level-k bridge, k <= j, grounded (pi_k) or free-free (phi_k)
-        nu_j, S_j, ok_j = at_level
-        neg_s, clear_s = _schur_inertia(*S_j)
-        ck, mu, end = ck[:level], mu[:level], end[:level]
-        free_clear = np.ones(mu.shape, dtype=bool)
-        phi, _, r, r_mag = _path(ck, [end] + [mu] * (s - 1) + [end], 0.0, free_clear)
-        phi = phi + (_pivot(r, r_mag, free_clear) < 0.0)
-        copies = 3 ** np.arange(1, level + 1)[:, None]  # 3^k bridges of level k
-        sums = (3 ** level * nu_j + (copies * pi[:level]).sum(axis=0),
-                3 ** level * (nu_j + neg_s) + (copies * phi).sum(axis=0),
-                ok_j & bridge_clear[:level].all(axis=0), ok_j & clear_s & free_clear.all(axis=0))
-        return nu, S0, ok_0, sums
+            w = w - 2.0 * o * (w + rk) / t
+            sigma = d - 2.0 * o * o * binv
+        ok = _finite(w) & _finite(sigma)
+        neg, ok_n = _schur_inertia(w, sigma, ok)
+        counts, oks = [nu, nu + neg], [ok, ok_n]
+        if level is not None:
+            # the sums of level j: its blocks grounded (nu_j) or free (+ neg(S_j)),
+            # and each level-k bridge, k <= j, grounded (pi_k) or free-free (phi_k)
+            nu_j, w_j, sigma_j = at_level
+            ok_j = _finite(w_j) & _finite(sigma_j) & _finite(r[:level]).all(axis=0)
+            neg_s, ok_s = _schur_inertia(w_j, sigma_j, ok_j)
+            ck, mu, end = ck[:level], mu[:level], end[:level]
+            phi, _, r = _path(ck, [end] + [mu] * (s - 1) + [end], 0.0)
+            phi = phi + (r < 0.0)
+            copies = 3 ** np.arange(1, level + 1)[:, None]  # 3^k bridges of level k
+            counts += [3 ** level * nu_j + (copies * pi[:level]).sum(axis=0),
+                       3 ** level * (nu_j + neg_s) + (copies * phi).sum(axis=0)]
+            oks += [ok_j, ok_s & (_finite(r) & (r != 0.0)).all(axis=0)]
+        return np.array(counts), np.array(oks), (w, sigma)
 
-    def try_count(self, x: np.ndarray, level: Optional[int] = None):
-        """One pass at thresholds x: (counts, clear), one row per count.
+    def _pass(self, x: np.ndarray, level: Optional[int] = None):
+        """``_eliminate``'s (counts, ok) at thresholds x.  The first pass also
+        counts at -1 - lambda_max, where every pivot must come out
+        positive, and raises ConvergenceError if N_N is not 0 there."""
+        set_up = not self._set_up
+        if set_up:
+            x = np.concatenate(([-1.0 - self.lambda_max], x))
+        # a zero pivot's infinities and nans reach only the counts ok marks
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            counts, ok, _ = self._eliminate(x, level)
+        if set_up:
+            if counts[1, 0] != 0 or not ok[1, 0]:
+                raise ConvergenceError("block elimination set-up pass is not positive definite")
+            self._set_up = True
+            counts, ok = counts[:, 1:], ok[:, 1:]
+        return counts, ok
 
-        The rows are N_D and N_N, then lowerSum_j and upperSum_j for a
-        bracketing level j, 1 <= j <= m; clear says where each count's
-        pivots were all clear of their rounding.  The first call also
-        counts at -1 - lambda_max, where every pivot must come out positive
-        and clear, and raises ConvergenceError if N_N is not a clear 0 there.
-        """
+    def count(self, x: np.ndarray, level: Optional[int] = None) -> np.ndarray:
+        """#{lambda < x} = #{lambda <= x} at each threshold x, certified, one
+        row per count: N_D and N_N, then lowerSum_j and upperSum_j for a
+        bracketing level j, 1 <= j <= m."""
         if level is not None:
             m = self.seg_conductance.size
             if not 1 <= level <= m:
@@ -406,34 +420,45 @@ class BlockInertiaCounter:
             if self.n + 3 ** (level + 1) - 3 > COUNT_MAX:
                 raise LevelError(f"the level-{level} bracketing sums of the level-{m} graph "
                                  f"can exceed what int64 counts hold ({COUNT_MAX})")
-        set_up = not self._set_up
-        if set_up:
-            x = np.concatenate(([-1.0 - self.lambda_max], x))
-        nu, S0, ok, sums = self._eliminate(x, level)
-        neg, clear = _schur_inertia(*S0)
-        counts, oks = [nu, nu + neg], [ok, ok & clear]
-        if sums is not None:
-            counts += sums[:2]
-            oks += sums[2:]
-        counts, oks = np.array(counts), np.array(oks)
-        if set_up:
-            if counts[1, 0] != 0 or not oks[1, 0]:
-                raise ConvergenceError("block elimination set-up pass is not positive definite")
-            self._set_up = True
-            counts, oks = counts[:, 1:], oks[:, 1:]
-        return counts, oks
+        x = np.asarray(x, dtype=float)
+        counts, ok = self._pass((x * [[1.0 - CERT_OFFSET], [1.0 + CERT_OFFSET]]).ravel(), level)
+        below, above = np.split(counts, 2, axis=1)
+        agree = (below == above) & np.logical_and(*np.split(ok, 2, axis=1))
+        self.certified += int(np.count_nonzero(agree.all(axis=0)))
+        return self._recount(x, below, agree, level)
+
+    def _float_count(self, x: np.ndarray) -> np.ndarray:
+        """Rows N_D and N_N at thresholds x from one float pass, uncertified;
+        recounted in 50 digits only where a last pivot is zero or not finite."""
+        return self._recount(x, *self._pass(x), None)
+
+    def _recount(self, x: np.ndarray, counts: np.ndarray, ok: np.ndarray,
+                 level: Optional[int]) -> np.ndarray:
+        """counts, with every threshold where some row is not ok recounted
+        in FALLBACK_DPS-digit arithmetic by the same elimination."""
+        redo = ~ok.all(axis=0)
+        if not redo.any():
+            return counts
+        import mpmath   # only here: an eager import costs every run its memory and time
+        self.fallbacks += int(np.count_nonzero(redo))
+        xs = x[redo]
+        with mpmath.workdps(FALLBACK_DPS):
+            try:
+                exact, ok = self._pass(np.array([mpmath.mpf(v) for v in xs.tolist()],
+                                                dtype=object), level)
+            except ZeroDivisionError:
+                ok = np.zeros((1, xs.size), dtype=bool)
+        if not ok.all():
+            raise ThresholdAtEigenvalueError(
+                f"threshold x = {float(xs[np.argmin(ok.all(axis=0))])} sits on an eigenvalue: "
+                f"its {FALLBACK_DPS}-digit count meets an exactly zero pivot")
+        counts[:, redo] = exact
+        return counts
 
 
-def _pivot(p: np.ndarray, mag: np.ndarray, clear: np.ndarray) -> np.ndarray:
-    """p, with each entry within PIVOT_ROUNDING * mag of zero replaced by that
-    bound so that the rest of the batch stays finite; clear is and-ed in place
-    with where p is clear of it."""
-    tol = PIVOT_ROUNDING * mag
-    small = np.abs(p) <= tol
-    if not small.any():
-        return p
-    clear &= ~small
-    return np.where(small, tol, p)
+def _finite(p) -> np.ndarray:
+    """Where p is neither infinite nor nan, for float and mpmath arrays alike."""
+    return np.abs(p) < np.inf
 
 
 def _neg(*pivots: np.ndarray) -> np.ndarray:
@@ -444,35 +469,30 @@ def _neg(*pivots: np.ndarray) -> np.ndarray:
     return neg
 
 
-def _schur_inertia(w, sigma, w_mag, sigma_mag) -> tuple[np.ndarray, np.ndarray]:
+def _schur_inertia(w, sigma, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """neg(S) = [w < 0] + 2 [sigma < 0] of a D3-symmetric Schur complement,
-    and whether w and sigma both clear their rounding."""
-    clear = (np.abs(w) > PIVOT_ROUNDING * w_mag) & (np.abs(sigma) > PIVOT_ROUNDING * sigma_mag)
-    return _neg(w) + 2 * _neg(sigma), clear
+    and ok where w and sigma are also nonzero."""
+    return _neg(w) + 2 * _neg(sigma), ok & (w != 0.0) & (sigma != 0.0)
 
 
-def _path(ck, row_sums: list, g, clear: np.ndarray):
+def _path(ck, row_sums: list, g):
     """Eliminate in order all but the last node of a path of conductances
     ck, whose nodes have the row sums row_sums in L - x M; g is the first
-    node's conductance to an end outside the path (0.0 for none).
-
-    Returns the negative pivots (an int64 array of the broadcast shape, 0
-    for a path of one node, which eliminates nothing), that end's
-    conductance g to the last node, and the last node's row sum r and the
-    summed magnitudes that formed it;
-    kept as a row sum, r keeps its digits as it goes to zero with x.  This
-    Sturm count stays exact next to the path's own eigenvalues, where a
-    complement onto its ends cancels to noise.  clear is and-ed in place
-    with where every pivot clears its rounding.
+    node's conductance to an end outside the path (0.0 for none).  Returns
+    the negative pivots (int64, of the broadcast shape; 0 for one node),
+    that end's conductance g to the last node, and the last node's row sum
+    r, which keeps its digits as it goes to zero with x.  This Sturm count
+    stays exact next to the path's own eigenvalues, where a complement
+    onto its ends cancels to noise.  A zero pivot leaves r infinite or nan.
     """
-    r, r_mag = row_sums[0], np.abs(row_sums[0])
+    r = row_sums[0]
     neg = np.zeros(np.broadcast(r, g, ck).shape, dtype=np.int64)
     for nxt in row_sums[1:]:
-        piv = _pivot(r + g + ck, r_mag + np.abs(g) + ck, clear)
+        piv = r + g + ck
         neg = neg + (piv < 0.0)
-        r, r_mag = nxt + ck * r / piv, np.abs(nxt) + ck * r_mag / np.abs(piv)
+        r = nxt + ck * r / piv
         g = g * ck / piv
-    return neg, g, r, r_mag
+    return neg, g, r
 
 
 # get_counter and eig_dense_cached are plain aliases of InertiaCounter and

@@ -211,8 +211,9 @@ class DiameterScaling:
 
 
 # The resistance command's peak RSS per level-j_max block, less that of
-# level 1: at most 658, 641 and 636 bytes at j_max = 10, 11, 12 (numpy 2.4).
-_BYTES_PER_BLOCK = 660
+# level 1: at most 387, 312 and 401 bytes at j_max = 10, 11, 12 (numpy 2.4),
+# with the CSV rows streamed to the file.
+_BYTES_PER_BLOCK = 410
 
 
 def _star_mesh(p, q, r):

@@ -36,7 +36,6 @@ from hanoispec.errors import (
     InsufficientDataError,
     LevelError,
     PencilSizeError,
-    ThresholdAtEigenvalueError,
 )
 from hanoispec.geometry import build_graph, enumerate_words
 from hanoispec.sequences import (
@@ -60,22 +59,26 @@ class TestCountingFunction:
         samples = counting_function(counts, [9.0])
         assert samples[0].n_neumann == 3  # right-continuous convention
 
-    def test_unclear_sample_raises_after_one_pass(self, monkeypatch):
+    def test_once_unclear_sample_is_certified_in_one_pass(self, monkeypatch):
         # constant(0.05), level 10: the grid point 12936.65049545567 (one of
-        # the auto grid's 400) counts unclear at x (1 + eps_shift); the sample
-        # raises after that one pass, naming the grid's x, not the shifted one
+        # the auto grid's 400), whose pivots a rounding test once flagged at
+        # x (1 + eps_shift), is certified by its two float counts in one
+        # call, with no recount, and its counts are the 50-digit ones
         counts = GraphCounts(constant(0.05), 10, 2, 0.25)
-        try_count, calls = BlockInertiaCounter.try_count, []
+        count, calls = BlockInertiaCounter.count, []
 
         def spy(self, x, level=None):
             calls.append(x.size)
-            return try_count(self, x, level)
+            return count(self, x, level)
 
-        monkeypatch.setattr(BlockInertiaCounter, "try_count", spy)
-        with pytest.raises(ThresholdAtEigenvalueError, match=r"the count at x = "
-                           r"12936\.65049545567 is not clear of its rounding"):
-            counting_function(counts, [12936.65049545567])
-        assert calls == [1]
+        monkeypatch.setattr(BlockInertiaCounter, "count", spy)
+        x = 12936.65049545567
+        smp, = counting_function(counts, [x])
+        assert calls == [1] and (counts._blocks.certified, counts._blocks.fallbacks) == (1, 0)
+        xs = np.array([x * (1.0 + EPS_SHIFT)])
+        exact = counts._blocks._recount(xs, np.zeros((2, 1), dtype=np.int64),
+                                        np.zeros((2, 1), dtype=bool), None)
+        assert (smp.n_dirichlet, smp.n_neumann) == tuple(exact[:, 0]) == (12, 12)
 
     def test_backends_agree(self):
         grid = np.geomspace(1.0, 1e4, 25)
@@ -268,7 +271,7 @@ class TestBracketing:
     def test_bracketed_run_eliminates_its_grid_once(self, monkeypatch):
         # the grid's N_D, N_N and both sums come from one pass of one counter
         built, sizes = [], []
-        init, try_count = BlockInertiaCounter.__init__, BlockInertiaCounter.try_count
+        init, count = BlockInertiaCounter.__init__, BlockInertiaCounter.count
 
         def spy_init(self, *args, **kwargs):
             built.append(self)
@@ -276,10 +279,10 @@ class TestBracketing:
 
         def spy_count(self, x, *args, **kwargs):
             sizes.append(np.size(x))
-            return try_count(self, x, *args, **kwargs)
+            return count(self, x, *args, **kwargs)
 
         monkeypatch.setattr(BlockInertiaCounter, "__init__", spy_init)
-        monkeypatch.setattr(BlockInertiaCounter, "try_count", spy_count)
+        monkeypatch.setattr(BlockInertiaCounter, "count", spy_count)
         exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend="inertia", bracket_level=2)
         assert len(built) == 1
         assert sizes.count(len(exp.samples)) == 1
@@ -309,13 +312,13 @@ class TestAutoGrid:
         g = build_graph(seq, m, s, 0.25)
         p = assemble_neumann(g)
         counted = []
-        try_count = BlockInertiaCounter.try_count
+        count = BlockInertiaCounter.count
 
         def spy(self, x, *args, **kwargs):
             counted.extend(np.ravel(x))
-            return try_count(self, x, *args, **kwargs)
+            return count(self, x, *args, **kwargs)
 
-        monkeypatch.setattr(BlockInertiaCounter, "try_count", spy)
+        monkeypatch.setattr(BlockInertiaCounter, "count", spy)
         grid = auto_grid(GraphCounts(seq, m, s, 0.25, "inertia"))
         assert 0 < max(counted) <= lambda_max_bound(p)
         ev = eig_dense(p).eigenvalues
@@ -332,7 +335,7 @@ class TestAutoGrid:
         steps = [upper * 1e-90, upper * 1e-85]
 
         def step_count(steps):
-            return lambda xs: ([sum(x >= t for t in steps) for x in xs], True)
+            return lambda xs: [sum(x >= t for t in steps) for x in xs]
 
         _, ends = analysis._bisect_quantiles(step_count(steps), (1, 2), upper)
         assert all(t <= e < t * (1 + 1e-4) for e, t in zip(ends, steps))
@@ -341,52 +344,49 @@ class TestAutoGrid:
                            rf"{analysis.MAX_PASSES} passes"):
             analysis._bisect_quantiles(step_count([reach / 4, reach / 2]), (k,), upper)
 
-    def test_unclear_counts_stop_a_bracket(self):
-        # counts within 1e-6 of the step are not clear: the bracket stops
-        # around that band, far wider than rtol, and its ends say how wide
+    def test_every_count_narrows_a_bracket_to_rtol(self):
+        # no count is dropped, so no bracket stops short: a step's bracket
+        # narrows to rtol, however close to it the points come
         step = 3.0
+        lo, hi = analysis._bisect_quantiles(lambda xs: xs >= step, (1,), 1e3,
+                                            rtol=1e-13, max_passes=40)
+        assert lo[0] < step <= hi[0] < lo[0] * (1 + 1e-13)
 
-        def count(xs):
-            return xs >= step, np.abs(xs - step) > 1e-6 * step
-
-        lo, hi = analysis._bisect_quantiles(count, (1,), 1e3, rtol=1e-13, max_passes=40)
-        assert step * (1 - 2e-6) <= lo[0] < step * (1 - 1e-6)
-        assert step * (1 + 1e-6) < hi[0] <= step * (1 + 2e-6)
-
-    def test_no_clear_count_raises(self):
-        # with nothing clear no bracket can narrow, and none has a lower end
+    def test_no_count_below_raises(self):
+        # with every count at or above k no bracket finds a lower end
         with pytest.raises(ConvergenceError, match=r"the 1-th eigenvalue stopped at \[0, "):
-            analysis._bisect_quantiles(lambda xs: (xs >= 1.0, False), (1,), 1e3, rtol=1e-13)
+            analysis._bisect_quantiles(lambda xs: np.ones(xs.size), (1,), 1e3, rtol=1e-13)
 
-    def test_unclear_grid_count_is_dropped_not_nudged(self, monkeypatch):
-        # one point of the first pass's ladder comes back not clear: the grid
-        # search drops it, as the spectrum does, and counts no point twice;
-        # both ends still converge
+    def test_flagged_grid_count_falls_back_in_the_same_call(self, monkeypatch):
+        # a pivot of one certificate point of the first pass's ladder comes
+        # back zero: that threshold is recounted in 50 digits in the same
+        # call, counted once, and the grid is the one without the flag
         counts = GraphCounts(SEQ, 4, 2, 0.25)
         hi = np.full(1, counts.lambda_max * 1.0001)
         point = analysis._section_ends(np.zeros(1), hi, analysis.SECTIONS)[0, 31]
-        point *= 1.0 + EPS_SHIFT
-        try_count, marked = BlockInertiaCounter.try_count, []
+        point = point * (1.0 + EPS_SHIFT) * (1.0 - eigensolve.CERT_OFFSET)
+        rows, marked = BlockInertiaCounter._pass, []
 
-        def unclear_at_point(self, x, *args, **kwargs):
-            n, clear = try_count(self, x, *args, **kwargs)
+        def flagged_at_point(self, x, level=None):
+            n, ok = rows(self, x, level)
             at = x == point
             marked.extend(x[at].tolist())
-            clear[:, at] = False
-            return n, clear
+            ok[:, at] = False
+            return n, ok
 
-        monkeypatch.setattr(BlockInertiaCounter, "try_count", unclear_at_point)
+        monkeypatch.setattr(BlockInertiaCounter, "_pass", flagged_at_point)
         grid = auto_grid(counts)
         monkeypatch.undo()
         assert marked == [point]
-        for end, k in zip((grid[0], grid[-1]), grid_quantiles(counts.n)):
-            assert counts.count([end])[1, 0] >= k > counts.count([end / (1 + 1e-4)])[1, 0]
+        assert counts._blocks.fallbacks == 1
+        assert np.array_equal(grid, auto_grid(GraphCounts(SEQ, 4, 2, 0.25)))
 
     def test_low_ratio_grid_counts(self):
-        # constant(0.05) at level 8: the grid search once nudged an unclear
-        # count three times and raised; it drops it now, and a seeded sample
-        # of the counts agrees with SuperLU on the assembled pencils (grid[0]
-        # lies within 1e-4 of lambda_10, where SuperLU's pivot test fails)
+        # constant(0.05) at level 8: the grid search once nudged a count a
+        # rounding test flagged three times and raised; every count is
+        # certified now, and a seeded sample of the counts agrees with SuperLU
+        # on the assembled pencils (grid[0] lies within 1e-4 of lambda_10,
+        # where SuperLU's pivot test fails)
         exp = run_counting_experiment(constant(0.05), 8, 2, 0.25)
         assert exp.fit.passed
         p_n = assemble_neumann(exp.graph)
@@ -396,12 +396,18 @@ class TestAutoGrid:
             want = [c.count_below(smp.x * (1.0 + EPS_SHIFT), EPS_SHIFT).count for c in superlu]
             assert [smp.n_dirichlet, smp.n_neumann] == want
 
-    def test_convergence_error_counts_the_dropped(self):
-        # at constant(0.05), level 14, the counts near the 10th eigenvalue are
-        # not clear of their rounding; the error says how many were dropped
-        with pytest.raises(ConvergenceError, match=r"the 10-th eigenvalue stopped at \[0, .*; "
-                           r"[1-9]\d* counts were dropped as not clear of their rounding"):
-            auto_grid(GraphCounts(constant(0.05), 14, 2, 0.25))
+    @pytest.mark.parametrize("m, slope", [(10, 0.25979699109189536),
+                                          (14, 0.2611644149371288),
+                                          (20, 0.262416167039208)])
+    def test_deep_low_ratio_grids_count_every_sample(self, m, slope):
+        # constant(0.05): a rounding test on the pivots once flagged the
+        # counts near the 10th eigenvalue from level 12 on, so the grid search
+        # raised, and one of the 400 samples at level 10; all are certified
+        # now by their two float counts, none recounted in 50 digits
+        exp = run_counting_experiment(constant(0.05), m, 2, 0.25)
+        assert len(exp.samples) == analysis.MAX_GRID_POINTS
+        assert exp.work["fallbacks"] == 0 and exp.work["certified"] > len(exp.samples)
+        assert exp.fit.slope == pytest.approx(slope, rel=1e-9)
 
     @pytest.mark.parametrize("m", [19, 20])
     def test_ends_at_depth(self, m):
@@ -506,12 +512,11 @@ class TestEigenvalueBrackets:
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     @family_ids
-    def test_narrow_splits_hold_at_50_digits(self, monkeypatch, seq, s):
+    def test_narrow_splits_hold_at_50_digits(self, seq, s):
         # every split of two eigenvalues less than 1e-9 apart, between
         # brackets as narrow as 1e-13, is the count of the same elimination
         # run in 50-digit arithmetic at a point between them
         mpmath = pytest.importorskip("mpmath")
-        monkeypatch.setattr(eigensolve, "PIVOT_ROUNDING", 1e-45)
         counter = BlockInertiaCounter(seq, 4, s, 0.25)
         xs, want, row = [], [], []
         for r, (lo, hi) in zip((1, 0), eigenvalue_brackets(seq, 4, s, 0.25, counter.n)):
@@ -524,10 +529,9 @@ class TestEigenvalueBrackets:
         assert xs
         with mpmath.workdps(50):
             xs = np.array([mpmath.mpf(x) for x in xs], dtype=object)
-            nu, (w, sigma, _, _), clear, _ = counter._eliminate(xs)
-            neg = [int(a < 0) + 2 * int(b < 0) for a, b in zip(w, sigma)]
-        assert clear.all()
-        assert [int(n) + (d if r else 0) for n, d, r in zip(nu, neg, row)] == want
+            counts, ok, _ = counter._eliminate(xs)
+        assert ok.all()
+        assert [int(counts[r, i]) for i, r in enumerate(row)] == want
 
     def test_k_lowest_is_the_full_run_cut(self):
         # the README example's level-4 graph: the 101 lowest agree with the
@@ -674,7 +678,7 @@ class TestExperimentPipeline:
             return [c.count_below(x * (1.0 + EPS_SHIFT), EPS_SHIFT).count for c in superlu]
 
         grid = [smp.x for smp in exp.samples]
-        ends = analysis._grid_ends(lambda xs: ([count(x)[1] for x in xs], True),
+        ends = analysis._grid_ends(lambda xs: [count(x)[1] for x in xs],
                                    p_n.n, lambda_max_bound(p_n), 0.2)
         assert (grid[0], grid[-1]) == ends
         samples = [CountingSample(x, *count(x)) for x in grid]

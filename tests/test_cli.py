@@ -9,8 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import numpy as np
-
 from hanoispec import analysis, geometry, resistance
 from hanoispec.cli import (
     config_from_dict,
@@ -352,19 +350,20 @@ class TestSpectrumCommand:
         lines = (tmp_path / "out" / "eigenvalues.csv").read_text().splitlines()
         assert len([l for l in lines if l.endswith(",neumann")]) == 4
 
-    def test_no_clear_count_exits_2(self, tmp_path, monkeypatch, capsys):
-        # no count above 0 is clear, so no bracket can narrow or find its
-        # lower end; the set-up pass below -lambda_max still passes
-        try_count = BlockInertiaCounter.try_count
+    def test_zero_pivot_in_50_digits_exits_2(self, tmp_path, monkeypatch, capsys):
+        # every count above 0 meets a zero pivot, in floats and in the
+        # 50-digit recount, so the first threshold above 0 sits on an
+        # eigenvalue; the set-up pass below -lambda_max still passes
+        rows = BlockInertiaCounter._pass
 
-        def unclear(self, x, level=None):
-            counts, clear = try_count(self, x, level)
-            return counts, clear & (np.asarray(x) < 0.0)
+        def zero_pivots(self, x, level=None):
+            counts, ok = rows(self, x, level)
+            return counts, ok & (x < 0.0)
 
-        monkeypatch.setattr(BlockInertiaCounter, "try_count", unclear)
+        monkeypatch.setattr(BlockInertiaCounter, "_pass", zero_pivots)
         cfgfile = write_config(tmp_path, base_config(tmp_path / "out"))
         assert main(["spectrum", "--config", cfgfile, "--quiet"]) == 2
-        assert "eigenvalue stopped at [0, " in capsys.readouterr().err
+        assert "sits on an eigenvalue: its 50-digit count" in capsys.readouterr().err
 
     def test_level_20_k_lowest_builds_no_graph(self, tmp_path, monkeypatch):
         # 1.6e10 vertices: the 101 lowest of each pencil come from the counts
@@ -403,15 +402,22 @@ class TestCountingCommand:
         lines = (outdir / "counting.csv").read_text().splitlines()
         assert lines[1] == "x,n_dirichlet,n_neumann,lower_sum,upper_sum,weyl_ratio"
 
-    def test_unclear_sample_exits_2_naming_its_x(self, tmp_path, capsys):
-        # constant(0.05), level 10: this grid point's count is not clear of
-        # its rounding; the error names it as the grid holds it
+    def test_once_unclear_sample_is_counted_and_reported(self, tmp_path):
+        # constant(0.05), level 10: a rounding test on the pivots once flagged
+        # one of the 400 grid points and the run exited 2, and dropped counts
+        # had started the grid at 705.97, above lambda_12.  All counts are
+        # certified now: the grid starts at lambda_10 = lambda_11 (672.30,
+        # N_N from 9 to 11), and the report counts the certified thresholds
+        # of the grid search and of the grid, and no 50-digit recount
         cfg = base_config(tmp_path / "out", level=10, sequence={"kind": "constant", "r": 0.05},
-                          grid={"mode": "explicit", "values": [12936.65049545567]})
-        assert main(["counting", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert "the count at x = 12936.65049545567 is not clear of its rounding" in err
-        assert "np.float64" not in err
+                          grid={"mode": "auto", "points": 60})
+        assert main(["counting", "--config", write_config(tmp_path, cfg), "--quiet"]) == 0
+        lines = (tmp_path / "out" / "counting.csv").read_text().splitlines()[2:]
+        assert len(lines) == 400
+        x, nd, nn = lines[0].split(",")[:3]
+        assert float(x) == pytest.approx(672.3010737969796, rel=1e-9) and (nd, nn) == ("9", "11")
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["work"] == {"certified": 441 + 400, "fallbacks": 0}
 
     def test_svg_well_formed(self, tmp_path):
         code, outdir = self._run(tmp_path, fit={"n_min": 10, "eta": 0.2,
@@ -442,19 +448,26 @@ class TestCountingCommand:
     @pytest.mark.parametrize("bracketing", [None, 2], ids=["plain", "bracketed"])
     def test_backends_write_the_same_files(self, tmp_path, bracketing):
         # dense and inertia find the same auto-grid ends on the same counts,
-        # so every output agrees byte for byte apart from the config hash
-        outputs = {}
+        # so every output agrees byte for byte apart from the config hash and
+        # the report's work: without a bracketing level, dense counts the
+        # grid by LAPACK, so its block counter certifies the grid search alone
+        outputs, work = {}, {}
         for backend in ("dense", "inertia"):
             code, outdir = self._run(tmp_path, outname=backend, solver={"backend": backend},
                                      bracketing_level=bracketing)
             h = config_hash(load_config(str(tmp_path / f"{backend}.json")))
+            work[backend] = json.loads((outdir / "report.json").read_text()).pop("work")
             files = {}
             for name in ("counting.csv", "report.json", "loglog.svg"):
                 lines = (outdir / name).read_text().splitlines()
                 assert sum(h in line for line in lines) == 1
                 files[name] = [line for line in lines if h not in line]
+            files["report.json"] = files["report.json"][:-5] + files["report.json"][-1:]
             outputs[backend] = (code, files)
         assert outputs["dense"] == outputs["inertia"]
+        grid = len(outputs["dense"][1]["counting.csv"]) - 1
+        assert work["inertia"] == {"certified": work["dense"]["certified"]
+                                   + (grid if bracketing is None else 0), "fallbacks": 0}
 
     def test_dense_above_limit_exits_one_unbuilt(self, tmp_path, monkeypatch, capsys):
         # the closed-form vertex count is checked before any graph is built
@@ -515,13 +528,13 @@ class TestResistanceCommand:
         assert math.isfinite(fit["dimension_estimate"])
 
     def test_level_16_refused_by_the_diameters_size_check(self, tmp_path, monkeypatch, capsys):
-        # on a 7.83 GiB host the level-15 graph's arrays (4.8 GiB) would fit,
-        # but not the diameters' 3**15 blocks at 660 bytes each: exit 1
-        # before the scale factors are read or any output is written
+        # on a 5 GiB host the diameters' 3**15 blocks at 410 bytes each
+        # (5.5 GiB) do not fit: exit 1 before the scale factors are read or
+        # any output is written
         def no_scales(*args, **kwargs):
             raise AssertionError("the scale factors were read")
 
-        pages = {"SC_PHYS_PAGES": int(7.83 * 2**30), "SC_PAGE_SIZE": 1}
+        pages = {"SC_PHYS_PAGES": 5 * 2**30, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr(geometry.os, "sysconf", pages.__getitem__)
         monkeypatch.setattr(resistance, "level_scales", no_scales)
         cfg = base_config(tmp_path / "out", level=16, subdivisions=1)

@@ -45,6 +45,10 @@ from hanoispec.resistance import compatibility_check
 from hanoispec.sequences import constant, explicit, geometric_to_limit
 from test_resistance import FAMILIES
 
+# a threshold on an eigenvalue or on a zero pivot must not leak a division
+# by zero or an invalid value out of the block counter
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SEQ = constant(0.5)
 
 
@@ -68,10 +72,11 @@ def fail_lapack(monkeypatch):
 
 
 def block_counts(ctr: BlockInertiaCounter, x, level=None) -> tuple:
-    """The block counter's rows at thresholds x, from one try_count, each
-    count asserted clear of its rounding."""
-    counts, clear = ctr.try_count(np.asarray(x, dtype=float).ravel(), level)
-    assert clear.all()
+    """The block counter's rows at thresholds x, from one count, each
+    asserted certified by its two float counts, with no 50-digit recount."""
+    fallbacks = ctr.fallbacks
+    counts = ctr.count(np.asarray(x, dtype=float).ravel(), level)
+    assert ctr.fallbacks == fallbacks
     return tuple(counts)
 
 
@@ -398,7 +403,7 @@ class TestBlockCounter:
     @pytest.mark.parametrize("j", [0, 4])
     def test_bracketing_level_range(self, j):
         with pytest.raises(LevelError):
-            BlockInertiaCounter(SEQ, 3, 2, 0.25).try_count(np.ones(1), level=j)
+            BlockInertiaCounter(SEQ, 3, 2, 0.25).count(np.ones(1), level=j)
 
     @pytest.mark.parametrize("m, s", [(0, 1), (1, 3), (3, 1), (4, 2)])
     @pytest.mark.parametrize("seq", [SEQ, explicit([0.45, 0.53], tail="cycle")],
@@ -440,16 +445,16 @@ class TestBlockCounter:
         for m in range(31):
             for s in (1, 2, 3):
                 ctr = BlockInertiaCounter(seq, m, s, 0.25)
-                _, (w0, sigma0, _, _), _, _ = ctr._eliminate(np.zeros(1))
+                _, _, (w0, sigma0) = ctr._eliminate(np.zeros(1))
                 assert w0[0] == 0.0, (m, s)
                 R = 2.0 / sigma0[0]
                 assert abs(R - 2.0 / 3.0) <= 1e-12, (m, s, R)
                 assert compat.resistances[m] == pytest.approx([R] * 3, abs=1e-14), (m, s)
 
-    def test_deep_pivots_are_tested_against_their_own_rounding(self):
+    def test_deep_counts_are_certified_and_monotone(self):
         # around x = 3.0913e18 at m = 24 a level's entries reach 3e13 while
-        # B's small pivot sits near 9, far above its ~1e-2 rounding; every
-        # threshold of a dense grid there counts, monotone in x
+        # B's small pivot sits near 9; every threshold of a dense grid there
+        # is certified by its two float counts, monotone in x
         ctr = BlockInertiaCounter(geometric_to_limit(0.6, 0.5), 24, 2, 0.25)
         nd, nn = block_counts(ctr, np.linspace(1 - 1e-3, 1 + 1e-3, 2001) * 3.0913e18)
         assert np.all(np.diff(nd) >= 0) and np.all(np.diff(nn) >= 0) and np.all(nd <= nn)
@@ -470,6 +475,21 @@ class TestBlockCounter:
         nd, nn = block_counts(ctr, [x])
         assert (int(nd[0]), int(nn[0])) == (count, count)
 
+    def test_count_next_to_a_cluster_falls_back(self):
+        # within about 1e-13 of a cluster of the V_0-grounded pencil, a float
+        # pass reads N_D = 1266 with no pivot near zero; the certificate's
+        # two counts (1263 and 1281) disagree, and the 50-digit recount gives
+        # 1272, as SuperLU on the assembled pencil
+        seq, x = constant(0.5), 679171.0463103438
+        ctr = BlockInertiaCounter(seq, 6, 3, 0.25)
+        counts, ok = ctr._pass(x * np.array([1 - 1e-12, 1.0, 1 + 1e-12]))
+        assert ok.all() and counts[0].tolist() == [1263, 1266, 1281]
+        assert ctr.count(np.array([x]))[0, 0] == 1272
+        assert (ctr.certified, ctr.fallbacks) == (0, 1)
+        g = build_graph(seq, 6, 3, 0.25)
+        p_d = apply_dirichlet(assemble_neumann(g), g, "v0")
+        assert InertiaCounter(p_d).count_below(x).count == 1272
+
     def test_free_paths_count_their_zero_modes_at_depth(self):
         # at x = 0.01, below every nonzero eigenvalue of the level-20
         # decoupled form, each free cell and free path has its zero mode
@@ -480,90 +500,109 @@ class TestBlockCounter:
         assert int(upper[0]) == 3 ** 20 + (3 ** 21 - 3) // 2
 
     def test_threshold_on_neumann_eigenvalue(self):
-        # the level-0 triangle has a double eigenvalue at 9: S_0 is singular
-        # there, so N_N is flagged while N_D (no interior) is not; counted
-        # through the shift, N_N takes in both copies, as the dense oracle
+        # the level-0 triangle has a double eigenvalue at 9: the float sigma_0
+        # is exactly 0 there, so the pass flags N_N while N_D (no interior)
+        # is not; the certificate's counts either side disagree, and the
+        # 50-digit recount puts the pencil's double eigenvalue (its corner
+        # mass is the float 1/3) just above 9.  Counted through the shift,
+        # N_N takes in both copies, as the dense oracle
         ctr = BlockInertiaCounter(SEQ, 0, 1, 0.25)
-        _, (ok_d, ok_n) = ctr.try_count(np.array([9.0]))
+        _, (ok_d, ok_n) = ctr._pass(np.array([9.0]))
         assert ok_d[0] and not ok_n[0]
+        assert ctr.count(np.array([9.0])).ravel().tolist() == [0, 1]
+        assert (ctr.certified, ctr.fallbacks) == (0, 1)
         nn = GraphCounts(SEQ, 0, 1, 0.25).count([9.0])[1]
         assert nn.tolist() == [3] == [eig_dense(m0_pencil()).count_leq(9.0)]
 
-    def test_s0_failure_raises_after_one_pass(self, monkeypatch):
-        # N_N not clear where N_D is: the sample raises, naming its own x,
-        # after the one pass that flagged it; dense without a level runs no
-        # pass at all
+    def test_s0_disagreement_falls_back_in_the_same_call(self, monkeypatch):
+        # N_N's two float counts disagree where N_D's agree: the sample is
+        # recounted in 50 digits in the same call, after the one float pass
+        # of the set-up point and both certificate points; dense without a
+        # level runs no pass at all
         calls = []
+        eliminate = BlockInertiaCounter._eliminate
 
-        def only_n_d_clear(self, x, level=None):
-            calls.append(x.size)
-            return np.array([[1], [2]]), np.array([[True], [False]])
+        def spy(self, x, level=None):
+            calls.append((x.dtype.kind, x.size))
+            return eliminate(self, x, level)
 
-        monkeypatch.setattr(BlockInertiaCounter, "try_count", only_n_d_clear)
-        with pytest.raises(ThresholdAtEigenvalueError,
-                           match=r"the count at x = 10\.0 is not clear of its rounding"):
-            GraphCounts(SEQ, 1, 2, 0.25).count([10.0])
-        assert calls == [1]
+        monkeypatch.setattr(BlockInertiaCounter, "_eliminate", spy)
+        counts = GraphCounts(SEQ, 0, 1, 0.25, eps_shift=0.0)
+        assert counts.count([9.0]).ravel().tolist() == [0, 1]
+        assert calls == [("f", 3), ("O", 1)]
+        assert (counts._blocks.certified, counts._blocks.fallbacks) == (0, 1)
         GraphCounts(SEQ, 1, 2, 0.25, "dense").count([10.0])
-        assert calls == [1]
+        assert len(calls) == 2
 
     def test_interior_pivot_failure_flags_both_counts(self):
         # with s = 2 the pivot of a bridge's interior node is 2 c_k - x mu_k,
-        # zero at x = 2 c_k / mu_k, which is no eigenvalue of the pencils;
-        # counted through the shift both counts are clear and match dense
+        # zero at x = 2 c_k / mu_k, which is no eigenvalue of the pencils:
+        # a float pass there flags both counts, but the certificate's two
+        # points either side agree, so nothing is recounted; the counts,
+        # with or without the shift, match dense
         g = build_graph(SEQ, 1, 2, 0.25)
         ctr = BlockInertiaCounter(g.seq, g.m, g.s, g.beta)
         x = 2.0 * ctr.seg_conductance[0] / (ctr.bridge_mass[0] / 2)
-        _, (ok_d, ok_n) = ctr.try_count(np.array([x]))
+        _, (ok_d, ok_n) = ctr._pass(np.array([x]))
         assert not ok_d[0] and not ok_n[0]
+        assert block_counts(ctr, [x]) == (6, 9)
         p_n = assemble_neumann(g)
         nd, nn = GraphCounts(g.seq, g.m, g.s, g.beta).count([x])
         assert (nd[0], nn[0]) == (6, 9) == (eig_dense(apply_dirichlet(p_n, g, "v0")).count_leq(x),
                                             eig_dense(p_n).count_leq(x))
 
-    def test_pivots_are_flagged_within_a_few_roundings(self):
-        # 4 eps off a zero of the interior pivot 2 c_k - x mu_k (m = 1) and
-        # of sigma_0 (m = 0, x = 9) the pivot is rounding and is flagged;
-        # 1e-12 off it is clear and counted
+    def test_eigenvalues_within_a_few_roundings_fall_back(self):
+        # 4 eps off a zero of the interior pivot 2 c_k - x mu_k (m = 1),
+        # which is no eigenvalue, and 1e-11 off it, the two float counts
+        # agree and certify all four; 4 eps off the double eigenvalue at 9
+        # (m = 0, sigma_0 = 0) they disagree, and those two thresholds fall
+        # back to 50 digits, which count either side of it; 1e-11 off it
+        # they agree
         eps = np.finfo(float).eps
-        near, off = [1 + 4 * eps, 1 - 4 * eps], [1 + 1e-12, 1 - 1e-12]
+        near, off = [1 + 4 * eps, 1 - 4 * eps], [1 + 1e-11, 1 - 1e-11]
         ctr = BlockInertiaCounter(SEQ, 1, 2, 0.25)
         x0 = 2.0 * ctr.seg_conductance[0] / (ctr.bridge_mass[0] / 2)
-        _, ok = ctr.try_count(x0 * np.array(near + off))
-        assert ok.tolist() == [[False, False, True, True]] * 2
-        _, ok = BlockInertiaCounter(SEQ, 0, 1, 0.25).try_count(9.0 * np.array(near + off))
-        assert ok.tolist() == [[True] * 4, [False, False, True, True]]
+        assert ctr.count(x0 * np.array(near + off)).tolist() == [[6] * 4, [9] * 4]
+        assert (ctr.certified, ctr.fallbacks) == (4, 0)
+        ctr = BlockInertiaCounter(SEQ, 0, 1, 0.25)
+        assert ctr.count(9.0 * np.array(near + off)).tolist() == [[0] * 4, [3, 1, 3, 1]]
+        assert (ctr.certified, ctr.fallbacks) == (2, 2)
 
     def test_free_bridge_pivot_failure_flags_the_sums(self):
         # a free bridge's end pivot c_k - x m_b / (2s) vanishes at
         # x = 2 s c_k / m_b, and so does its interior's first pivot; with
-        # s = 2 this x is also an eigenvalue of the free bridge, which the
-        # sums counted through the shift take in, as the decoupled forms
+        # s = 2 this x is also an eigenvalue of the free bridge, so the
+        # certificate's two counts of upperSum disagree and x falls back to
+        # 50 digits.  The sums counted through the shift take it in, as the
+        # decoupled forms
         g = build_graph(SEQ, 2, 2, 0.25)
         ctr = BlockInertiaCounter(g.seq, g.m, g.s, g.beta)
         x = 2 * g.s * ctr.seg_conductance[0] / ctr.bridge_mass[0]
-        _, ok = ctr.try_count(np.array([x]), level=1)
+        _, ok = ctr._pass(np.array([x]), level=1)
         assert not ok[2:].any()
+        ctr.count(np.array([x]), level=1)
+        assert (ctr.certified, ctr.fallbacks) == (0, 1)
         want = [sum(eig_dense(c).count_leq(x) for c in assemble_decoupled(g, 1, kind))
                 for kind in ("dirichlet_split", "neumann_split")]
         sums = GraphCounts(g.seq, g.m, g.s, g.beta).count([x], level=1)[2:, 0]
         assert sums.tolist() == [21, 33] == want
 
     def test_threshold_error_on_hopeless_shift(self):
-        # x = 0 stays 0 through the shift, where S_0 of the Neumann pencil is singular
-        with pytest.raises(ThresholdAtEigenvalueError, match=r"x = 0\.0 "):
+        # x = 0 stays 0 through the shift and through the certificate, where
+        # S_0 of the Neumann pencil is singular in any precision
+        with pytest.raises(ThresholdAtEigenvalueError, match=r"x = 0\.0 .*50-digit"):
             GraphCounts(SEQ, 0, 1, 0.25).count([0.0])
 
     def test_setup_pass_must_be_positive_definite(self):
         # a negative corner mass makes L - x M indefinite below the bound; the
-        # first try_count also counts there
+        # first count also counts there
         ctr = BlockInertiaCounter(SEQ, 1, 1, 0.25)
         ctr.corner_mass = -ctr.corner_mass
         with pytest.raises(ConvergenceError):
-            ctr.try_count(np.ones(1))
+            ctr.count(np.ones(1))
 
     def test_setup_check_guards_eigenvalue_brackets(self, monkeypatch):
-        # the same check on the spectrum's path: its first try_count raises
+        # the same check on the spectrum's path: its first float pass raises
         init, calls = BlockInertiaCounter.__init__, []
 
         def negated_mass(self, *args):
@@ -572,11 +611,11 @@ class TestBlockCounter:
 
         def spy(self, x, level=None):
             calls.append(np.size(x))
-            return try_count(self, x, level)
+            return float_pass(self, x, level)
 
-        try_count = BlockInertiaCounter.try_count
+        float_pass = BlockInertiaCounter._pass
         monkeypatch.setattr(BlockInertiaCounter, "__init__", negated_mass)
-        monkeypatch.setattr(BlockInertiaCounter, "try_count", spy)
+        monkeypatch.setattr(BlockInertiaCounter, "_pass", spy)
         with pytest.raises(ConvergenceError, match="set-up"):
             eigenvalue_brackets(SEQ, 1, 1, 0.25, 3)
         assert len(calls) == 1
@@ -603,7 +642,7 @@ class TestBlockCounter:
         upper = block_counts(ctr, [2.0 * ctr.lambda_max], level=36)[3]
         assert int(upper[0]) == ctr.n + 3 ** 37 - 3
         with pytest.raises(LevelError, match="int64"):
-            ctr.try_count(np.ones(1), level=37)
+            ctr.count(np.ones(1), level=37)
 
 
 class TestPath:
@@ -628,10 +667,9 @@ class TestPath:
         ev = eig_dense(free_path_pencil(s, self.GAMMA, self.MASS)).eigenvalues
         x = np.append(self.between(ev), 1.5 * ev[-1])
         ck, mu, end = self.rows(s, x)
-        clear = np.ones(x.size, dtype=bool)
-        neg, _, r, r_mag = eigensolve._path(ck, [end] + [mu] * (s - 1) + [end], 0.0, clear)
-        neg = neg + (eigensolve._pivot(r, r_mag, clear) < 0.0)
-        assert clear.all()
+        neg, _, r = eigensolve._path(ck, [end] + [mu] * (s - 1) + [end], 0.0)
+        neg = neg + (r < 0.0)
+        assert np.all(eigensolve._finite(r) & (r != 0.0))
         assert neg.tolist() == np.searchsorted(ev, x).tolist() == list(range(1, s + 2))
 
     @pytest.mark.parametrize("s", [1, 2, 3, 5, 16])
@@ -648,9 +686,8 @@ class TestPath:
                              [1.5 * dirichlet[-1]]])
              if s > 1 else np.array([1.0 / (self.GAMMA * self.MASS)]))
         ck, mu, end = self.rows(s, x)
-        clear = np.ones(x.size, dtype=bool)
-        pi, g, r, _ = eigensolve._path(ck, [mu] * (s - 1) + [end], ck, clear)
-        assert clear.all()
+        pi, g, r = eigensolve._path(ck, [mu] * (s - 1) + [end], ck)
+        assert eigensolve._finite(r).all()
         assert pi.dtype == np.int64
         assert pi.tolist() == np.searchsorted(dirichlet, x).tolist() == list(range(s))
         if s == 1:

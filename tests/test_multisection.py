@@ -24,60 +24,47 @@ MAX_PASSES = analysis.MAX_PASSES
 def reference_bisect_quantiles(count, ks, upper, rtol=1e-4, max_passes=MAX_PASSES):
     ks = np.asarray(ks)
     lo, hi = np.zeros(ks.size), np.full(ks.size, upper * 1.0001)
-    stopped = np.zeros(ks.size, dtype=bool)
-    dropped = 0
     for passes in range(max_passes + 1):
-        open_ = (hi >= lo * (1.0 + rtol)) & ~stopped
+        open_ = hi >= lo * (1.0 + rtol)
         if passes == max_passes or not open_.any():
             break
         h = hi[open_]
         l = np.maximum(lo[open_], h * 8.0 ** -8)
         xs = np.unique(np.geomspace(l, h, 9, axis=1)[:, 1:-1])
-        n, clear = count(xs)
-        keep = np.broadcast_to(clear, xs.shape)
-        dropped += int(np.count_nonzero(~keep))
-        xs, n = xs[keep], np.asarray(n)[keep]
+        n = np.asarray(count(xs))
         last_below = np.searchsorted(np.minimum.accumulate(n[::-1])[::-1], ks)
         first_at = np.searchsorted(np.maximum.accumulate(n), ks)
         xs = np.concatenate(([0.0], xs, [np.inf]))
-        lo_was, hi_was = lo, hi
         lo, hi = np.maximum(lo, xs[last_below]), np.minimum(hi, xs[first_at + 1])
-        stopped |= open_ & (lo == lo_was) & (hi == hi_was)
-    failed = open_ | (lo == 0.0)
-    if failed.any():
-        i = int(np.argmax(failed))
+    if open_.any():
+        i = int(np.argmax(open_))
         raise ConvergenceError(f"multisection for the {ks[i]}-th eigenvalue stopped at "
                                f"[{lo[i]:g}, {hi[i]:g}] after {passes} passes, starting "
-                               f"from the bound {upper:g}; {dropped} counts were dropped "
-                               "as not clear of their rounding")
+                               f"from the bound {upper:g}")
     return lo, hi
 
 
 @pytest.fixture
 def multisection(monkeypatch):
     """run(f, reference, *args): f's outcome with the package's
-    multisection or the reference, the brackets (lo, hi) of its first
-    multisection and how many counts its multisections dropped."""
+    multisection or the reference, and the brackets (lo, hi) of its first
+    multisection."""
     package = analysis._bisect_quantiles
 
     def run(f, reference, *args, **kwargs):
         bisect = reference_bisect_quantiles if reference else package
-        drops, brackets = [], []
+        brackets = []
 
         def watched_bisect(count, *b_args, **b_kwargs):
-            def watched(xs):
-                n, clear = count(xs)
-                drops.append(int(np.count_nonzero(~np.broadcast_to(clear, xs.shape))))
-                return n, clear
             if reference:
                 b_kwargs.pop("sections", None)      # always 8
-            brackets.append(bisect(watched, *b_args, **b_kwargs))
+            brackets.append(bisect(count, *b_args, **b_kwargs))
             return brackets[-1]
 
         with monkeypatch.context() as patch:
             patch.setattr(analysis, "_bisect_quantiles", watched_bisect)
             got = outcome(f, *args, **kwargs)
-        return got, (brackets or [None])[0], sum(drops)
+        return got, (brackets or [None])[0]
     return run
 
 
@@ -116,12 +103,11 @@ def grid_quantiles(n: int, eta: float = 0.2) -> tuple:
 
 
 def assert_brackets(counts, brackets, ref_brackets):
-    # each grid end's bracket has a clear N_N < k at lo and >= k at hi, and
-    # meets the reference's, which N_N, exact and monotone, bounds alike
+    # each grid end's bracket has N_N < k at lo and >= k at hi, and meets
+    # the reference's, which N_N, exact and monotone, bounds alike
     ks = grid_quantiles(counts.n)
     (lo, hi), (lo_ref, hi_ref) = brackets, ref_brackets
-    n, clear = counts._blocks.try_count(np.concatenate((lo, hi)) * (1 + counts.eps_shift))
-    assert clear[1].all()
+    n = counts._blocks.count(np.concatenate((lo, hi)) * (1 + counts.eps_shift))
     assert np.all(n[1, :2] < ks) and np.all(n[1, 2:] >= ks)
     assert np.all((lo < hi_ref) & (lo_ref < hi))
 
@@ -134,47 +120,48 @@ def counts_of(exp):
 @pytest.mark.parametrize("seq, m, s, beta, level", sweep(72, 2017),
                          ids=lambda v: v.describe() if hasattr(v, "describe") else None)
 def test_counting_matches_eight_sections(multisection, seq, m, s, beta, level):
-    want, want_brackets, want_drops = multisection(run_counting_experiment, True,
-                                                   seq, m, s, beta, bracket_level=level)
-    got, brackets, drops = multisection(run_counting_experiment, False,
-                                        seq, m, s, beta, bracket_level=level)
+    want, want_brackets = multisection(run_counting_experiment, True,
+                                       seq, m, s, beta, bracket_level=level)
+    got, brackets = multisection(run_counting_experiment, False,
+                                 seq, m, s, beta, bracket_level=level)
     if isinstance(want, HanoiError):
         assert type(got) is type(want)
         return
     assert not isinstance(got, HanoiError), got
-    if want_drops or drops:
-        # dropped counts can leave the ends in other, as exact, places
-        assert_brackets(GraphCounts(seq, m, s, beta), brackets, want_brackets)
-        return
+    assert_brackets(GraphCounts(seq, m, s, beta), brackets, want_brackets)
     assert counts_of(got) == counts_of(want)
     xs, xs_ref = (np.array([smp.x for smp in e.samples]) for e in (got, want))
     assert np.allclose(xs, xs_ref, rtol=1e-13, atol=0.0)
     assert got.fit.slope == pytest.approx(want.fit.slope, rel=1e-12, abs=0.0)
 
 
-# the two configs of sweep(72, 2017) and sweep(200, 7) where dropped counts
-# move a grid end past rounding: (seq, m, s, beta, bracketing level).  In
-# the first the lower end's bracket stops at 2.5e-3 relative width on
-# either side, where every point of a pass is unclear; the other three ends
-# are narrowed to 1e-4 and hold test_ends_at_depth's end property.
+# the two configs of sweep(72, 2017) and sweep(200, 7) where a rounding
+# test on the pivots once dropped counts and moved a grid end past rounding:
+# (seq, m, s, beta, bracketing level).  In the first the lower end's
+# bracket stopped at [734.24, 736.05], 2.5e-3 relative width, where every
+# point of a pass was dropped.
 DROP_CASES = [(constant(0.05208421536759025), 9, 3, 0.137916, 3),
               (constant(0.12457482673656964), 9, 2, 0.182743, 6)]
 
 
 @pytest.mark.parametrize("seq, m, s, beta, level", DROP_CASES, ids=["r0.052", "r0.125"])
 def test_ends_with_dropped_counts(multisection, seq, m, s, beta, level):
-    _, want_brackets, _ = multisection(run_counting_experiment, True, seq, m, s, beta,
+    # every count is certified now, none recounted in 50 digits: all four
+    # ends narrow to 1e-4, hold test_ends_at_depth's end property and give
+    # the reference's counts
+    want, want_brackets = multisection(run_counting_experiment, True, seq, m, s, beta,
                                        bracket_level=level)
-    exp, brackets, drops = multisection(run_counting_experiment, False, seq, m, s, beta,
-                                        bracket_level=level)
-    assert drops > 0 and exp.bracketing.ok
+    exp, brackets = multisection(run_counting_experiment, False, seq, m, s, beta,
+                                 bracket_level=level)
+    assert exp.bracketing.ok and exp.work["fallbacks"] == 0
     counts = GraphCounts(seq, m, s, beta)
     assert_brackets(counts, brackets, want_brackets)
     lo, hi = brackets
     assert [exp.samples[0].x, exp.samples[-1].x] == hi.tolist()
-    for end, k, narrow in zip(hi, grid_quantiles(counts.n), hi < lo * (1 + 1e-4)):
-        if narrow:
-            assert counts.count([end])[1, 0] >= k > counts.count([end / (1 + 1e-4)])[1, 0]
+    assert np.all(hi < lo * (1 + 1e-4))
+    for end, k in zip(hi, grid_quantiles(counts.n)):
+        assert counts.count([end])[1, 0] >= k > counts.count([end / (1 + 1e-4)])[1, 0]
+    assert counts_of(exp) == counts_of(want)
 
 
 @pytest.mark.parametrize("seq, m, s, beta, _", sweep(30, 1899),
@@ -192,14 +179,11 @@ def test_spectrum_matches_geomspace_sections(multisection, seq, m, s, beta, _):
         assert np.allclose(hi, hi_ref, rtol=1e-12, atol=0.0)
 
 
-def step_counts(steps, asked, unclear=None):
-    """Counts of a spectrum with eigenvalues at steps, each batch logged in
-    asked; the count at the threshold unclear is not clear of its rounding,
-    and wrong: it reads every eigenvalue as below it."""
+def step_counts(steps, asked):
+    """Counts of a spectrum with eigenvalues at steps, each batch logged in asked."""
     def count(xs):
         asked.append(xs.copy())
-        n = np.searchsorted(steps, xs, side="right")
-        return np.where(xs == unclear, len(steps), n), xs != unclear
+        return np.searchsorted(steps, xs, side="right")
     return count
 
 
@@ -221,19 +205,17 @@ def test_passes_bracket_the_steps(steps, ks, batches):
 @pytest.mark.parametrize("steps, ks", [([0.3, 1.7, 2.9, 41.0], (1, 3)),
                                        ([1e-9, 3e-8, 2.9, 41.0], (1, 2))],
                          ids=["ladder", "deep"])
-def test_an_unclear_point_is_dropped_not_nudged(steps, ks):
-    # the second pass's last point below the first eigenvalue, the lower end
-    # it would set, reads unclear: the bracket still holds the eigenvalue,
-    # and, cut off after two passes, the error counts the one drop
+def test_cut_off_error_names_the_last_bracket(steps, ks):
+    # cut off after two passes, the error names the first eigenvalue's
+    # bracket as the second pass left it: its lower end is that pass's last
+    # point below the eigenvalue, and no count is dropped on the way
     asked = []
     analysis._bisect_quantiles(step_counts(steps, asked), ks, 100.0)
-    eigenvalues = np.take(steps, np.subtract(ks, 1))
-    unclear = asked[1][asked[1] < eigenvalues[0]].max()
-    lo, hi = analysis._bisect_quantiles(step_counts(steps, [], unclear), ks, 100.0)
-    assert np.all((lo < eigenvalues) & (eigenvalues <= hi) & (hi < lo * (1 + 1e-4)))
-    assert unclear not in lo and unclear not in hi
-    with pytest.raises(ConvergenceError, match="after 2 passes.*; 1 counts were dropped"):
-        analysis._bisect_quantiles(step_counts(steps, [], unclear), ks, 100.0, max_passes=2)
+    eigenvalue = steps[ks[0] - 1]
+    lo = asked[1][asked[1] < eigenvalue].max()
+    with pytest.raises(ConvergenceError, match=rf"the {ks[0]}-th eigenvalue stopped at "
+                       rf"\[{lo:g}, .* after 2 passes, starting from the bound 100$"):
+        analysis._bisect_quantiles(step_counts(steps, []), ks, 100.0, max_passes=2)
 
 
 def test_grid_point_on_an_eigenvalue(multisection):
@@ -242,10 +224,10 @@ def test_grid_point_on_an_eigenvalue(multisection):
     # no pass asked for; a 64-section pass counts those very points
     seq, m, s, beta = constant(0.05333548754351021), 7, 3, 0.23029144652921052
     want = multisection(lambda: analysis.auto_grid(GraphCounts(seq, m, s, beta)), True)[0]
-    got, _, drops = multisection(lambda: analysis.auto_grid(GraphCounts(seq, m, s, beta)),
-                                 False)
+    counts = GraphCounts(seq, m, s, beta)
+    got = multisection(lambda: analysis.auto_grid(counts), False)[0]
     assert not isinstance(got, HanoiError), got
-    assert drops == 0
+    assert counts._blocks.fallbacks == 0
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
@@ -271,7 +253,8 @@ def test_section_ends_lie_strictly_inside(hi, width, bounded, sections):
                          ids=["constant", "geometric", "explicit"])
 def test_experiment_eliminates_four_times(monkeypatch, seq, beta, m, backend, level):
     # the set-up point and the first pass's ladder in one elimination, two
-    # passes over both ends, then the grid
+    # passes over both ends, then the grid, each threshold at the
+    # certificate's two points
     calls = []
     eliminate = BlockInertiaCounter._eliminate
 
@@ -281,4 +264,4 @@ def test_experiment_eliminates_four_times(monkeypatch, seq, beta, m, backend, le
 
     monkeypatch.setattr(BlockInertiaCounter, "_eliminate", spy)
     exp = run_counting_experiment(seq, m, 2, beta, backend=backend, bracket_level=level)
-    assert calls == [64, 126, 126, len(exp.samples)]
+    assert calls == [1 + 2 * 63, 2 * 126, 2 * 126, 2 * len(exp.samples)]

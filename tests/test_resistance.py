@@ -388,9 +388,9 @@ class TestDiameterScaling:
             math.log(3) / math.log(2), rel=1e-12)
 
     @pytest.mark.parametrize("spare,fits", [(0, True), (-1, False)])
-    def test_memory_bound_is_660_bytes_per_block(self, monkeypatch, spare, fits):
-        # j_max = 2: 9 blocks take 660 * 9 bytes
-        pages = {"SC_PHYS_PAGES": 660 * 9 + spare, "SC_PAGE_SIZE": 1}
+    def test_memory_bound_is_410_bytes_per_block(self, monkeypatch, spare, fits):
+        # j_max = 2: 9 blocks take 410 * 9 bytes
+        pages = {"SC_PHYS_PAGES": 410 * 9 + spare, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr(geometry.os, "sysconf", pages.__getitem__)
         if fits:
             assert len(cell_diameter_scaling(SEQ, 3, 2).records) == 13
