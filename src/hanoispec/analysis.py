@@ -7,18 +7,17 @@ the slope against half the predicted spectral dimension.  The
 discretization-polluted tail is left out by the grid itself: auto_grid
 ends at the eta-quantile Neumann eigenvalue.
 
-Every count of an experiment comes from one GraphCounts, which picks
-the backend for the level-m graph once: block elimination (inertia,
-BlockInertiaCounter, also what auto means at every size), which needs
-only the scale factors and builds no graph, or LAPACK spectra (dense,
-the reference).  auto_grid and counting_function take it and never see
-a pencil or a backend name; auto_grid finds its ends by log-space
-multisection (_bisect_quantiles) on the block counter's N_N under
-either backend, so the two backends give the same grid.  Both read only
-certified counts, which are exact, so no count is dropped or nudged.
-The same multisection on single float counts, whose errors near a
-cluster its 1e-13 brackets bound, gives the spectrum without the graph
-(eigenvalue_brackets, eigenvalue_groups).
+Every count of an experiment comes from one counting engine, block
+elimination (BlockInertiaCounter), held by one GraphCounts: it needs
+only the scale factors and builds no graph.  auto_grid and
+counting_function take a GraphCounts and never see a pencil; auto_grid
+finds its ends by log-space multisection (_bisect_quantiles) on its N_N.
+Both read only certified counts, which are exact, so no count is dropped
+or nudged.  The same multisection on single float counts, whose errors
+near a cluster its 1e-13 brackets bound, gives the spectrum without the
+graph (eigenvalue_brackets, eigenvalue_groups).  The assembled pencils
+are only the tests' oracles: their LAPACK spectra, and SuperLU inertia
+where LAPACK's error on clustered eigenvalues passes the threshold shift.
 
 The bracketing check sandwiches the counting functions between the
 component sums of the level-j decoupled forms: grounding V_j can only
@@ -42,12 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assembly import (
-    Pencil,
-    _laplacian_from_edges,
-    apply_dirichlet,
-    assemble_neumann,
-)
+from .assembly import Pencil, _laplacian_from_edges
 from .eigensolve import (
     DENSE_LIMIT,
     EPS_SHIFT,
@@ -59,7 +53,6 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     LevelError,
-    PencilSizeError,
     ThresholdAtEigenvalueError,
 )
 from .geometry import GraphApprox, build_graph
@@ -96,56 +89,29 @@ MAX_PASSES = 16
 
 
 class GraphCounts:
-    """The counting functions of one level-m graph, from the backend chosen for it.
+    """The counting functions of one level-m graph, by block elimination.
 
-    The backend is picked once.  ``inertia`` (and ``auto``, its synonym at
-    every size) counts by block elimination (``BlockInertiaCounter``)
-    from the scale factors, every threshold of a call in one pass, and
-    builds no graph.  ``dense`` is the reference path: it builds the graph
-    and reads the counts off the LAPACK spectra of the Neumann pencil and
-    the V_0-grounded one, for graphs of at most ``dense_limit`` vertices.
-    On families with ratios r below about 0.11 its 1e-9 threshold shift is
-    under LAPACK's error on clustered eigenvalues, so it can miscount
-    there; only an explicit ``dense`` reaches that path.  The bracketing
-    sums and the ends of ``auto_grid`` come from block elimination with
-    either backend.  ``n`` (the number of vertices) and ``lambda_max``
-    (the Gershgorin bound of the Neumann pencil) are the counter's closed forms.
+    ``BlockInertiaCounter`` counts every threshold of a call in one pass
+    from the scale factors, and builds no graph; the tests check its
+    counts against LAPACK spectra and SuperLU inertia on the assembled
+    pencils.  ``n`` (the number of vertices) and ``lambda_max`` (the
+    Gershgorin bound of the Neumann pencil) are the counter's closed forms.
     """
 
-    def __init__(self, seq: MatchingSequence, m: int, s: int, beta: float,
-                 backend: str = "auto", dense_limit: int = DENSE_LIMIT,
+    def __init__(self, seq: MatchingSequence, m: int, s: int, beta: float, *,
                  eps_shift: float = EPS_SHIFT):
-        if backend not in ("auto", "dense", "inertia"):
-            raise DomainError(f"unknown backend {backend!r}")
         self._blocks = BlockInertiaCounter(seq, m, s, beta)
         self.m, self.s, self.n = m, s, self._blocks.n
         self.lambda_max = self._blocks.lambda_max
         self.eps_shift = eps_shift
-        self._spectra = None
-        if backend == "dense":
-            if self.n > dense_limit:
-                raise PencilSizeError(
-                    f"the level-{m} graph has {self.n} vertices, above the dense limit "
-                    f"{dense_limit}; use the inertia backend at this size"
-                )
-            g = build_graph(seq, m, s, beta)
-            p_n = assemble_neumann(g)
-            self._spectra = (eig_dense(apply_dirichlet(p_n, g, "v0"), dense_limit),
-                             eig_dense(p_n, dense_limit))
 
     def count(self, xs, level: Optional[int] = None) -> np.ndarray:
         """Rows N_D and N_N, #{lambda <= x} at each threshold x; with a
         bracketing level j, 1 <= j < m, then lowerSum_j and upperSum_j.
-        Block elimination (only the sums under ``dense``) counts at
-        x (1 + eps_shift), every count certified."""
+        Each is counted at x (1 + eps_shift) and certified."""
         if level is not None:
             _check_bracketing(self.m, self.s, level)
-        xs = np.asarray(xs, dtype=float)
-        rows = [spec.count_leq(xs, self.eps_shift) for spec in self._spectra or ()]
-        if self._spectra is not None and level is None:
-            return np.array(rows)
-        counts = self._blocks.count(xs * (1.0 + self.eps_shift), level)
-        return np.array(rows + list(counts[len(rows):]))
+        return self._blocks.count(np.asarray(xs, dtype=float) * (1.0 + self.eps_shift), level)
 
 
 def counting_function(
@@ -178,18 +144,16 @@ def auto_grid(counts: GraphCounts, eta: float = 0.2, per_decade: int = 60) -> np
 
     The cutoff lambda_ceil(eta*n) marks the part of the discrete spectrum
     trusted to approximate the continuum.  Both ends are found together by
-    log-space multisection to 1e-4 relative width on the block counter's
-    certified N_N at x (1 + eps_shift), whatever the backend of ``counts``
-    (``_grid_ends``).  Each pass cuts every open bracket into SECTIONS
-    log-uniform sections, whose ends are closed forms, and counts them in
-    one block elimination; until an end has a lower bracket, its pass
+    log-space multisection to 1e-4 relative width on the certified N_N of
+    ``counts`` (``_grid_ends``).  Each pass cuts every open bracket into
+    SECTIONS log-uniform sections, whose ends are closed forms, and counts
+    them in one block elimination; until an end has a lower bracket, its pass
     counts a ladder down to 8**(-63/8), about 7.7e-8, times its upper one,
     so an end up to 90 decades below the Gershgorin bound converges.  The
     grid has per_decade points a decade, at least 16 and at most
     MAX_GRID_POINTS.
     """
-    blocks, shift = counts._blocks, 1.0 + counts.eps_shift
-    x_lo, x_hi = _grid_ends(lambda xs: blocks.count(xs * shift)[1],
+    x_lo, x_hi = _grid_ends(lambda xs: counts.count(xs)[1],
                             counts.n, counts.lambda_max, eta)
     if x_hi <= x_lo * (1.0 + 1e-9):
         raise InsufficientDataError(
@@ -546,7 +510,6 @@ def run_counting_experiment(
     s: int,
     beta: float,
     backend: str = "auto",
-    dense_limit: int = DENSE_LIMIT,
     eps_shift: float = EPS_SHIFT,
     eta: float = 0.2,
     per_decade: int = 60,
@@ -558,11 +521,15 @@ def run_counting_experiment(
 
     The fit and the Weyl envelopes use N_N; the samples carry N_D as well.
     All counts, the bracketing sums included, come from one ``GraphCounts``,
-    so only the dense backend builds the graph.
+    so counting builds no graph.  ``backend`` is ``auto`` or ``inertia``,
+    two names of that one engine.
     """
+    # perfbench's counting workloads pass backend "inertia" and "auto"
+    if backend not in ("auto", "inertia"):
+        raise DomainError(f"unknown backend {backend!r}; expected auto or inertia")
     if bracket_level is not None:
         _check_bracketing(m, s, bracket_level)
-    counts = GraphCounts(seq, m, s, beta, backend, dense_limit, eps_shift)
+    counts = GraphCounts(seq, m, s, beta, eps_shift=eps_shift)
     if grid is None:
         grid = auto_grid(counts, eta=eta, per_decade=per_decade)
     samples = counting_function(counts, grid, level=bracket_level)

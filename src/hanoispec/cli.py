@@ -78,7 +78,9 @@ def _increasing(values) -> bool:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    backend: str = _one_of("auto", "dense", "inertia", default="auto")
+    # two names of block elimination, the one counting engine
+    backend: str = _one_of("auto", "inertia", default="auto")
+    # caps the spectrum command's whole spectrum (without k_lowest)
     dense_limit: int = _ranged(lambda v: v >= 0, "be >= 0", DENSE_LIMIT)
     eps_shift: float = _ranged(lambda v: 0.0 < v < 1e-4, "lie in (0, 1e-4)", EPS_SHIFT)
     k_lowest: Optional[int] = _ranged(lambda v: v >= 1, "be >= 1", None)
@@ -397,7 +399,6 @@ def cmd_counting(cfg: RunConfig, quiet: bool = False) -> int:
         cfg.subdivisions,
         cfg.beta,
         backend=cfg.solver.backend,
-        dense_limit=cfg.solver.dense_limit,
         eps_shift=cfg.solver.eps_shift,
         eta=cfg.fit.eta,
         per_decade=cfg.grid.points,

@@ -1,29 +1,28 @@
 """Generalized symmetric eigenproblems L u = lambda M u with diagonal mass.
 
-Two backends:
+One counting engine and two oracles.
 
-* dense: reduce with the diagonal mass to the standard symmetric problem
-  M^{-1/2} L M^{-1/2} and call LAPACK for its eigenvalues alone.  This is
-  the oracle path; it is capped by a size limit, and the counting
-  experiments of analysis reach it only when the dense backend is asked
-  for by name.
-
-* inertia: counting by Sylvester's law of inertia: the negative pivots
-  of an LDL^T-type elimination of L - x M count the pencil eigenvalues
-  strictly below x, and multisection on the counts brackets eigenvalues
-  (analysis.eigenvalue_brackets, the spectrum command's engine).  A whole
-  level-m graph (its Neumann pencil and the V_0-grounded one) is counted
-  by BlockInertiaCounter, which needs only its scale factors and masses.
-  For a batch of thresholds at once, it eliminates every level's bridges
-  in one pass of a tridiagonal recurrence, then the blocks one level at a
+* BlockInertiaCounter counts a whole level-m graph (its Neumann pencil
+  and the V_0-grounded one) by Sylvester's law of inertia: the negative
+  pivots of an elimination of L - x M count the pencil eigenvalues
+  strictly below x.  It needs only the scale factors and masses.  For a
+  batch of thresholds at once, it eliminates every level's bridges in
+  one pass of a tridiagonal recurrence, then the blocks one level at a
   time through their D3 symmetry (scalar pivots and one 2x2 block per
   level); the Dirichlet-Neumann bracketing sums of any level are read off
   after that, so the decoupled component pencils are never counted one
-  by one.  It is the default counting engine of analysis at every graph
-  size and the only inertia counter the counting experiments use.  Any
-  other pencil (one passed to count_below) is factored by InertiaCounter
-  with SuperLU under a symmetric column ordering and no row interchanges;
-  diag(U) is then the D of the LDL^T.
+  by one.  It is the counting engine of analysis at every graph size,
+  and multisection on its counts brackets eigenvalues
+  (analysis.eigenvalue_brackets, the spectrum command's engine).
+
+* eig_dense reduces an assembled pencil with its diagonal mass to the
+  standard symmetric problem M^{-1/2} L M^{-1/2} and calls LAPACK for its
+  eigenvalues alone, under a size limit.  InertiaCounter (count_below)
+  factors any assembled pencil with SuperLU under a symmetric column
+  ordering and no row interchanges; diag(U) is then the D of the LDL^T.
+  Both are the block counter's independent oracles in the tests and in
+  perfbench; InertiaCounter where LAPACK's error on clustered eigenvalues
+  passes the threshold shift (ratios r below about 0.11).
 
 A threshold x sits numerically on an eigenvalue when InertiaCounter's
 factorization is exactly singular, had to interchange rows, or has a
@@ -31,10 +30,6 @@ pivot magnitude under SMALL_PIVOT_REL * max|L|; count_below then nudges
 x up by 10 * eps_shift and retries.  BlockInertiaCounter.count never
 moves x: it certifies each count by two float counts either side of x,
 and recounts x in 50 digits where they disagree.
-
-The backends are cross-validated against each other in the test suite on
-every pencil family the package produces; InertiaCounter is the
-independent oracle of the block counter.
 """
 
 from __future__ import annotations
@@ -106,7 +101,7 @@ def lambda_max_bound(p: Pencil) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dense backend
+# Dense oracle
 # ---------------------------------------------------------------------------
 
 def eig_dense(p: Pencil, dense_limit: int = DENSE_LIMIT) -> Spectrum:
@@ -130,7 +125,7 @@ def eig_dense(p: Pencil, dense_limit: int = DENSE_LIMIT) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# Sparse inertia backend
+# Sparse inertia oracle
 # ---------------------------------------------------------------------------
 
 # perfbench/run.py stamps this into every result; there is no numba path
@@ -510,6 +505,6 @@ def count_below(p: Pencil, x: float) -> InertiaResult:
     """Sylvester inertia count #{lambda_k < x} for the pencil.
 
     To evaluate the right-continuous counting function N(x) = #{lambda <= x},
-    call with x * (1 + EPS_SHIFT), as counting_function does.
+    call with x * (1 + EPS_SHIFT), as GraphCounts does.
     """
     return get_counter(p).count_below(x)

@@ -27,6 +27,7 @@ from hanoispec.eigensolve import eig_dense, get_counter
 from hanoispec.geometry import build_graph
 from hanoispec.resistance import cell_diameter_scaling, compatibility_check
 from hanoispec.sequences import constant, explicit, geometric_to_limit, scale_factors
+from test_analysis import oracle_samples
 
 FAMILIES = {
     "constant(1/3)": constant(1.0 / 3.0),
@@ -89,17 +90,20 @@ def test_03_interlacing():
 
 def test_04_bracketing():
     t0 = time.time()
-    counts = GraphCounts(constant(0.5), 4, 2, 0.25, "dense")
-    total_violations = 0
+    counts = GraphCounts(constant(0.5), 4, 2, 0.25)
+    g = build_graph(constant(0.5), 4, 2, 0.25)
+    total_violations = mismatches = 0
     for j in (1, 2):
         grid = np.geomspace(1.0, counts.lambda_max * 0.9, 30)
         rep = bracketing_check(j, counting_function(counts, grid, level=j))
         total_violations += len(rep.violations)
+        # every count and sum against LAPACK on the assembled pencils
+        mismatches += sum(a != b for a, b in zip(rep.samples, oracle_samples(g, grid, j)))
     elapsed = time.time() - t0
-    ok = total_violations == 0 and elapsed <= 60.0
+    ok = total_violations == mismatches == 0 and elapsed <= 60.0
     _report(4, "dirichlet-neumann-bracketing", ok,
-            f"{total_violations} violations, {elapsed:.1f}s")
-    assert total_violations == 0
+            f"{total_violations} violations, {mismatches} LAPACK mismatches, {elapsed:.1f}s")
+    assert total_violations == mismatches == 0
     assert elapsed <= 60.0
 
 
@@ -125,7 +129,7 @@ def test_05_counting_exponent_half():
         "admixture stretch the log-x spacing between refinement levels, so "
         "the windowed slope converges to ln3/ln5 = 0.68261 only like O(1/m): "
         "measured 0.5798 at m=6 (needs >= 0.6026), 0.5868 at m=7, 0.5941 at "
-        "m=8 (n=29523); dense and inertia backends agree to the last digit"
+        "m=8 (n=29523); block elimination and LAPACK agree to the last digit"
     ),
     strict=False,
 )

@@ -35,7 +35,6 @@ from hanoispec.errors import (
     DomainError,
     InsufficientDataError,
     LevelError,
-    PencilSizeError,
 )
 from hanoispec.geometry import build_graph, enumerate_words
 from hanoispec.sequences import (
@@ -48,14 +47,39 @@ from hanoispec.sequences import (
 SEQ = constant(0.5)
 
 
+def oracle_samples(g, xs, level=None, superlu=False) -> list:
+    """The counting_function samples of the graph g at the thresholds xs,
+    with a bracketing level j their lowerSum_j and upperSum_j as well,
+    counted at x (1 + EPS_SHIFT) on its assembled pencils: the V_0-grounded
+    and Neumann pencils, then every component of the level-j decoupled
+    forms.  Counted off LAPACK spectra, or with superlu by SuperLU inertia,
+    the oracle where LAPACK's error on clustered eigenvalues passes the
+    shift (ratios r below 0.11)."""
+    xs = np.asarray(xs, dtype=float)
+    p_n = assemble_neumann(g)
+    groups = [[apply_dirichlet(p_n, g, "v0")], [p_n]]
+    if level is not None:
+        groups += [assemble_decoupled(g, level, kind)
+                   for kind in ("dirichlet_split", "neumann_split")]
+
+    def count(p):
+        if not superlu:
+            return eig_dense(p).count_leq(xs)
+        counter = InertiaCounter(p)
+        return [counter.count_below(x * (1.0 + EPS_SHIFT), EPS_SHIFT).count for x in xs]
+
+    rows = np.array([np.sum([count(p) for p in group], axis=0) for group in groups])
+    return [CountingSample(x, *col) for x, col in zip(xs.tolist(), rows.T.tolist())]
+
+
 class TestCountingFunction:
     def test_m0_counts(self):
-        counts = GraphCounts(SEQ, 0, 1, 0.25, "dense")
+        counts = GraphCounts(SEQ, 0, 1, 0.25)
         samples = counting_function(counts, [1.0, 10.0])
         assert [(s.n_neumann, s.n_dirichlet) for s in samples] == [(1, 0), (3, 0)]
 
     def test_exact_eigenvalue_grid_point(self):
-        counts = GraphCounts(SEQ, 0, 1, 0.25, "dense")
+        counts = GraphCounts(SEQ, 0, 1, 0.25)
         samples = counting_function(counts, [9.0])
         assert samples[0].n_neumann == 3  # right-continuous convention
 
@@ -80,42 +104,36 @@ class TestCountingFunction:
                                         np.zeros((2, 1), dtype=bool), None)
         assert (smp.n_dirichlet, smp.n_neumann) == tuple(exact[:, 0]) == (12, 12)
 
-    def test_backends_agree(self):
+    def test_counts_match_lapack(self):
         grid = np.geomspace(1.0, 1e4, 25)
-        dense = counting_function(GraphCounts(SEQ, 3, 2, 0.25, "dense"), grid)
-        inertia = counting_function(GraphCounts(SEQ, 3, 2, 0.25, "inertia"), grid)
-        assert [(s.n_neumann, s.n_dirichlet) for s in dense] == [
-            (s.n_neumann, s.n_dirichlet) for s in inertia
-        ]
+        assert counting_function(GraphCounts(SEQ, 3, 2, 0.25), grid) == \
+            oracle_samples(build_graph(SEQ, 3, 2, 0.25), grid)
 
     def test_interlacing(self):
         for m, s in [(2, 2), (3, 1)]:
-            counts = GraphCounts(SEQ, m, s, 0.25, "dense")
-            for smp in counting_function(counts, auto_grid(counts)):
+            counts = GraphCounts(SEQ, m, s, 0.25)
+            grid = auto_grid(counts)
+            samples = counting_function(counts, grid)
+            for smp in samples:
                 assert 0 <= smp.n_neumann - smp.n_dirichlet <= 3
+            assert samples == oracle_samples(build_graph(SEQ, m, s, 0.25), grid)
 
     def test_bad_grid(self):
-        counts = GraphCounts(SEQ, 0, 1, 0.25, "dense")
+        counts = GraphCounts(SEQ, 0, 1, 0.25)
         with pytest.raises(DomainError):
             counting_function(counts, [2.0, 1.0])
 
-    @pytest.mark.parametrize("backend", ["dense", "inertia"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_grid(self, backend, bad):
-        # nan once gave N_D = 117 and N_N = 120 under dense, and inf a LinAlgError
-        counts = GraphCounts(SEQ, 3, 2, 0.25, backend)
+    def test_non_finite_grid(self, bad):
+        # nan once gave N_D = 117 and N_N = 120 off LAPACK, and inf a LinAlgError
+        counts = GraphCounts(SEQ, 3, 2, 0.25)
         with pytest.raises(DomainError):
             counting_function(counts, [1.0, bad])
 
-    def test_unknown_backend(self):
-        with pytest.raises(DomainError):
-            GraphCounts(SEQ, 1, 1, 0.25, "superlu")
-
     @pytest.mark.parametrize("m, s, beta", [(2, 0, 0.25), (2, 2, 0.4), (-1, 2, 0.25)])
-    @pytest.mark.parametrize("backend", ["dense", "inertia"])
-    def test_bad_graph_args(self, m, s, beta, backend):
+    def test_bad_graph_args(self, m, s, beta):
         with pytest.raises(DomainError):
-            GraphCounts(SEQ, m, s, beta, backend)
+            GraphCounts(SEQ, m, s, beta)
 
     @pytest.mark.parametrize(
         "seq", [SEQ, geometric_to_limit(0.6, 0.5), explicit([0.45, 0.53], tail="cycle")],
@@ -132,16 +150,6 @@ class TestCountingFunction:
                 bound = lambda_max_bound(assemble_neumann(g))
                 assert counts.n == g.n_vertices
                 assert abs(counts.lambda_max - bound) <= 4.5e-16 * bound, (m, s)
-
-    def test_dense_limit_checked_before_the_graph(self, monkeypatch):
-        # the level-8 graph has 29 523 vertices: no graph or pencil is built
-        # before the dense backend refuses it
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the graph was built above the dense limit")
-
-        monkeypatch.setattr(analysis, "build_graph", forbidden)
-        with pytest.raises(PencilSizeError, match="29523 vertices"):
-            GraphCounts(SEQ, 8, 2, 0.25, "dense")
 
 
 class TestFit:
@@ -171,7 +179,7 @@ class TestFit:
 
     def test_window_shift_stability(self):
         # moving the window edge by one grid step moves the slope by < stderr
-        exp = run_counting_experiment(SEQ, 4, 2, 0.25, backend="dense")
+        exp = run_counting_experiment(SEQ, 4, 2, 0.25)
         shifted = fit_exponent(exp.samples[1:-1], WindowPolicy(), predicted_dimensions(SEQ))
         assert abs(shifted.slope - exp.fit.slope) < max(exp.fit.stderr, shifted.stderr)
 
@@ -188,7 +196,7 @@ class TestWeyl:
         assert c2 == pytest.approx(1.0, rel=0.05)
 
     def test_envelope_ordering(self):
-        exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend="dense")
+        exp = run_counting_experiment(SEQ, 3, 2, 0.25)
         assert 0 < exp.c1 <= exp.c2 < math.inf
 
     def test_bad_dimension(self):
@@ -196,17 +204,8 @@ class TestWeyl:
             weyl_ratio([], -1.0)
 
 
-def bracketed_samples(g, j, grid, backend="dense"):
-    counts = GraphCounts(g.seq, g.m, g.s, g.beta, backend)
-    return counting_function(counts, grid, level=j)
-
-
-def component_sums(g, j, xs) -> list:
-    """(lowerSum, upperSum) at each x: every decoupled component counted densely."""
-    spectra = {kind: [eig_dense(c) for c in assemble_decoupled(g, j, kind)]
-               for kind in ("dirichlet_split", "neumann_split")}
-    return [tuple(sum(sc.count_leq(x) for sc in spectra[kind])
-                  for kind in ("dirichlet_split", "neumann_split")) for x in xs]
+def bracketed_samples(g, j, grid):
+    return counting_function(GraphCounts(g.seq, g.m, g.s, g.beta), grid, level=j)
 
 
 class TestBracketing:
@@ -217,56 +216,44 @@ class TestBracketing:
         assert rep.ok
         for smp in rep.samples:
             assert smp.lower_sum <= smp.n_dirichlet <= smp.n_neumann <= smp.upper_sum
+        assert list(rep.samples) == oracle_samples(g, grid, 1)
 
     def test_level_guard(self):
         # counting with a bracketing level checks 1 <= j < m and s >= 2
         for s, j, error in [(2, 2, LevelError), (2, 0, LevelError), (1, 1, DomainError)]:
             g = build_graph(SEQ, 2, s, 0.25)
-            for backend in ("dense", "inertia"):
-                with pytest.raises(error):
-                    bracketed_samples(g, j, [1.0], backend)
+            with pytest.raises(error):
+                bracketed_samples(g, j, [1.0])
 
     def test_samples_without_sums(self):
         with pytest.raises(DomainError):
             bracketing_check(1, counting_function(GraphCounts(SEQ, 2, 2, 0.25), [1.0]))
 
-    @pytest.mark.parametrize("backend", ["dense", "inertia"])
     @pytest.mark.parametrize("s", [2, 3])
     @pytest.mark.parametrize("m, j", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
     @pytest.mark.parametrize("seq", [SEQ, explicit([0.45, 0.53], tail="cycle")],
                              ids=lambda q: q.describe())
-    def test_class_sums_match_every_component(self, seq, m, j, s, backend):
+    def test_class_sums_match_every_component(self, seq, m, j, s):
         # reference: every component of the decoupled forms counted on its own
         g = build_graph(seq, m, s, 0.25)
         grid = np.geomspace(1.0, 0.9 * lambda_max_bound(assemble_neumann(g)), 20)
-        rep = bracketing_check(j, bracketed_samples(g, j, grid, backend))
-        assert [(smp.lower_sum, smp.upper_sum) for smp in rep.samples] == \
-            component_sums(g, j, grid)
+        rep = bracketing_check(j, bracketed_samples(g, j, grid))
+        assert list(rep.samples) == oracle_samples(g, grid, j)
 
-    @pytest.mark.parametrize("backend", ["dense", "inertia", "auto"])
+    @pytest.mark.parametrize("backend", ["inertia", "auto"])
     def test_bracketed_run_counts_no_component(self, monkeypatch, backend):
         # the sums come from the block-elimination sweep: no component pencil
-        # is assembled or counted, and only the level-m pencils are solved,
-        # and only by dense; auto solves none, though n <= DENSE_LIMIT
+        # is assembled, and no pencil is factored or solved
         def forbidden(*args, **kwargs):
-            raise AssertionError("a bracketed run assembled or factored a pencil")
-
-        solved = []
-        dense = eigensolve.eig_dense
-
-        def counting_dense(p, *args, **kwargs):
-            solved.append(p.n)
-            return dense(p, *args, **kwargs)
+            raise AssertionError("a bracketed run assembled, factored or solved a pencil")
 
         monkeypatch.setattr(assembly, "assemble_decoupled", forbidden)
         monkeypatch.setattr(analysis, "assemble_decoupled", forbidden, raising=False)
         monkeypatch.setattr(InertiaCounter, "__init__", forbidden)
-        monkeypatch.setattr(eigensolve, "eig_dense", counting_dense)
-        monkeypatch.setattr(analysis, "eig_dense", counting_dense)
+        monkeypatch.setattr(eigensolve, "eig_dense", forbidden)
+        monkeypatch.setattr(analysis, "eig_dense", forbidden)
         exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend=backend, bracket_level=2)
-        assert exp.bracketing.ok and exp.graph.n_vertices <= eigensolve.DENSE_LIMIT
-        n = exp.graph.n_vertices  # the Neumann pencil, then V_0 grounded
-        assert sorted(solved) == ([n - 3, n] if backend == "dense" else [])
+        assert exp.bracketing.ok
 
     def test_bracketed_run_eliminates_its_grid_once(self, monkeypatch):
         # the grid's N_D, N_N and both sums come from one pass of one counter
@@ -295,11 +282,10 @@ def grid_quantiles(n: int, eta: float = 0.2) -> tuple:
 
 
 class TestAutoGrid:
-    @pytest.mark.parametrize("backend", ["dense", "inertia"])
-    def test_too_small_graph(self, backend):
+    def test_too_small_graph(self):
         # the level-0 triangle's 2nd and 3rd eigenvalues coincide
         with pytest.raises(InsufficientDataError):
-            auto_grid(GraphCounts(SEQ, 0, 1, 0.25, backend))
+            auto_grid(GraphCounts(SEQ, 0, 1, 0.25))
 
     @pytest.mark.parametrize("m, s", [(1, 1), (2, 3), (3, 2), (4, 2), (5, 2)])
     @pytest.mark.parametrize(
@@ -319,7 +305,7 @@ class TestAutoGrid:
             return count(self, x, *args, **kwargs)
 
         monkeypatch.setattr(BlockInertiaCounter, "count", spy)
-        grid = auto_grid(GraphCounts(seq, m, s, 0.25, "inertia"))
+        grid = auto_grid(GraphCounts(seq, m, s, 0.25))
         assert 0 < max(counted) <= lambda_max_bound(p)
         ev = eig_dense(p).eigenvalues
         for end, k in zip((grid[0], grid[-1]), grid_quantiles(p.n)):
@@ -389,12 +375,9 @@ class TestAutoGrid:
         # where SuperLU's pivot test fails)
         exp = run_counting_experiment(constant(0.05), 8, 2, 0.25)
         assert exp.fit.passed
-        p_n = assemble_neumann(exp.graph)
-        superlu = [InertiaCounter(p) for p in (apply_dirichlet(p_n, exp.graph, "v0"), p_n)]
         picks = np.random.default_rng(8).choice(np.arange(1, len(exp.samples)), 6, replace=False)
-        for smp in (exp.samples[i] for i in sorted(picks)):
-            want = [c.count_below(smp.x * (1.0 + EPS_SHIFT), EPS_SHIFT).count for c in superlu]
-            assert [smp.n_dirichlet, smp.n_neumann] == want
+        samples = [exp.samples[i] for i in sorted(picks)]
+        assert samples == oracle_samples(exp.graph, [smp.x for smp in samples], superlu=True)
 
     @pytest.mark.parametrize("m, slope", [(10, 0.25979699109189536),
                                           (14, 0.2611644149371288),
@@ -431,10 +414,9 @@ class TestAutoGrid:
         assert np.all(np.diff(nd) >= 0) and np.all(np.diff(nn) >= 0) and np.all(np.less_equal(nd, nn))
         assert exp.fit.slope == pytest.approx(slope, rel=1e-9)
 
-    @pytest.mark.parametrize("backend", ["dense", "inertia"])
-    def test_point_cap(self, backend):
+    def test_point_cap(self):
         # 1000 points a decade over this window would be more than the cap
-        counts = GraphCounts(SEQ, 3, 2, 0.25, backend)
+        counts = GraphCounts(SEQ, 3, 2, 0.25)
         capped = auto_grid(counts, per_decade=1000)
         plain = auto_grid(counts)
         assert len(capped) == analysis.MAX_GRID_POINTS and len(plain) == 28
@@ -609,15 +591,13 @@ class TestRegroupingIdentity:
 
 class TestExperimentPipeline:
     def test_small_run_passes(self):
-        exp = run_counting_experiment(SEQ, 4, 2, 0.25, backend="dense")
+        exp = run_counting_experiment(SEQ, 4, 2, 0.25)
         assert exp.fit.predicted == pytest.approx(0.61314719, abs=1e-8)
         assert abs(exp.fit.slope - 0.61314719) < 0.1
         assert exp.c1 <= exp.c2
 
     def test_bracket_level_included(self):
-        exp = run_counting_experiment(
-            SEQ, 3, 2, 0.25, backend="dense", bracket_level=1
-        )
+        exp = run_counting_experiment(SEQ, 3, 2, 0.25, bracket_level=1)
         assert exp.bracketing is not None
         assert exp.bracketing.ok
         assert exp.samples[0].lower_sum is not None
@@ -638,13 +618,14 @@ class TestExperimentPipeline:
     def test_counting_builds_no_graph(self, monkeypatch, backend, bracket_level):
         # block elimination counts from the scale factors: no graph, pencil or
         # pencil bound; the graph is built when read, the same as build_graph's
+        # (analysis imports no assembly function but the 1D reference's)
         def forbidden(*args, **kwargs):
             raise AssertionError("a counting experiment built a graph or a pencil")
 
         for module, name in [(analysis, "build_graph"), (geometry, "build_graph"),
                              (analysis, "assemble_neumann"), (assembly, "assemble_neumann"),
                              (eigensolve, "lambda_max_bound")]:
-            monkeypatch.setattr(module, name, forbidden)
+            monkeypatch.setattr(module, name, forbidden, raising=module is not analysis)
         exp = run_counting_experiment(SEQ, 4, 2, 0.25, backend=backend,
                                       bracket_level=bracket_level)
         monkeypatch.undo()
@@ -663,14 +644,13 @@ class TestExperimentPipeline:
     def test_block_counts_equal_superlu(self, seq, m, s, bracket_level):
         # the experiment counts the level-m pencils by block elimination; the
         # same grid ends, samples, fit and report must come from SuperLU on
-        # them, and from the dense backend and auto
+        # them and on the decoupled components, and from auto
         exp = run_counting_experiment(seq, m, s, 0.25, backend="inertia",
                                       bracket_level=bracket_level)
-        for backend in ("dense", "auto"):
-            other = run_counting_experiment(seq, m, s, 0.25, backend=backend,
-                                            bracket_level=bracket_level)
-            assert (other.samples, other.fit, other.weyl_series, other.bracketing) == \
-                (exp.samples, exp.fit, exp.weyl_series, exp.bracketing)
+        other = run_counting_experiment(seq, m, s, 0.25, backend="auto",
+                                        bracket_level=bracket_level)
+        assert (other.samples, other.fit, other.weyl_series, other.bracketing) == \
+            (exp.samples, exp.fit, exp.weyl_series, exp.bracketing)
         p_n = assemble_neumann(exp.graph)
         superlu = [InertiaCounter(p) for p in (apply_dirichlet(p_n, exp.graph, "v0"), p_n)]
 
@@ -681,20 +661,23 @@ class TestExperimentPipeline:
         ends = analysis._grid_ends(lambda xs: [count(x)[1] for x in xs],
                                    p_n.n, lambda_max_bound(p_n), 0.2)
         assert (grid[0], grid[-1]) == ends
-        samples = [CountingSample(x, *count(x)) for x in grid]
-        if bracket_level is not None:
-            sums = component_sums(exp.graph, bracket_level, grid)
-            samples = [CountingSample(smp.x, smp.n_dirichlet, smp.n_neumann, lo, up)
-                       for smp, (lo, up) in zip(samples, sums)]
+        samples = oracle_samples(exp.graph, grid, bracket_level, superlu=True)
         assert tuple(samples) == exp.samples
         assert fit_exponent(samples, WindowPolicy(), exp.prediction) == exp.fit
 
-    @pytest.mark.parametrize("backend", ["dense", "inertia"])
-    def test_bracket_level_leaves_counts_alone(self, backend):
-        plain = run_counting_experiment(SEQ, 3, 2, 0.25, backend=backend)
-        bracketed = run_counting_experiment(
-            SEQ, 3, 2, 0.25, backend=backend, bracket_level=1
-        )
+    @pytest.mark.parametrize("backend", ["superlu", "dense"])
+    def test_unknown_backend(self, monkeypatch, backend):
+        # refused before any count; LAPACK spectra are only the tests' oracle
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a refused backend was counted")
+
+        monkeypatch.setattr(BlockInertiaCounter, "__init__", forbidden)
+        with pytest.raises(DomainError, match=f"unknown backend '{backend}'"):
+            run_counting_experiment(SEQ, 3, 2, 0.25, backend=backend)
+
+    def test_bracket_level_leaves_counts_alone(self):
+        plain = run_counting_experiment(SEQ, 3, 2, 0.25)
+        bracketed = run_counting_experiment(SEQ, 3, 2, 0.25, bracket_level=1)
         assert [(s.x, s.n_dirichlet, s.n_neumann) for s in bracketed.samples] == [
             (s.x, s.n_dirichlet, s.n_neumann) for s in plain.samples
         ]

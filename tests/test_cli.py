@@ -19,7 +19,6 @@ from hanoispec.cli import (
 )
 from hanoispec.eigensolve import BlockInertiaCounter
 from hanoispec.errors import ConfigError
-from test_eigensolve import fail_lapack
 
 
 def base_config(outdir, **overrides):
@@ -64,13 +63,6 @@ GOLDEN_HASHES = [
         "level": 4, "subdivisions": 3, "beta": 0.28,
         "solver": {"backend": "inertia"},
     }),
-    ("d2524a40c14fa7c2", {
-        "sequence": {"kind": "constant", "r": 0.42},
-        "level": 3, "subdivisions": 2, "beta": 0.25,
-        "solver": {"backend": "dense", "dense_limit": 10, "k_lowest": 4},
-        "grid": {"mode": "explicit", "values": [5, 20.0, 80.0, 320.0]},
-        "outputs": {"directory": "elsewhere", "formats": ["csv"]},
-    }),
     ("ff62759838d7e7f4", {
         "sequence": {"kind": "constant", "r": 0.5},
         "level": 3, "subdivisions": 2, "beta": 0.25,
@@ -88,6 +80,8 @@ MALFORMED = [
                  id="solver.dense_limit"),
     pytest.param({"fit": []}, "fit", id="fit"),
     pytest.param({"solver": {"backnd": "dense"}}, "solver.backnd", id="solver.backnd"),
+    # LAPACK spectra are only the tests' oracle, not a counting backend
+    pytest.param({"solver": {"backend": "dense"}}, "solver.backend", id="solver.backend-dense"),
     pytest.param({"sequence": {"kind": "constant", "r": 0.5, "q": 0.2}}, "sequence.q",
                  id="sequence.q"),
     # an int field is not truncated or coerced: these once ran as 3, 1 and 3
@@ -447,43 +441,20 @@ class TestCountingCommand:
 
     @pytest.mark.parametrize("bracketing", [None, 2], ids=["plain", "bracketed"])
     def test_backends_write_the_same_files(self, tmp_path, bracketing):
-        # dense and inertia find the same auto-grid ends on the same counts,
-        # so every output agrees byte for byte apart from the config hash and
-        # the report's work: without a bracketing level, dense counts the
-        # grid by LAPACK, so its block counter certifies the grid search alone
-        outputs, work = {}, {}
-        for backend in ("dense", "inertia"):
+        # auto and inertia name the same engine, so every output, the
+        # report's work included, agrees byte for byte apart from the config hash
+        outputs = {}
+        for backend in ("auto", "inertia"):
             code, outdir = self._run(tmp_path, outname=backend, solver={"backend": backend},
                                      bracketing_level=bracketing)
             h = config_hash(load_config(str(tmp_path / f"{backend}.json")))
-            work[backend] = json.loads((outdir / "report.json").read_text()).pop("work")
             files = {}
             for name in ("counting.csv", "report.json", "loglog.svg"):
                 lines = (outdir / name).read_text().splitlines()
                 assert sum(h in line for line in lines) == 1
                 files[name] = [line for line in lines if h not in line]
-            files["report.json"] = files["report.json"][:-5] + files["report.json"][-1:]
             outputs[backend] = (code, files)
-        assert outputs["dense"] == outputs["inertia"]
-        grid = len(outputs["dense"][1]["counting.csv"]) - 1
-        assert work["inertia"] == {"certified": work["dense"]["certified"]
-                                   + (grid if bracketing is None else 0), "fallbacks": 0}
-
-    def test_dense_above_limit_exits_one_unbuilt(self, tmp_path, monkeypatch, capsys):
-        # the closed-form vertex count is checked before any graph is built
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the graph was built above the dense limit")
-
-        monkeypatch.setattr(analysis, "build_graph", forbidden)
-        cfg = base_config(tmp_path / "out", level=8, solver={"backend": "dense"})
-        assert main(["counting", "--config", write_config(tmp_path, cfg), "--quiet"]) == 1
-        assert "29523 vertices, above the dense limit 4000" in capsys.readouterr().err
-
-    def test_lapack_failure_exits_2(self, tmp_path, monkeypatch, capsys):
-        fail_lapack(monkeypatch)
-        cfg = base_config(tmp_path / "out", solver={"backend": "dense"})
-        assert main(["counting", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
-        assert "dense eigensolve failed" in capsys.readouterr().err
+        assert outputs["auto"] == outputs["inertia"]
 
     def test_level_past_int64_exits_two(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out", level=39)

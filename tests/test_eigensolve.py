@@ -1,4 +1,4 @@
-"""Dense and inertia eigenvalue backends and their cross-validation."""
+"""The block-elimination counter and its LAPACK and SuperLU oracles."""
 
 import math
 
@@ -517,8 +517,7 @@ class TestBlockCounter:
     def test_s0_disagreement_falls_back_in_the_same_call(self, monkeypatch):
         # N_N's two float counts disagree where N_D's agree: the sample is
         # recounted in 50 digits in the same call, after the one float pass
-        # of the set-up point and both certificate points; dense without a
-        # level runs no pass at all
+        # of the set-up point and both certificate points
         calls = []
         eliminate = BlockInertiaCounter._eliminate
 
@@ -531,8 +530,6 @@ class TestBlockCounter:
         assert counts.count([9.0]).ravel().tolist() == [0, 1]
         assert calls == [("f", 3), ("O", 1)]
         assert (counts._blocks.certified, counts._blocks.fallbacks) == (0, 1)
-        GraphCounts(SEQ, 1, 2, 0.25, "dense").count([10.0])
-        assert len(calls) == 2
 
     def test_interior_pivot_failure_flags_both_counts(self):
         # with s = 2 the pivot of a bridge's interior node is 2 c_k - x mu_k,
