@@ -123,17 +123,21 @@ class TestCountingFunction:
         with pytest.raises(DomainError):
             counting_function(counts, [2.0, 1.0])
 
+    @pytest.mark.parametrize("level", [None, 1])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_grid(self, bad):
-        # nan once gave N_D = 117 and N_N = 120 off LAPACK, and inf a LinAlgError
+    def test_non_finite_grid(self, bad, level):
+        # nan once gave N_D = 117 and N_N = 120 off LAPACK, and inf a LinAlgError;
+        # a bracketed count refuses them as well
         counts = GraphCounts(SEQ, 3, 2, 0.25)
         with pytest.raises(DomainError):
-            counting_function(counts, [1.0, bad])
+            counting_function(counts, [1.0, bad], level=level)
 
     @pytest.mark.parametrize("m, s, beta", [(2, 0, 0.25), (2, 2, 0.4), (-1, 2, 0.25)])
-    def test_bad_graph_args(self, m, s, beta):
+    @pytest.mark.parametrize("entry", [GraphCounts, run_counting_experiment],
+                             ids=lambda f: f.__name__)
+    def test_bad_graph_args(self, m, s, beta, entry):
         with pytest.raises(DomainError):
-            GraphCounts(SEQ, m, s, beta)
+            entry(SEQ, m, s, beta)
 
     @pytest.mark.parametrize(
         "seq", [SEQ, geometric_to_limit(0.6, 0.5), explicit([0.45, 0.53], tail="cycle")],
@@ -233,15 +237,18 @@ class TestBracketing:
     @pytest.mark.parametrize("m, j", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
     @pytest.mark.parametrize("seq", [SEQ, explicit([0.45, 0.53], tail="cycle")],
                              ids=lambda q: q.describe())
-    def test_class_sums_match_every_component(self, seq, m, j, s):
-        # reference: every component of the decoupled forms counted on its own
+    @pytest.mark.parametrize("oracle", ["dense", "inertia"])
+    def test_class_sums_match_every_component(self, oracle, seq, m, j, s):
+        # reference: every component of the decoupled forms counted on its own,
+        # off LAPACK spectra (dense) and by SuperLU inertia
         g = build_graph(seq, m, s, 0.25)
         grid = np.geomspace(1.0, 0.9 * lambda_max_bound(assemble_neumann(g)), 20)
         rep = bracketing_check(j, bracketed_samples(g, j, grid))
-        assert list(rep.samples) == oracle_samples(g, grid, j)
+        assert list(rep.samples) == oracle_samples(g, grid, j, superlu=oracle == "inertia")
 
+    @pytest.mark.parametrize("bracket_level", [1, 2])
     @pytest.mark.parametrize("backend", ["inertia", "auto"])
-    def test_bracketed_run_counts_no_component(self, monkeypatch, backend):
+    def test_bracketed_run_counts_no_component(self, monkeypatch, backend, bracket_level):
         # the sums come from the block-elimination sweep: no component pencil
         # is assembled, and no pencil is factored or solved
         def forbidden(*args, **kwargs):
@@ -252,7 +259,8 @@ class TestBracketing:
         monkeypatch.setattr(InertiaCounter, "__init__", forbidden)
         monkeypatch.setattr(eigensolve, "eig_dense", forbidden)
         monkeypatch.setattr(analysis, "eig_dense", forbidden)
-        exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend=backend, bracket_level=2)
+        exp = run_counting_experiment(SEQ, 3, 2, 0.25, backend=backend,
+                                      bracket_level=bracket_level)
         assert exp.bracketing.ok
 
     def test_bracketed_run_eliminates_its_grid_once(self, monkeypatch):
@@ -282,10 +290,14 @@ def grid_quantiles(n: int, eta: float = 0.2) -> tuple:
 
 
 class TestAutoGrid:
-    def test_too_small_graph(self):
+    @pytest.mark.parametrize("via", ["auto_grid", "experiment"])
+    def test_too_small_graph(self, via):
         # the level-0 triangle's 2nd and 3rd eigenvalues coincide
         with pytest.raises(InsufficientDataError):
-            auto_grid(GraphCounts(SEQ, 0, 1, 0.25))
+            if via == "auto_grid":
+                auto_grid(GraphCounts(SEQ, 0, 1, 0.25))
+            else:
+                run_counting_experiment(SEQ, 0, 1, 0.25)
 
     @pytest.mark.parametrize("m, s", [(1, 1), (2, 3), (3, 2), (4, 2), (5, 2)])
     @pytest.mark.parametrize(
@@ -414,11 +426,15 @@ class TestAutoGrid:
         assert np.all(np.diff(nd) >= 0) and np.all(np.diff(nn) >= 0) and np.all(np.less_equal(nd, nn))
         assert exp.fit.slope == pytest.approx(slope, rel=1e-9)
 
-    def test_point_cap(self):
+    @pytest.mark.parametrize("via", ["auto_grid", "experiment"])
+    def test_point_cap(self, via):
         # 1000 points a decade over this window would be more than the cap
         counts = GraphCounts(SEQ, 3, 2, 0.25)
-        capped = auto_grid(counts, per_decade=1000)
-        plain = auto_grid(counts)
+        if via == "auto_grid":
+            capped, plain = auto_grid(counts, per_decade=1000), auto_grid(counts)
+        else:
+            capped, plain = ([smp.x for smp in run_counting_experiment(
+                SEQ, 3, 2, 0.25, per_decade=k).samples] for k in (1000, 60))
         assert len(capped) == analysis.MAX_GRID_POINTS and len(plain) == 28
         assert (capped[0], capped[-1]) == (plain[0], plain[-1])
 
@@ -675,9 +691,10 @@ class TestExperimentPipeline:
         with pytest.raises(DomainError, match=f"unknown backend '{backend}'"):
             run_counting_experiment(SEQ, 3, 2, 0.25, backend=backend)
 
-    def test_bracket_level_leaves_counts_alone(self):
+    @pytest.mark.parametrize("bracket_level", [1, 2])
+    def test_bracket_level_leaves_counts_alone(self, bracket_level):
         plain = run_counting_experiment(SEQ, 3, 2, 0.25)
-        bracketed = run_counting_experiment(SEQ, 3, 2, 0.25, bracket_level=1)
+        bracketed = run_counting_experiment(SEQ, 3, 2, 0.25, bracket_level=bracket_level)
         assert [(s.x, s.n_dirichlet, s.n_neumann) for s in bracketed.samples] == [
             (s.x, s.n_dirichlet, s.n_neumann) for s in plain.samples
         ]
